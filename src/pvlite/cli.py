@@ -186,11 +186,9 @@ def cmd_bench(args) -> int:
             rows.append({
                 "scene": path.stem, "strategy": rep.strategy, "rois": rep.rois,
                 "nonzero_fraction": rep.nonzero_fraction,
-                "peak_alloc_bytes": rep.peak_alloc_bytes,
                 "feature_width": rep.feature_width,
             })
             print(f"{path.name} {rep.strategy}: nonzero {rep.nonzero_fraction:.4f}, "
-                  f"peak ~{rep.peak_alloc_bytes / 1e6:.1f} MB, "
                   f"{rep.wall_time:.3f}s wall")
     print(evalkit.format_report(rows), end="")
     if args.out:

@@ -208,6 +208,16 @@ class PipelineResult:
     timings: dict[str, float] = field(default_factory=dict)
 
 
+def _pool_rois(cfg: Config, model: ModelParams, keypoints: KeypointSet,
+               rois: list[Box3D], seed: int) -> list[roihead.RoiGrid]:
+    """RoI-grid pooling of every RoI; the k-th RoI draws from seed + 31 * k."""
+    return roihead.roi_grid_pool(
+        rois, keypoints.positions, keypoints.weighted, cfg.grid_radii,
+        cfg.grid_cap, model.grid_mlps, model.pool_mlp,
+        seeds=[seed + 31 * k for k in range(len(rois))],
+    )
+
+
 def run_scene(
     scene: SceneSample, model: ModelParams, cfg: Config, anchors: AnchorSet,
     seed: int,
@@ -242,13 +252,9 @@ def run_scene(
     timings["keypoints"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    grids = _pool_rois(cfg, model, keypoints, [p.box for p in proposals], seed)
     detections = []
-    for p_idx, prop in enumerate(proposals):
-        grid = roihead.roi_grid_pool(
-            prop.box, keypoints.positions, keypoints.weighted,
-            cfg.grid_radii, cfg.grid_cap, model.grid_mlps, model.pool_mlp,
-            seed=seed + 31 * p_idx,
-        )
+    for prop, grid in zip(proposals, grids):
         conf, _res, refined = roihead.refine(grid.roi_feature, prop.box,
                                              model.refine)
         detections.append(Detection(refined, conf, prop.class_id))
@@ -352,16 +358,12 @@ def build_refine_batch(
             props, list(scene.gt_boxes), seed + 977 * s_idx,
             n_sample=cfg.roi_samples, pos_iou=cfg.roi_pos_iou,
         )
-        for k, det in enumerate(sampled):
-            grid = roihead.roi_grid_pool(
-                det.box, kp.positions, kp.weighted, cfg.grid_radii,
-                cfg.grid_cap, model.grid_mlps, model.pool_mlp,
-                seed=seed + 31 * k + 7919 * s_idx,
-            )
-            feats.append(grid.roi_feature)
-            rois.append(det.box)
-            g = targets.matched_gt[k]
-            matched.append(scene.gt_boxes[g] if g >= 0 else None)
+        boxes = [det.box for det in sampled]
+        grids = _pool_rois(cfg, model, kp, boxes, seed + 7919 * s_idx)
+        feats.extend(grid.roi_feature for grid in grids)
+        rois.extend(boxes)
+        matched.extend(scene.gt_boxes[g] if g >= 0 else None
+                       for g in targets.matched_gt)
         ys.append(targets.y)
         residuals.append(targets.residuals)
         positives.append(targets.positive)
@@ -442,7 +444,6 @@ class BenchReport:
     strategy: str
     rois: int
     wall_time: float  # excluded from determinism guarantees
-    peak_alloc_bytes: int  # analytic estimate of the largest transient
     nonzero_fraction: float
     feature_width: int
 
@@ -457,42 +458,19 @@ def bench_pooling(
     with a nonzero aggregated feature; the averaging baseline reports the
     fraction of RoIs whose pooled vector is nonzero.
     """
-    n_kp = keypoints.n
-    d = keypoints.feature_width
     t0 = time.perf_counter()
-    nonzero = 0
-    total = 0
-    peak = 0
     if strategy == "roi_grid":
         width = 2 * cfg.grid_branch_width
-        for p_idx, prop in enumerate(proposals):
-            grid = roihead.roi_grid_pool(
-                prop.box, keypoints.positions, keypoints.weighted,
-                cfg.grid_radii, cfg.grid_cap, model.grid_mlps, model.pool_mlp,
-                seed=seed + 31 * p_idx,
-            )
-            rows_nonzero = (grid.grid_features != 0.0).any(axis=1)
-            nonzero += int(rows_nonzero.sum())
-            total += roihead.GRID_POINTS
-            neigh = roihead.GRID_POINTS * cfg.grid_cap * len(cfg.grid_radii)
-            est = (
-                roihead.GRID_POINTS * n_kp * 8 * len(cfg.grid_radii)
-                + neigh * (d + 3 + 2 * cfg.grid_branch_width) * 8
-                + roihead.GRID_POINTS * width * 8
-                + sum(w * 8 for w in model.pool_mlp.layer_dims)
-            )
-            peak = max(peak, est)
+        grids = _pool_rois(cfg, model, keypoints, [p.box for p in proposals], seed)
+        rows = [g.grid_features for g in grids]
     elif strategy == "average_pool":
-        width = d
-        for prop in proposals:
-            pooled = roihead.average_pool_roi(
-                prop.box, keypoints.positions, keypoints.weighted
-            )
-            nonzero += int((pooled != 0.0).any())
-            total += 1
-            peak = max(peak, n_kp * 8 + n_kp * d * 8)
+        width = keypoints.feature_width
+        rows = [roihead.average_pool_roi(p.box, keypoints.positions,
+                                         keypoints.weighted)[None] for p in proposals]
     else:
         raise ValueError(f"unknown pooling strategy {strategy!r}")
     wall = time.perf_counter() - t0
+    nonzero = sum(int((r != 0.0).any(axis=1).sum()) for r in rows)
+    total = sum(len(r) for r in rows)
     frac = nonzero / total if total else 0.0
-    return BenchReport(strategy, len(proposals), wall, peak, frac, width)
+    return BenchReport(strategy, len(proposals), wall, frac, width)

@@ -15,6 +15,7 @@ from .vsa import _aggregate_branch, radius_query
 
 GRID_RESOLUTION = 6
 GRID_POINTS = GRID_RESOLUTION**3
+ROI_BLOCK = 16  # RoIs per neighbour search in roi_grid_pool
 
 
 @dataclass(frozen=True)
@@ -34,32 +35,47 @@ class RoiGrid:
 
 
 def roi_grid_pool(
-    roi: Box3D,
+    rois: list[Box3D],
     keypoint_positions: np.ndarray,
     keypoint_features: np.ndarray,
     radii: tuple[float, float],
     cap: int,
     branch_mlps: list[nn.MlpParams],
     pool_mlp: nn.MlpParams,
-    seed: int = 0,
-) -> RoiGrid:
-    """Aggregate weighted keypoint features onto a proposal's grid points.
+    seeds: list[int],
+) -> list[RoiGrid]:
+    """Aggregate weighted keypoint features onto each proposal's grid points.
 
     Each grid point runs set abstraction over the keypoints inside each of
     the two radii (receptive fields extend beyond the RoI boundary); the two
     branch outputs are concatenated per grid point, all 216 grid features
     are vectorized, and a two-layer MLP maps them to the pooled RoI feature.
+
+    The grid points of up to ROI_BLOCK RoIs share one neighbour search per
+    radius. Grid point j of rois[p] subsamples from the stream
+    [seeds[p] + r, j] at radius index r, whichever RoIs share the call.
     """
+    if len(seeds) != len(rois):
+        raise ValueError(f"{len(seeds)} seeds for {len(rois)} RoIs")
     kp = np.asarray(keypoint_positions, dtype=float).reshape(-1, 3)
     feats = np.asarray(keypoint_features, dtype=float)
-    grid = geom.roi_grid_points(roi, GRID_RESOLUTION)
-    blocks = []
-    for r, radius in enumerate(radii):
-        neigh = radius_query(grid, kp, radius, cap, seed=seed + r)
-        blocks.append(_aggregate_branch(grid, neigh, kp, feats, branch_mlps[r]))
-    grid_features = np.concatenate(blocks, axis=1)
-    roi_feature = nn.mlp_forward(pool_mlp, grid_features.reshape(-1))
-    return RoiGrid(roi, grid, grid_features, roi_feature)
+    pooled = []
+    for b in range(0, len(rois), ROI_BLOCK):
+        grids = [geom.roi_grid_points(roi, GRID_RESOLUTION)
+                 for roi in rois[b : b + ROI_BLOCK]]
+        keys = np.stack(np.meshgrid(seeds[b : b + ROI_BLOCK], np.arange(GRID_POINTS),
+                                    indexing="ij"), axis=-1).reshape(-1, 2)
+        queries = np.concatenate(grids)
+        neigh = [radius_query(queries, kp, radius, cap, seed=keys + [r, 0])
+                 for r, radius in enumerate(radii)]
+        for i, grid in enumerate(grids):
+            rows = slice(i * GRID_POINTS, (i + 1) * GRID_POINTS)
+            grid_features = np.concatenate(
+                [_aggregate_branch(grid, nl[rows], kp, feats, mlp)
+                 for nl, mlp in zip(neigh, branch_mlps)], axis=1)
+            roi_feature = nn.mlp_forward(pool_mlp, grid_features.reshape(-1))
+            pooled.append(RoiGrid(rois[b + i], grid, grid_features, roi_feature))
+    return pooled
 
 
 def average_pool_roi(

@@ -71,8 +71,8 @@ def fps(points: np.ndarray, n: int, start_index: int = 0) -> np.ndarray:
     return sel[reps]
 
 
-def _query_rng(seed, query_index: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), int(query_index)])
+# Most candidate (query, point) pairs radius_query holds at once (~6 MB).
+QUERY_CHUNK_PAIRS = 60_000
 
 
 def radius_query(
@@ -80,23 +80,23 @@ def radius_query(
     points: np.ndarray,
     radius: float,
     cap: int,
-    seed: int,
-    method: str = "auto",
+    seed: int | np.ndarray,
 ) -> list[np.ndarray]:
     """Neighbors of each query strictly within a radius, capped by subsampling.
 
-    Distances are compared as squared distance < radius**2. Pre-cap results
-    are identical between the brute-force and the uniform-grid-accelerated
-    path (both return ascending point indices); when a query has more than
-    `cap` neighbors a seeded uniform subsample of exactly `cap` is kept.
+    A cell-list search: points are sorted into cubic cells at least `radius`
+    wide and each query tests the points of its 27 surrounding cells for
+    squared distance < radius**2. A point or query with a non-finite
+    coordinate has no neighbors. When a query has more than `cap` neighbors
+    a seeded uniform subsample of exactly `cap` is kept.
 
     Args:
         queries: (M, 3).
         points: (N, 3).
         radius: meters, > 0.
         cap: max neighbors per query.
-        seed: base seed; each query uses an independent stream.
-        method: 'brute', 'grid' or 'auto'.
+        seed: an int, where query i subsamples from the stream [seed, i], or
+            an (M, 2) int array whose row i is query i's stream key.
 
     Returns:
         List of M int arrays of neighbor indices (ascending).
@@ -105,52 +105,57 @@ def radius_query(
         raise ValueError(f"radius must be positive, got {radius}")
     q = np.asarray(queries, dtype=float).reshape(-1, 3)
     p = np.asarray(points, dtype=float).reshape(-1, 3)
-    m, num = q.shape[0], p.shape[0]
-    if num == 0 or m == 0:
+    m, n = q.shape[0], p.shape[0]
+    per_query = np.ndim(seed) > 0
+    if per_query and np.shape(seed) != (m, 2):
+        raise ValueError(f"per-query seeds must have shape ({m}, 2), "
+                         f"got {np.shape(seed)}")
+    ok_p, ok_q = (np.flatnonzero(np.isfinite(a).all(axis=1)) for a in (p, q))
+    if ok_p.size == 0 or ok_q.size == 0:
         return [np.empty(0, dtype=np.int64) for _ in range(m)]
-    if method == "auto":
-        method = "grid" if m * num > 2_000_000 else "brute"
-
-    r2 = radius * radius
-    raw: list[np.ndarray]
-    if method == "brute":
-        raw = []
-        chunk = max(1, 2_000_000 // max(num, 1))
-        for s in range(0, m, chunk):
-            d2 = ((q[s : s + chunk, None, :] - p[None, :, :]) ** 2).sum(axis=2)
-            mask = d2 < r2
-            counts = mask.sum(axis=1)
-            cols = np.nonzero(mask)[1].astype(np.int64)
-            raw.extend(np.split(cols, np.cumsum(counts)[:-1]))
-    elif method == "grid":
-        cell = np.floor(p / radius).astype(np.int64)
-        buckets: dict[tuple, list[int]] = {}
-        for i, key in enumerate(map(tuple, cell)):
-            buckets.setdefault(key, []).append(i)
-        qcell = np.floor(q / radius).astype(np.int64)
-        raw = []
-        for qi in range(m):
-            ci, cj, ck = qcell[qi]
-            cand: list[int] = []
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    for dk in (-1, 0, 1):
-                        cand.extend(buckets.get((ci + di, cj + dj, ck + dk), ()))
-            if not cand:
-                raw.append(np.empty(0, dtype=np.int64))
-                continue
-            idx = np.sort(np.asarray(cand, dtype=np.int64))
-            d2 = ((p[idx] - q[qi]) ** 2).sum(axis=1)
-            raw.append(idx[d2 < r2])
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    out = []
-    for qi, idx in enumerate(raw):
-        if idx.size > cap:
-            pick = _query_rng(seed, qi).choice(idx.size, size=cap, replace=False)
-            idx = idx[np.sort(pick)]
-        out.append(idx)
+    # Cells at least `radius` wide, padded so that rounding in the division
+    # and the floor never puts a pair that passes the test two cells apart.
+    scale = max(np.abs(p[ok_p]).max(), np.abs(q[ok_q]).max())
+    width = radius * (1.0 + 1e-9) + 1e-12 * scale
+    pcell = np.floor(p[ok_p] / width).astype(np.int64)
+    qcell = np.floor(q[ok_q] / width).astype(np.int64)
+    # Keys of a cell and of the 27 around each query: mixed radix of per-axis
+    # ranks among occupied coordinates, below (N + 1)**3 however far apart
+    # the points are. A coordinate no point has ranks vals.size: no match.
+    pkey = np.zeros(ok_p.size, dtype=np.int64)
+    qkey = np.zeros((ok_q.size, 1), dtype=np.int64)
+    for a in range(3):
+        vals = np.unique(pcell[:, a])
+        near = qcell[:, a, None] + np.arange(-1, 2)
+        rank = np.searchsorted(vals, near)
+        rank[vals[np.minimum(rank, vals.size - 1)] != near] = vals.size
+        radix = vals.size + 1
+        pkey = pkey * radix + np.searchsorted(vals, pcell[:, a])
+        qkey = (qkey[:, :, None] * radix + rank[:, None]).reshape(ok_q.size, -1)
+    order = np.argsort(pkey, kind="stable")
+    point_of, pkey = ok_p[order], pkey[order]
+    lo = np.searchsorted(pkey, qkey)
+    run = np.searchsorted(pkey, qkey, side="right") - lo
+    cand = run.sum(axis=1)
+    bound = np.concatenate([[0], np.cumsum(cand)])
+    pairs, s = [], 0  # query * n + point, sorted
+    while s < ok_q.size:  # chunks of at most QUERY_CHUNK_PAIRS candidates
+        e = np.searchsorted(bound, bound[s] + QUERY_CHUNK_PAIRS, side="right")
+        e = max(int(e) - 1, s + 1)
+        lens = run[s:e].ravel()
+        pos = np.repeat(lo[s:e].ravel() - np.cumsum(lens) + lens, lens)
+        pidx = point_of[pos + np.arange(pos.size)]
+        qidx = np.repeat(ok_q[s:e], cand[s:e])
+        keep = ((p[pidx] - q[qidx]) ** 2).sum(axis=1) < radius * radius
+        pairs.append(np.sort(qidx[keep] * n + pidx[keep]))
+        s = e
+    pairs = np.concatenate(pairs)
+    flat, offsets = pairs % n, np.searchsorted(pairs // n, np.arange(m + 1))
+    out = [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    for qi in np.flatnonzero(np.diff(offsets) > cap):
+        key = seed[qi] if per_query else (seed, qi)
+        rng = np.random.default_rng([int(k) for k in key])
+        out[qi] = out[qi][np.sort(rng.choice(len(out[qi]), size=cap, replace=False))]
     return out
 
 

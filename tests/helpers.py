@@ -162,3 +162,21 @@ def overlapping_box_pair(rng: np.random.Generator):
         theta=float(rng.uniform(-math.pi, math.pi)),
     )
     return a, b
+
+
+def radius_query_bruteforce(queries, points, radius, cap, seed):
+    """Neighbours of each query by testing every point, one query at a time,
+    capped by the seeded subsample documented for vsa.radius_query (stream
+    [seed, i] for a scalar seed, row i for an (M, 2) key array)."""
+    q = np.asarray(queries, dtype=float).reshape(-1, 3)
+    p = np.asarray(points, dtype=float).reshape(-1, 3)
+    per_query = np.ndim(seed) > 0
+    out = []
+    for qi in range(q.shape[0]):
+        idx = np.flatnonzero(((p - q[qi]) ** 2).sum(axis=1) < radius * radius)
+        if idx.size > cap:
+            key = seed[qi] if per_query else (seed, qi)
+            rng = np.random.default_rng([int(k) for k in key])
+            idx = idx[np.sort(rng.choice(idx.size, size=cap, replace=False))]
+        out.append(idx)
+    return out

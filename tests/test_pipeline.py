@@ -183,7 +183,6 @@ class TestBench:
         b = pipeline.bench_pooling(CFG, model, result.keypoints,
                                    result.proposals, "roi_grid", seed=0)
         assert a.nonzero_fraction == b.nonzero_fraction
-        assert a.peak_alloc_bytes == b.peak_alloc_bytes
 
     def test_unknown_strategy(self, model, anchors, scene):
         result = pipeline.run_scene(scene, model, CFG, anchors, seed=0)

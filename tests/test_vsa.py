@@ -1,6 +1,6 @@
-"""Keypoint sampling and set abstraction: FPS against a brute-force greedy
-oracle, radius query path equivalence, permutation/translation invariance,
-multi-level feature widths and predicted keypoint weighting."""
+"""Keypoint sampling and set abstraction: FPS and the radius query against
+brute-force oracles, permutation/translation invariance, multi-level
+feature widths and predicted keypoint weighting."""
 
 import math
 
@@ -11,7 +11,7 @@ from pvlite import nn, rpn, vsa
 from pvlite.geom import Box3D
 from pvlite.sparsegrid import BevMap, SparseTensor
 
-from helpers import fps_bruteforce
+from helpers import fps_bruteforce, radius_query_bruteforce
 
 
 class TestFps:
@@ -61,6 +61,77 @@ class TestFps:
             vsa.fps(np.empty((0, 3)), 1)
 
 
+def assert_same_neighbours(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64
+        np.testing.assert_array_equal(a, b)
+
+
+def _uniform_cases():  # many seeds, no query over the cap
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        yield (rng.uniform(-3, 3, size=(20, 3)), rng.uniform(-3, 3, size=(150, 3)),
+               0.9, 10_000, 1)
+
+
+def _capped_cases():
+    rng = np.random.default_rng(51)
+    yield (rng.uniform(-1, 1, size=(5, 3)), rng.uniform(-1.5, 1.5, size=(300, 3)),
+           1.2, 16, 3)
+
+
+def _negative_cases():
+    rng = np.random.default_rng(53)
+    centre = np.array([-37.3, -120.9, -5.2])
+    yield (centre + rng.uniform(-3, 0, size=(60, 3)),
+           centre + rng.uniform(-3, 0, size=(500, 3)), 0.7, 12, 4)
+
+
+def _far_cases():  # coordinates of 1e6 m, where a cell holds few ulps
+    rng = np.random.default_rng(54)
+    centre = np.array([1.0e6, -2.4e6, 3.0e5])
+    yield (centre + rng.uniform(-2, 2, size=(80, 3)),
+           centre + rng.uniform(-2, 2, size=(400, 3)), 0.8, 16, 6)
+
+
+def _shell_cases():  # pairs a hair inside, on and outside the radius
+    rng = np.random.default_rng(57)
+    q = rng.uniform(-2, 2, size=(50, 3))
+    dirs = rng.normal(size=(50, 3, 3))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    scale = 0.7 * np.array([1 - 1e-9, 1.0, 1 + 1e-9])[None, :, None]
+    yield q, (q[:, None, :] + scale * dirs).reshape(-1, 3), 0.7, 10_000, 9
+    # Every cell grid has an edge at 0: queries just across it from a point
+    # almost a radius away along one axis.
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    q = -1e-7 * axes
+    yield q, q + 0.7 * (1 - 1e-9) * axes, 0.7, 10_000, 9
+
+
+def _large_cases():  # M * N above 2e6, candidates over many chunks
+    rng = np.random.default_rng(55)
+    yield (rng.uniform(-3, 3, size=(1100, 3)),
+           rng.uniform(-3, 3, size=(2000, 3)), 1.2, 32, 7)
+
+
+def _non_finite_cases():
+    rng = np.random.default_rng(56)
+    q = rng.uniform(-1, 1, size=(30, 3))
+    p = rng.uniform(-1, 1, size=(100, 3))
+    q[[3, 17], [0, 2]] = np.inf
+    p[[0, 50], [1, 2]] = np.nan
+    yield q, p, 0.9, 10_000, 8
+
+
+ORACLE_CASES = {
+    "uniform": _uniform_cases, "capped": _capped_cases,
+    "negative": _negative_cases, "far_from_origin": _far_cases,
+    "shell": _shell_cases, "large": _large_cases,
+    "non_finite": _non_finite_cases,
+}
+
+
 class TestRadiusQuery:
     def test_isolated_query_empty(self):
         out = vsa.radius_query(np.array([[0.0, 0.0, 0.0]]),
@@ -78,17 +149,6 @@ class TestRadiusQuery:
                                np.array([[1.0, 0.0, 0.0]]), 1.0, 8, seed=0)
         assert out[0].size == 0
 
-    def test_paths_agree_pre_cap(self):
-        for seed in range(20):
-            rng = np.random.default_rng(seed)
-            q = rng.uniform(-3, 3, size=(20, 3))
-            p = rng.uniform(-3, 3, size=(150, 3))
-            big_cap = 10_000
-            brute = vsa.radius_query(q, p, 0.9, big_cap, seed=1, method="brute")
-            grid = vsa.radius_query(q, p, 0.9, big_cap, seed=1, method="grid")
-            for a, b in zip(brute, grid):
-                np.testing.assert_array_equal(a, b)
-
     def test_cap_subsample_deterministic(self):
         rng = np.random.default_rng(50)
         q = np.zeros((1, 3))
@@ -100,14 +160,49 @@ class TestRadiusQuery:
         c = vsa.radius_query(q, p, 1.0, 10, seed=8)
         assert not np.array_equal(a[0], c[0])
 
-    def test_cap_subsample_same_across_paths(self):
-        rng = np.random.default_rng(51)
-        q = rng.uniform(-1, 1, size=(5, 3))
-        p = rng.uniform(-1.5, 1.5, size=(300, 3))
-        a = vsa.radius_query(q, p, 1.2, 16, seed=3, method="brute")
-        b = vsa.radius_query(q, p, 1.2, 16, seed=3, method="grid")
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_bruteforce_oracle(self, case):
+        for q, p, radius, cap, seed in ORACLE_CASES[case]():
+            assert_same_neighbours(
+                vsa.radius_query(q, p, radius, cap, seed=seed),
+                radius_query_bruteforce(q, p, radius, cap, seed),
+            )
+
+    def test_lattice_at_exact_radius(self):
+        # Binary-exact lattice of spacing radius / 2: points two steps apart
+        # on one axis are exactly `radius` away (excluded), and points fall
+        # on multiples of the radius, the natural cell edges.
+        radius = 0.5
+        ticks = np.arange(-4, 5) * 0.25
+        lattice = np.stack(np.meshgrid(ticks, ticks, ticks, indexing="ij"),
+                           axis=-1).reshape(-1, 3)
+        out = vsa.radius_query(lattice, lattice, radius, 10_000, seed=0)
+        assert_same_neighbours(
+            out, radius_query_bruteforce(lattice, lattice, radius, 10_000, 0))
+        origin = int(np.flatnonzero((lattice == 0).all(axis=1))[0])
+        near = lattice[out[origin]]
+        assert ((near ** 2).sum(axis=1) < 0.25).all()
+        assert len(out[origin]) == 1 + 6 + 12 + 8  # |offset| in {0, 0.25}^3
+
+    def test_per_query_keys_equal_scalar_seed_groups(self):
+        rng = np.random.default_rng(52)
+        p = rng.normal(scale=0.6, size=(400, 3))
+        groups = [(5, rng.normal(scale=0.3, size=(40, 3))),
+                  (9, rng.normal(scale=0.3, size=(25, 3))),
+                  (14, rng.normal(scale=0.3, size=(30, 3)))]
+        q = np.concatenate([g for _, g in groups])
+        keys = np.concatenate([np.stack([np.full(len(g), s), np.arange(len(g))],
+                                        axis=1) for s, g in groups])
+        joint = vsa.radius_query(q, p, 0.8, 8, seed=keys)
+        assert max(len(nl) for nl in joint) == 8
+        split = [nl for s, g in groups for nl in vsa.radius_query(g, p, 0.8, 8, s)]
+        assert_same_neighbours(joint, split)
+        assert_same_neighbours(joint, radius_query_bruteforce(q, p, 0.8, 8, keys))
+
+    def test_per_query_keys_shape_checked(self):
+        with pytest.raises(ValueError):
+            vsa.radius_query(np.zeros((3, 3)), np.zeros((4, 3)), 1.0, 4,
+                             seed=np.zeros((2, 2), dtype=np.int64))
 
     def test_empty_points(self):
         out = vsa.radius_query(np.zeros((3, 3)), np.empty((0, 3)), 1.0, 4, seed=0)
