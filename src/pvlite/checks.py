@@ -13,7 +13,7 @@ import numpy as np
 
 from . import evalkit, geom, nn, roihead, rpn, sparsegrid, synth, vsa
 from .config import desk_config
-from .geom import Box3D, Detection
+from .geom import Box3D
 
 FAULTS = ("bev-iou",)
 
@@ -82,13 +82,12 @@ def check_bev_iou_symmetry(env):
 def check_nms_permutation(env):
     # Distinct scores; greedy order under ties is input-index defined.
     rng = np.random.default_rng(1002)
-    dets = [Detection(_random_box(rng), float(s))
-            for s in np.linspace(0.05, 0.95, 24)]
-    base = {id(dets[i]) for i in geom.nms(dets, 0.3)}
+    boxes = np.array([_random_box(rng).to_array() for _ in range(24)])
+    scores = np.linspace(0.05, 0.95, 24)
+    base = set(geom.nms(boxes, scores, 0.3))
     for seed in range(3):
-        perm = np.random.default_rng(seed).permutation(len(dets))
-        shuffled = [dets[i] for i in perm]
-        kept = {id(shuffled[i]) for i in geom.nms(shuffled, 0.3)}
+        perm = np.random.default_rng(seed).permutation(len(scores))
+        kept = {int(perm[i]) for i in geom.nms(boxes[perm], scores[perm], 0.3)}
         if kept != base:
             return False, f"kept set changed under permutation seed {seed}"
     return True, "kept set stable under 3 permutations"

@@ -224,44 +224,68 @@ def points_in_box(points: np.ndarray, box: Box3D) -> np.ndarray:
 
 
 def nms(
-    detections: list[Detection],
+    boxes: np.ndarray,
+    scores: np.ndarray,
     iou_threshold: float,
     iou_kind: str = "3d",
     max_keep: int | None = None,
 ) -> list[int]:
-    """Greedy non-maximum suppression.
+    """Greedy non-maximum suppression over box rows.
 
-    Detections are visited in descending score order (ties broken by
-    ascending input index); one is suppressed iff its IoU with an
-    already-kept detection exceeds the threshold. Returns kept indices in
-    visit order. `max_keep` stops early once that many are kept, which is
-    exactly equivalent to truncating the full result.
+    Args:
+        boxes: (N, 7) rows of (cx, cy, cz, l, w, h, theta).
+        scores: (N,) finite scores.
+        iou_threshold: a row is suppressed iff its IoU with an already-kept
+            row exceeds this.
+        iou_kind: "3d" (iou_3d) or "bev" (bev_iou).
+        max_keep: stop once this many are kept, which is exactly equivalent
+            to truncating the full result.
+
+    Rows are visited in descending score order, ties broken by ascending
+    index. A Box3D is built only for each visited row, so ranking N rows
+    to keep a few costs one sort and no per-row objects. Box3D's checks
+    therefore run on visited rows only: a caller that must reject any bad
+    row validates the arrays first, as rpn.extract_proposals does.
+
+    Each visited row is tested against all kept rows at once with the
+    bounding-circle prefilter (cx_i - cx_k)^2 + (cy_i - cy_k)^2 >
+    (r_i + r_k)^2, with r = 0.5 * hypot(l, w); the IoU is computed only for
+    the kept rows that pass it, in kept order, up to the first suppression.
+    Returns kept indices in visit order.
     """
     if iou_kind not in ("bev", "3d"):
         raise ValueError(f"iou_kind must be 'bev' or '3d', got {iou_kind!r}")
-    n = len(detections)
-    if n == 0:
-        return []
-    order = sorted(range(n), key=lambda i: (-detections[i].score, i))
-    boxes = [detections[i].box for i in range(n)]
-    # Bounding-circle prefilter data.
-    cx = np.array([b.cx for b in boxes])
-    cy = np.array([b.cy for b in boxes])
-    rad = np.array([0.5 * math.hypot(b.l, b.w) for b in boxes])
+    rows = np.asarray(boxes, dtype=float)
+    s = np.asarray(scores, dtype=float)
+    n = s.shape[0] if s.ndim == 1 else -1
+    if rows.shape != (n, 7):
+        raise ValueError(
+            f"nms needs (N, 7) boxes and (N,) scores, got {rows.shape} and {s.shape}"
+        )
+    if not np.isfinite(s).all():
+        raise ValueError(f"nms score {float(s[~np.isfinite(s)][0])!r} is not finite")
+    if max_keep is not None and max_keep < 0:
+        raise ValueError(f"max_keep must be >= 0, got {max_keep}")
+    limit = n if max_keep is None else min(max_keep, n)
     iou_fn = bev_iou if iou_kind == "bev" else iou_3d
     kept: list[int] = []
-    for i in order:
-        suppressed = False
-        for k in kept:
-            if (cx[i] - cx[k]) ** 2 + (cy[i] - cy[k]) ** 2 > (rad[i] + rad[k]) ** 2:
-                continue
-            if iou_fn(boxes[i], boxes[k]) > iou_threshold:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(i)
-            if max_keep is not None and len(kept) >= max_keep:
-                break
+    kept_boxes: list[Box3D] = []
+    # Bounding-circle prefilter data of the kept rows, in kept order.
+    kcx, kcy, krad = np.empty(limit), np.empty(limit), np.empty(limit)
+    for i in np.argsort(-s, kind="stable").tolist():
+        m = len(kept)
+        if m == limit:
+            break
+        box = box_from_array(rows[i])
+        rad = 0.5 * math.hypot(box.l, box.w)
+        apart = ((box.cx - kcx[:m]) ** 2 + (box.cy - kcy[:m]) ** 2
+                 > (rad + krad[:m]) ** 2)
+        if any(iou_fn(box, kept_boxes[k]) > iou_threshold
+               for k in np.flatnonzero(~apart).tolist()):
+            continue
+        kept.append(i)
+        kept_boxes.append(box)
+        kcx[m], kcy[m], krad[m] = box.cx, box.cy, rad
     return kept
 
 

@@ -242,6 +242,13 @@ def rcnn_loss(
 def final_select(
     detections: list[Detection], nms_iou: float = 0.01, iou_kind: str = "3d"
 ) -> list[Detection]:
-    """Greedy NMS over refined detections to drop near-duplicates."""
-    keep = geom.nms(detections, nms_iou, iou_kind=iou_kind)
+    """Greedy NMS over refined detections to drop near-duplicates.
+
+    NMS rebuilds boxes from the rows of these detections; their yaws are
+    already wrapped, and wrapping a wrapped yaw returns it unchanged, so
+    the IoUs are those of the detections' own boxes.
+    """
+    boxes = np.array([d.box.to_array() for d in detections]).reshape(-1, 7)
+    scores = np.array([d.score for d in detections], dtype=float)
+    keep = geom.nms(boxes, scores, nms_iou, iou_kind=iou_kind)
     return [detections[i] for i in keep]

@@ -317,6 +317,32 @@ def rpn_loss(
 # Proposal extraction and recall
 # ---------------------------------------------------------------------------
 
+_BOX_FIELDS = ("cx", "cy", "cz", "l", "w", "h", "theta")
+
+
+def _check_decoded(decoded: np.ndarray, scores: np.ndarray) -> None:
+    """Raise ValueError naming the first anchor whose decoded box has a
+    non-finite field or a non-positive size, or whose score is NaN or
+    outside [0, 1]: the rules Box3D and Detection enforce, applied to every
+    anchor whether or not NMS reaches it."""
+    nonfinite = ~np.isfinite(decoded)
+    nonpositive = decoded[:, 3:6] <= 0.0
+    bad_score = ~((scores >= 0.0) & (scores <= 1.0))
+    bad = nonfinite.any(axis=1) | nonpositive.any(axis=1) | bad_score
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if nonfinite[i].any():
+        j = int(np.argmax(nonfinite[i]))
+        raise ValueError(f"anchor {i}: decoded {_BOX_FIELDS[j]} must be finite, "
+                         f"got {float(decoded[i, j])!r}")
+    if nonpositive[i].any():
+        j = 3 + int(np.argmax(nonpositive[i]))
+        raise ValueError(f"anchor {i}: decoded {_BOX_FIELDS[j]} must be positive, "
+                         f"got {float(decoded[i, j])!r}")
+    raise ValueError(f"anchor {i}: score must be in [0, 1], got {float(scores[i])!r}")
+
+
 def extract_proposals(
     cls_map: np.ndarray,
     reg_map: np.ndarray,
@@ -326,6 +352,10 @@ def extract_proposals(
     iou_kind: str = "3d",
 ) -> list[Detection]:
     """Decode every anchor, rank by classification score, NMS, keep top_k.
+
+    Every decoded box and score is validated up front (_check_decoded);
+    ranking and suppression run on the arrays in geom.nms, and a Detection
+    is built only for each kept anchor.
 
     Args:
         cls_map: (A,) per-anchor scores in [0, 1].
@@ -343,13 +373,13 @@ def extract_proposals(
             f"expected {len(anchors)}"
         )
     decoded = decode_residuals(reg, anchors.boxes)
-    dets = [
+    _check_decoded(decoded, scores)
+    keep = geom.nms(decoded, scores, nms_iou, iou_kind=iou_kind, max_keep=top_k)
+    return [
         Detection(geom.box_from_array(decoded[i]), float(scores[i]),
                   int(anchors.class_ids[i]))
-        for i in range(len(anchors))
+        for i in keep
     ]
-    keep = geom.nms(dets, nms_iou, iou_kind=iou_kind, max_keep=top_k)
-    return [dets[i] for i in keep]
 
 
 def recall(

@@ -2,7 +2,7 @@
 
 Each oracle recomputes a result by a different algorithm than the library
 path it checks (sampling for areas, dense convolution for sparse, full
-recomputation for incremental FPS).
+recomputation for incremental FPS, a list-of-Detection loop for NMS).
 """
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from pvlite.geom import Box3D
+from pvlite import geom
+from pvlite.geom import Box3D, Detection
 
 
 def mc_bev_iou(a: Box3D, b: Box3D, n_samples: int = 1_000_000, seed: int = 0) -> float:
@@ -180,3 +181,42 @@ def radius_query_bruteforce(queries, points, radius, cap, seed):
             idx = idx[np.sort(rng.choice(idx.size, size=cap, replace=False))]
         out.append(idx)
     return out
+
+
+def nms_reference(
+    detections: list[Detection],
+    iou_threshold: float,
+    iou_kind: str = "3d",
+    max_keep: int | None = None,
+) -> list[int]:
+    """Greedy NMS over Detection objects, one Python comparison per pair.
+
+    Visits detections by descending score (ties by ascending index) and
+    suppresses one iff its IoU with an already-kept detection exceeds the
+    threshold, skipping the IoU when the bounding circles are apart. The
+    IoU is looked up on geom at call time, so a test can count its calls.
+    Returns kept indices in visit order, truncated to max_keep.
+    """
+    if max_keep is not None and max_keep <= 0:
+        return []
+    n = len(detections)
+    order = sorted(range(n), key=lambda i: (-detections[i].score, i))
+    boxes = [d.box for d in detections]
+    cx = np.array([b.cx for b in boxes])
+    cy = np.array([b.cy for b in boxes])
+    rad = np.array([0.5 * math.hypot(b.l, b.w) for b in boxes])
+    iou_fn = geom.bev_iou if iou_kind == "bev" else geom.iou_3d
+    kept: list[int] = []
+    for i in order:
+        suppressed = False
+        for k in kept:
+            if (cx[i] - cx[k]) ** 2 + (cy[i] - cy[k]) ** 2 > (rad[i] + rad[k]) ** 2:
+                continue
+            if iou_fn(boxes[i], boxes[k]) > iou_threshold:
+                suppressed = True
+                break
+        if not suppressed:
+            kept.append(i)
+            if max_keep is not None and len(kept) >= max_keep:
+                break
+    return kept

@@ -9,11 +9,19 @@ import pytest
 from pvlite import geom
 from pvlite.geom import Box3D, Detection
 
-from helpers import mc_bev_iou, mc_volume_iou, overlapping_box_pair, random_box
+from helpers import (
+    mc_bev_iou, mc_volume_iou, nms_reference, overlapping_box_pair, random_box,
+)
 
 
 def box(cx=0.0, cy=0.0, cz=0.0, l=2.0, w=2.0, h=2.0, theta=0.0):
     return Box3D(cx, cy, cz, l, w, h, theta)
+
+
+def rows(dets):
+    """(N, 7) box rows and (N,) scores of a list of detections."""
+    boxes = np.array([d.box.to_array() for d in dets]).reshape(-1, 7)
+    return boxes, np.array([d.score for d in dets], dtype=float)
 
 
 class TestWrapAngle:
@@ -30,6 +38,19 @@ class TestWrapAngle:
         assert (-math.pi <= vec).all() and (vec < math.pi).all()
         for a, v in zip(angles, vec):
             assert geom.wrap_angle(float(a)) == v
+
+    def test_idempotent(self):
+        # NMS rebuilds boxes from the rows of already-built boxes, so a
+        # wrapped yaw must come back unchanged.
+        rng = np.random.default_rng(1)
+        angles = np.concatenate([
+            rng.uniform(-20, 20, 20_000), rng.normal(0.0, 1e-6, 2_000),
+            [-math.pi, math.pi, -math.pi / 2, math.pi / 2, 0.0, 5e-324],
+        ])
+        once = geom.wrap_angles(angles)
+        np.testing.assert_array_equal(geom.wrap_angles(once), once)
+        for v in once[::10].tolist() + once[-6:].tolist():
+            assert geom.wrap_angle(v) == v
 
 
 class TestBox3D:
@@ -173,22 +194,22 @@ class TestPointsInBox:
 
 class TestNms:
     def test_empty_and_single(self):
-        assert geom.nms([], 0.5) == []
-        assert geom.nms([Detection(box(), 0.9)], 0.5) == [0]
+        assert geom.nms(*rows([]), 0.5) == []
+        assert geom.nms(*rows([Detection(box(), 0.9)]), 0.5) == [0]
 
     def test_duplicate_suppressed(self):
         dets = [Detection(box(), 0.9), Detection(box(), 0.8)]
-        assert geom.nms(dets, 0.7) == [0]
+        assert geom.nms(*rows(dets), 0.7) == [0]
 
     def test_greedy_rule(self):
         a = Detection(box(cx=0.0), 0.9)
         b = Detection(box(cx=0.2), 0.85)  # IoU with a is ~0.82
         c = Detection(box(cx=50.0), 0.1)
-        assert geom.nms([a, b, c], 0.7) == [0, 2]
+        assert geom.nms(*rows([a, b, c]), 0.7) == [0, 2]
 
     def test_tie_break_by_index(self):
         dets = [Detection(box(cx=10.0), 0.5), Detection(box(cx=0.0), 0.5)]
-        kept = geom.nms(dets, 0.9)
+        kept = geom.nms(*rows(dets), 0.9)
         assert kept == [0, 1]
 
     def test_permutation_invariant(self):
@@ -198,12 +219,12 @@ class TestNms:
         boxes = [random_box(rng, center_span=4.0) for _ in range(20)]
         scores = np.linspace(0.05, 0.95, 20)
         dets = [Detection(b, float(s)) for b, s in zip(boxes, scores)]
-        base = geom.nms(dets, 0.3)
+        base = geom.nms(*rows(dets), 0.3)
         kept_boxes = {id(dets[i]) for i in base}
         for trial in range(5):
             perm = rng.permutation(20)
             shuffled = [dets[i] for i in perm]
-            kept = geom.nms(shuffled, 0.3)
+            kept = geom.nms(*rows(shuffled), 0.3)
             assert {id(shuffled[i]) for i in kept} == kept_boxes
 
     def test_max_keep_matches_truncation(self):
@@ -212,15 +233,72 @@ class TestNms:
             Detection(random_box(rng, center_span=3.0), float(s))
             for s in rng.uniform(0, 1, size=30)
         ]
-        full = geom.nms(dets, 0.4)
-        assert geom.nms(dets, 0.4, max_keep=5) == full[:5]
+        full = geom.nms(*rows(dets), 0.4)
+        assert geom.nms(*rows(dets), 0.4, max_keep=5) == full[:5]
+
+    def test_max_keep_zero_keeps_nothing(self):
+        dets = [Detection(box(cx=20.0 * i), 0.9 - 0.1 * i) for i in range(3)]
+        assert geom.nms(*rows(dets), 0.5, max_keep=0) == []
+        with pytest.raises(ValueError):
+            geom.nms(*rows(dets), 0.5, max_keep=-1)
 
     def test_bev_kind(self):
         # Same footprint, disjoint heights: suppressed in bev, kept in 3d.
         a = Detection(box(cz=0.0), 0.9)
         b = Detection(box(cz=10.0), 0.8)
-        assert geom.nms([a, b], 0.5, iou_kind="bev") == [0]
-        assert geom.nms([a, b], 0.5, iou_kind="3d") == [0, 1]
+        assert geom.nms(*rows([a, b]), 0.5, iou_kind="bev") == [0]
+        assert geom.nms(*rows([a, b]), 0.5, iou_kind="3d") == [0, 1]
+
+    def test_rejects_bad_input(self):
+        boxes, scores = rows([Detection(box(), 0.9), Detection(box(cx=9.0), 0.8)])
+        with pytest.raises(ValueError):
+            geom.nms(boxes, scores[:1], 0.5)
+        with pytest.raises(ValueError):
+            geom.nms(boxes[:, :6], scores, 0.5)
+        with pytest.raises(ValueError):
+            geom.nms(boxes, np.array([0.9, np.nan]), 0.5)
+        with pytest.raises(ValueError):
+            geom.nms(boxes, scores, 0.5, iou_kind="2d")
+
+    def test_builds_boxes_only_for_visited_rows(self, monkeypatch):
+        # Row 2 is invalid but ranks last; max_keep stops before it.
+        boxes = np.array([box(cx=0.0).to_array(), box(cx=9.0).to_array(),
+                          [0, 0, 0, -1.0, 1, 1, 0]])
+        built = []
+        real = geom.box_from_array
+        monkeypatch.setattr(geom, "box_from_array",
+                            lambda r: built.append(r[0]) or real(r))
+        assert geom.nms(boxes, np.array([0.9, 0.8, 0.1]), 0.5, max_keep=2) == [0, 1]
+        assert built == [0.0, 9.0]
+
+
+def _tied_boxes(rng, n):
+    """n random boxes packed tightly enough to overlap often, with a few
+    exact duplicates, and scores drawn from 5 levels so most tie."""
+    boxes = [random_box(rng, center_span=4.0) for _ in range(n)]
+    for i in rng.choice(n, size=n // 5, replace=False):
+        boxes[i] = boxes[int(rng.integers(n))]
+    scores = rng.choice([0.2, 0.4, 0.5, 0.8, 1.0], size=n)
+    return [Detection(b, float(s)) for b, s in zip(boxes, scores)]
+
+
+@pytest.mark.parametrize("iou_kind", ["3d", "bev"])
+@pytest.mark.parametrize("seed", range(6))
+def test_nms_matches_reference(seed, iou_kind, monkeypatch):
+    rng = np.random.default_rng(100 + seed)
+    dets = _tied_boxes(rng, 60)
+    threshold = float(rng.uniform(0.05, 0.6))
+    name = "iou_3d" if iou_kind == "3d" else "bev_iou"
+    real = getattr(geom, name)
+    pairs = []
+    monkeypatch.setattr(geom, name, lambda a, b: pairs.append((a, b)) or real(a, b))
+    for max_keep in (None, 0, 1, 3, 10, 100):
+        pairs.clear()
+        expect = nms_reference(dets, threshold, iou_kind, max_keep)
+        ref_pairs = list(pairs)
+        pairs.clear()
+        assert geom.nms(*rows(dets), threshold, iou_kind, max_keep) == expect
+        assert pairs == ref_pairs
 
 
 class TestRoiGridPoints:

@@ -9,7 +9,7 @@ import pytest
 from pvlite import geom, nn, roihead, rpn, vsa
 from pvlite.geom import Box3D, Detection
 
-from helpers import radius_query_bruteforce, random_box
+from helpers import nms_reference, radius_query_bruteforce, random_box
 
 
 def grid_mlps(feat_width, out=4, seed=0):
@@ -430,3 +430,15 @@ class TestFinalSelect:
         for i in range(4):
             for j in range(i + 1, 4):
                 assert geom.iou_3d(kept[i].box, kept[j].box) <= 0.01
+
+    def test_matches_reference_and_returns_originals(self):
+        rng = np.random.default_rng(31)
+        dets = [Detection(random_box(rng, center_span=4.0), float(s))
+                for s in rng.choice([0.3, 0.6, 0.9], size=40)]
+        kept = roihead.final_select(dets, nms_iou=0.2)
+        expect = nms_reference(dets, 0.2)
+        assert len(kept) == len(expect) > 1
+        assert all(k is dets[i] for k, i in zip(kept, expect))
+
+    def test_empty(self):
+        assert roihead.final_select([]) == []

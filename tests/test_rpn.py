@@ -10,9 +10,10 @@ from pvlite import geom, nn, rpn
 from pvlite.config import ClassSpec
 from pvlite.geom import Box3D, Detection
 
-from helpers import random_box
+from helpers import nms_reference, random_box
 
 CAR = ClassSpec("car", (3.9, 1.6, 1.56), -0.82)
+PED = ClassSpec("pedestrian", (0.8, 0.6, 1.73), -0.6)
 
 
 def small_grid(nx=4, ny=4, cell=0.4):
@@ -268,6 +269,78 @@ class TestExtractProposals:
         anchors = self._anchors()
         with pytest.raises(ValueError):
             rpn.extract_proposals(np.zeros(3), np.zeros((3, 7)), anchors)
+
+    @pytest.mark.parametrize("field, residual, message", [
+        (0, np.inf, "cx must be finite"),
+        (3, np.inf, "l must be finite"),
+        (6, np.nan, "theta must be finite"),
+        (5, -np.inf, "h must be positive"),
+    ])
+    def test_bad_box_of_last_anchor_raises(self, field, residual, message):
+        # The bad anchor ranks last, so NMS with top_k=5 never visits it.
+        anchors = self._anchors()
+        cls = np.linspace(0.9, 0.1, len(anchors))
+        reg = np.zeros((len(anchors), 7))
+        reg[-1, field] = residual
+        last = len(anchors) - 1
+        with pytest.raises(ValueError, match=f"anchor {last}: decoded {message}"):
+            rpn.extract_proposals(cls, reg, anchors, top_k=5)
+
+    @pytest.mark.parametrize("score", [np.nan, 1.5, -0.5, np.inf])
+    def test_bad_score_of_last_anchor_raises(self, score):
+        anchors = self._anchors()
+        cls = np.linspace(0.9, 0.1, len(anchors))
+        cls[-1] = score
+        last = len(anchors) - 1
+        with pytest.raises(ValueError, match=f"anchor {last}: score must be in"):
+            rpn.extract_proposals(cls, np.zeros((len(anchors), 7)), anchors,
+                                  top_k=5)
+
+    def test_first_bad_anchor_is_named(self):
+        anchors = self._anchors()
+        cls = np.full(len(anchors), 0.5)
+        cls[40] = 2.0
+        reg = np.zeros((len(anchors), 7))
+        reg[70, 4] = np.inf
+        with pytest.raises(ValueError, match="anchor 40: score"):
+            rpn.extract_proposals(cls, reg, anchors)
+
+
+def _reference_proposals(cls, reg, anchors, top_k, nms_iou):
+    """Every anchor as a Detection, then the list-based NMS oracle."""
+    decoded = rpn.decode_residuals(reg, anchors.boxes)
+    dets = [
+        Detection(geom.box_from_array(decoded[i]), float(cls[i]),
+                  int(anchors.class_ids[i]))
+        for i in range(len(anchors))
+    ]
+    return [dets[i] for i in nms_reference(dets, nms_iou, max_keep=top_k)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extract_proposals_matches_reference(seed, monkeypatch):
+    anchors = rpn.generate_anchors((CAR, PED), small_grid(nx=10, ny=9, cell=0.8))
+    rng = np.random.default_rng(300 + seed)
+    # Few score levels, so most anchors tie and the index decides the order.
+    cls = rng.choice([0.05, 0.3, 0.3001, 0.7, 0.95], size=len(anchors))
+    reg = rng.normal(0.0, 0.4, size=(len(anchors), 7))
+    top_k, nms_iou = [(100, 0.7), (20, 0.3), (400, 0.1), (3, 0.5)][seed]
+    calls = [0]
+    real = geom.iou_3d
+
+    def counted(a, b):
+        calls[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(geom, "iou_3d", counted)
+    expect = _reference_proposals(cls, reg, anchors, top_k, nms_iou)
+    ref_calls, calls[0] = calls[0], 0
+    got = rpn.extract_proposals(cls, reg, anchors, top_k=top_k, nms_iou=nms_iou)
+    assert calls[0] == ref_calls > 0
+    assert len(got) == len(expect) <= top_k
+    for g, e in zip(got, expect):
+        assert g.box.to_array().tobytes() == e.box.to_array().tobytes()
+        assert (g.score, g.class_id) == (e.score, e.class_id)
 
 
 class TestRecall:
