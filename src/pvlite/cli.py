@@ -2,12 +2,13 @@
 evaluation, the pooling benchmark and the invariant check suite.
 
 Exit codes: 0 success, 1 validation error (arguments, config, file
-formats), 2 runtime failure.
+formats), 2 runtime failure (naming the scene file it happened in).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -19,7 +20,18 @@ from .config import Config
 from .evalkit import DetectionFileError
 from .synth import SceneFileError
 
-VALIDATION_ERRORS = (ValueError, FileNotFoundError)  # ConfigError etc. subclass it
+# Raised by the loaders on malformed input: exit 1.
+VALIDATION_ERRORS = (config.ConfigError, SceneFileError, DetectionFileError,
+                     nn.ParamFileError, FileNotFoundError)
+
+
+@contextlib.contextmanager
+def _processing(scene_name):
+    """Report any error raised inside as a runtime error naming the scene."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"{scene_name}: {type(exc).__name__}: {exc}") from exc
 
 
 def _load_config(args) -> Config:
@@ -41,15 +53,24 @@ def _scene_paths(spec: str) -> list[Path]:
     raise SceneFileError(f"no such scene file or directory: {spec}")
 
 
-def _load_scenes(spec: str):
-    return [(path, synth.load_scene(path)) for path in _scene_paths(spec)]
+def _load_scenes(spec: str, cfg: Config | None = None):
+    """(path, scene) pairs; given a config, class ids must index its classes."""
+    pairs = [(path, synth.load_scene(path)) for path in _scene_paths(spec)]
+    for path, scene in pairs if cfg is not None else ():
+        for b, cls in enumerate(scene.gt_classes):
+            if not 0 <= cls < len(cfg.classes):
+                raise SceneFileError(f"{path}: box {b}: class id {cls} is not "
+                                     f"in range({len(cfg.classes)}) of the config")
+    return pairs
 
 
 def _apply_param_files(model, param_paths):
     for path in param_paths or ():
-        with open(path, "rb") as fh:
-            sections = nn.load_param_sections(fh)
-        pipeline.apply_param_sections(model, sections)
+        try:
+            with open(path, "rb") as fh:
+                pipeline.apply_param_sections(model, nn.load_param_sections(fh))
+        except ValueError as exc:  # a malformed section or one the model can't take
+            raise nn.ParamFileError(f"{path}: {exc}") from exc
 
 
 def cmd_synth(args) -> int:
@@ -72,9 +93,10 @@ def cmd_run(args) -> int:
     anchors = rpn.generate_anchors(cfg.classes, pipeline.bev_grid(cfg))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for path, scene in _load_scenes(args.scenes):
+    for path, scene in _load_scenes(args.scenes, cfg):
         t0 = time.perf_counter()
-        result = pipeline.run_scene(scene, model, cfg, anchors, seed=cfg.seed)
+        with _processing(path):
+            result = pipeline.run_scene(scene, model, cfg, anchors, seed=cfg.seed)
         wall = time.perf_counter() - t0
         det_path = out / (path.stem + ".txt")
         evalkit.save_detections(result.detections, det_path)
@@ -88,12 +110,13 @@ def cmd_train_heads(args) -> int:
     cfg = _load_config(args)
     model = pipeline.build_model(cfg, cfg.seed)
     _apply_param_files(model, args.params)
-    scenes = [s for _, s in _load_scenes(args.scenes)]
+    scenes = [s for _, s in _load_scenes(args.scenes, cfg)]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.which == "pkw":
-        batch = pipeline.build_pkw_batch(cfg, model, scenes, seed=cfg.seed)
+        with _processing(args.scenes):
+            batch = pipeline.build_pkw_batch(cfg, model, scenes, seed=cfg.seed)
         trained, losses, acc = pipeline.train_pkw(model.pkw, batch,
                                                   args.iters, args.lr)
         with open(out, "wb") as fh:
@@ -102,8 +125,9 @@ def cmd_train_heads(args) -> int:
               f"{losses[-1]:.4f}, foreground accuracy {acc:.3f}")
     else:
         anchors = rpn.generate_anchors(cfg.classes, pipeline.bev_grid(cfg))
-        batch = pipeline.build_refine_batch(cfg, model, scenes, anchors,
-                                            seed=cfg.seed)
+        with _processing(args.scenes):
+            batch = pipeline.build_refine_batch(cfg, model, scenes, anchors,
+                                                seed=cfg.seed)
         if batch.features.shape[0] == 0:
             print("no sampled RoIs; nothing to train", file=sys.stderr)
             return 2
@@ -173,23 +197,23 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args)
     model = pipeline.build_model(cfg, cfg.seed)
     anchors = rpn.generate_anchors(cfg.classes, pipeline.bev_grid(cfg))
-    strategies = args.strategies.split(",")
     rows = []
-    for path, scene in _load_scenes(args.scenes):
-        result = pipeline.run_scene(scene, model, cfg, anchors, seed=cfg.seed)
-        if result.keypoints is None:
-            print(f"{path.name}: empty scene, skipped")
-            continue
-        for strat in strategies:
-            rep = pipeline.bench_pooling(cfg, model, result.keypoints,
-                                         result.proposals, strat, seed=cfg.seed)
-            rows.append({
-                "scene": path.stem, "strategy": rep.strategy, "rois": rep.rois,
-                "nonzero_fraction": rep.nonzero_fraction,
-                "feature_width": rep.feature_width,
-            })
-            print(f"{path.name} {rep.strategy}: nonzero {rep.nonzero_fraction:.4f}, "
-                  f"{rep.wall_time:.3f}s wall")
+    for path, scene in _load_scenes(args.scenes, cfg):
+        with _processing(path):
+            result = pipeline.run_scene(scene, model, cfg, anchors, seed=cfg.seed)
+            if result.keypoints is None:
+                print(f"{path.name}: empty scene, skipped")
+                continue
+            for strat in args.strategies:
+                rep = pipeline.bench_pooling(cfg, model, result.keypoints,
+                                             result.proposals, strat, seed=cfg.seed)
+                rows.append({
+                    "scene": path.stem, "strategy": rep.strategy, "rois": rep.rois,
+                    "nonzero_fraction": rep.nonzero_fraction,
+                    "feature_width": rep.feature_width,
+                })
+                print(f"{path.name} {rep.strategy}: nonzero "
+                      f"{rep.nonzero_fraction:.4f}, {rep.wall_time:.3f}s wall")
     print(evalkit.format_report(rows), end="")
     if args.out:
         Path(args.out).write_text(evalkit.report_csv(rows), encoding="ascii")
@@ -205,6 +229,12 @@ def cmd_check(args) -> int:
         failed += 0 if ok else 1
     print(f"{len(results) - failed}/{len(results)} invariant checks passed")
     return 0 if failed == 0 else 1
+
+
+def _strategy_list(text: str) -> list[str]:
+    if not set(text.split(",")) <= {"roi_grid", "average_pool"}:
+        raise argparse.ArgumentTypeError(f"unknown pooling strategy in {text!r}")
+    return text.split(",")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="compare RoI pooling strategies")
     add_common(p)
-    p.add_argument("--strategies", default="roi_grid,average_pool")
+    p.add_argument("--strategies", type=_strategy_list,
+                   default="roi_grid,average_pool")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_bench)
 

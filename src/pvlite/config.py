@@ -6,7 +6,6 @@ profiles. Environment variables prefixed PVL_ override file values.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from dataclasses import dataclass
 
@@ -58,9 +57,6 @@ class Config:
     class_names: tuple[str, ...] = ("car",)
     class_sizes: tuple[tuple[float, float, float], ...] = ((3.9, 1.6, 1.56),)
     class_z: tuple[float, ...] = (-0.82,)
-    match_pos_iou: float = 0.6
-    match_neg_iou: float = 0.45
-    rpn_beta: float = 2.0
     top_proposals: int = 100
     proposal_nms_iou: float = 0.7
     final_nms_iou: float = 0.01
@@ -79,11 +75,6 @@ class Config:
     synth_yaw_jitter: float = 0.15
     synth_margin: float = 1.0
     synth_range_decay: float = 40.0
-
-    # Augmentation
-    aug_flip_prob: float = 0.5
-    aug_scale_range: tuple[float, float] = (0.95, 1.05)
-    aug_rot_range: tuple[float, float] = (-math.pi / 4, math.pi / 4)
 
     # Determinism
     seed: int = 0
@@ -136,20 +127,13 @@ def validate(cfg: Config) -> None:
     for size in cfg.class_sizes:
         if len(size) != 3 or any(d <= 0 for d in size):
             fail(f"class size {size} must be three positive dims")
-    for name, prob in (("match_pos_iou", cfg.match_pos_iou),
-                       ("match_neg_iou", cfg.match_neg_iou),
-                       ("proposal_nms_iou", cfg.proposal_nms_iou),
+    for name, prob in (("proposal_nms_iou", cfg.proposal_nms_iou),
                        ("final_nms_iou", cfg.final_nms_iou),
-                       ("roi_pos_iou", cfg.roi_pos_iou),
-                       ("aug_flip_prob", cfg.aug_flip_prob)):
+                       ("roi_pos_iou", cfg.roi_pos_iou)):
         if not 0.0 <= prob <= 1.0:
             fail(f"{name} must be in [0, 1], got {prob}")
-    if cfg.match_neg_iou > cfg.match_pos_iou:
-        fail("match_neg_iou must not exceed match_pos_iou")
     if cfg.top_proposals < 1 or cfg.roi_samples < 1:
         fail("top_proposals and roi_samples must be >= 1")
-    if cfg.rpn_beta < 0:
-        fail("rpn_beta must be non-negative")
     for name, v in (("synth_ground_points", cfg.synth_ground_points),
                     ("synth_points_per_object", cfg.synth_points_per_object),
                     ("synth_min_points", cfg.synth_min_points)):
@@ -159,10 +143,6 @@ def validate(cfg: Config) -> None:
         fail("synth_objects must be non-negative")
     if not cfg.range_min[2] <= cfg.synth_ground_z < cfg.range_max[2]:
         fail("synth_ground_z must lie inside the z range")
-    if cfg.aug_scale_range[0] > cfg.aug_scale_range[1] or cfg.aug_scale_range[0] <= 0:
-        fail(f"bad aug_scale_range {cfg.aug_scale_range}")
-    if cfg.aug_rot_range[0] > cfg.aug_rot_range[1]:
-        fail(f"bad aug_rot_range {cfg.aug_rot_range}")
 
 
 def default_config() -> Config:
@@ -195,6 +175,10 @@ def desk_config() -> Config:
 
 
 PROFILES = {"kitti": default_config, "waymo": waymo_config, "desk": desk_config}
+
+# Keys that older versions saved but that never had an effect: load() skips them.
+RETIRED_KEYS = ("match_pos_iou", "match_neg_iou", "rpn_beta",
+                "aug_flip_prob", "aug_scale_range", "aug_rot_range")
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +235,12 @@ def _parse_value(field: dataclasses.Field, raw: str):
 def load(path=None, env: dict | None = None) -> Config:
     """Build a Config from an optional key=value file plus PVL_ overrides.
 
-    Unknown keys are rejected; every field is validated on construction.
+    Unknown keys other than RETIRED_KEYS are rejected; fields are validated.
     """
     fields = {f.name: f for f in dataclasses.fields(Config)}
     values: dict = {}
     if path is not None:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
             for ln, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -265,6 +249,8 @@ def load(path=None, env: dict | None = None) -> Config:
                     raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
                 key, raw = line.split("=", 1)
                 key = key.strip()
+                if key in RETIRED_KEYS:
+                    continue
                 if key not in fields:
                     raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
                 values[key] = _parse_value(fields[key], raw.strip())

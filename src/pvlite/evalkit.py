@@ -133,7 +133,7 @@ def save_detections(dets: list[Detection], path) -> None:
 
 def load_detections(path) -> list[Detection]:
     out = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -141,12 +141,12 @@ def load_detections(path) -> list[Detection]:
             parts = line.split()
             if len(parts) != 9:
                 raise DetectionFileError(f"{path}:{ln}: expected 9 fields")
-            try:
-                cls = int(parts[0])
+            try:  # bad numbers, or a box or score Detection rejects
                 vals = [float(v) for v in parts[1:]]
+                out.append(Detection(geom.box_from_array(vals[:7]), vals[7],
+                                     int(parts[0])))
             except ValueError as exc:
                 raise DetectionFileError(f"{path}:{ln}: {exc}") from exc
-            out.append(Detection(geom.box_from_array(vals[:7]), vals[7], cls))
     return out
 
 

@@ -8,7 +8,7 @@ from parallel workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,11 +165,6 @@ def _bev_overlap(a: Box3D, b: Box3D):
     inter = _polygon_area(_clip_convex(ca, cb))
     # Clipping noise can overshoot the smaller footprint by ~ulp.
     return min(inter, area_a, area_b), area_a, area_b
-
-
-def bev_intersection_area(a: Box3D, b: Box3D) -> float:
-    """Exact overlap area of the two yawed footprints in the ground plane."""
-    return _bev_overlap(a, b)[0]
 
 
 def bev_iou(a: Box3D, b: Box3D) -> float:

@@ -20,10 +20,10 @@ from .roihead import RefineHead, RefineTargets
 from .rpn import AnchorSet, BevGrid
 from .sparsegrid import (
     BackboneParams, BevMap, SparseTensor, bev_collapse, grid_shape_for,
-    init_backbone, run_backbone, voxelize,
+    in_range, init_backbone, run_backbone, voxelize,
 )
 from .synth import SceneSample
-from .vsa import KeypointSet, RadiiConfig
+from .vsa import KeypointSet
 
 POINT_FEATURES = 4  # x, y, z, intensity
 
@@ -46,17 +46,6 @@ def keypoint_feature_width(cfg: Config) -> int:
     pv = 2 * len(cfg.vsa_radii) * cfg.vsa_branch_width
     raw = 2 * cfg.raw_branch_width
     return pv + raw + bev_channels(cfg)
-
-
-def radii_config(cfg: Config) -> RadiiConfig:
-    return RadiiConfig(
-        level_radii=cfg.vsa_radii,
-        level_caps=cfg.vsa_caps,
-        raw_radii=cfg.raw_radii,
-        raw_cap=cfg.raw_cap,
-        grid_radii=cfg.grid_radii,
-        grid_cap=cfg.grid_cap,
-    )
 
 
 def bev_grid(cfg: Config) -> BevGrid:
@@ -138,10 +127,6 @@ def build_model(cfg: Config, seed: int) -> ModelParams:
                        pool_mlp, refine)
 
 
-# Parameter-file section names understood by apply_param_sections.
-PARAM_ROLES = ("pkw", "refine_shared", "refine_confidence", "refine_regression")
-
-
 def apply_param_sections(model: ModelParams, sections: dict[str, nn.MlpParams]) -> None:
     """Replace trainable heads with loaded sections (dims must match)."""
     for name, params in sections.items():
@@ -184,13 +169,16 @@ def build_keypoints(
     seed: int,
 ) -> KeypointSet:
     """Sample keypoints by FPS and attach multi-source features plus
-    foreground weighting."""
+    foreground weighting. Only in-range points (those voxelize keeps) are
+    sampled and aggregated; KeypointSet.indices index the whole raw cloud."""
     pts = scene.points_f64()
-    rc = radii_config(cfg)
-    idx = vsa.fps(pts[:, :3], cfg.num_keypoints)
+    kept = np.flatnonzero(in_range(pts[:, :3], cfg.range_min, cfg.range_max))
+    idx = kept[vsa.fps(pts[kept, :3], cfg.num_keypoints)]
     positions = pts[idx, :3]
-    f_pv = vsa.vsa_multi_level(positions, tensors, rc, model.vsa_mlps, seed=seed)
-    f_p = vsa.extended_vsa(positions, f_pv, pts, bev, rc, model.raw_mlps, seed=seed)
+    f_pv = vsa.vsa_multi_level(positions, tensors, cfg.vsa_radii, cfg.vsa_caps,
+                               model.vsa_mlps, seed=seed)
+    f_p = vsa.extended_vsa(positions, f_pv, pts[kept], bev, cfg.raw_radii,
+                           cfg.raw_cap, model.raw_mlps, seed=seed)
     weighted, scores, labels = vsa.pkw(positions, f_p, list(scene.gt_boxes),
                                        model.pkw)
     return KeypointSet(positions, idx, f_pv, f_p, weighted, scores, labels)

@@ -97,6 +97,11 @@ def grid_shape_for(range_min, range_max, voxel_size) -> tuple[int, int, int]:
     return tuple(shape)
 
 
+def in_range(xyz: np.ndarray, range_min, range_max) -> np.ndarray:
+    """Mask of the rows of xyz inside [range_min, range_max); NaN is outside."""
+    return ((xyz >= np.asarray(range_min)) & (xyz < np.asarray(range_max))).all(axis=1)
+
+
 def voxelize(points, range_min, range_max, voxel_size) -> SparseTensor:
     """Average points into level-1 voxels.
 
@@ -118,8 +123,7 @@ def voxelize(points, range_min, range_max, voxel_size) -> SparseTensor:
     hi = np.asarray(range_max, dtype=float)
     vs = np.asarray(voxel_size, dtype=float)
     shape = grid_shape_for(lo, hi, vs)
-    inside = ((pts[:, :3] >= lo) & (pts[:, :3] < hi)).all(axis=1)
-    pts = pts[inside]
+    pts = pts[in_range(pts[:, :3], lo, hi)]
     if pts.shape[0] == 0:
         return SparseTensor(1, vs, lo, shape, np.empty((0, 3), np.int64),
                             np.empty((0, 4)))

@@ -17,8 +17,10 @@ import numpy as np
 from . import geom
 from .config import Config
 from .geom import Box3D
+from .sparsegrid import in_range
 
 MAGIC = "PVSCN1"
+POINT_FIELDS = ("x", "y", "z", "intensity")
 
 
 class PlacementError(RuntimeError):
@@ -49,10 +51,10 @@ def _f32_box(cx, cy, cz, l, w, h, theta) -> Box3D:
 
 @dataclass(frozen=True)
 class SceneSample:
-    """A synthetic point cloud with ground-truth boxes.
+    """A point cloud with ground-truth boxes; every point value is finite.
 
-    Invariants: every point lies inside the (half-open) range, every box
-    contains at least one point, and boxes are pairwise BEV-disjoint.
+    Points may lie outside the range (the pipeline ignores them); gen_scene
+    keeps them inside, every box non-empty and the boxes BEV-disjoint.
     """
 
     points: np.ndarray  # (N, 4) float32: x, y, z, intensity
@@ -66,6 +68,11 @@ class SceneSample:
         pts = np.ascontiguousarray(self.points, dtype=np.float32).reshape(-1, 4)
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        bad = np.argwhere(~np.isfinite(pts))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"point {row}: {POINT_FIELDS[col]} must be finite, "
+                             f"got {pts[row, col]}")
         object.__setattr__(self, "gt_boxes", tuple(self.gt_boxes))
         object.__setattr__(self, "gt_classes", tuple(int(c) for c in self.gt_classes))
         if len(self.gt_boxes) != len(self.gt_classes):
@@ -118,10 +125,6 @@ def _sample_box_surface(box: Box3D, count: int, rng: np.random.Generator) -> np.
     return world
 
 
-def _in_range(xyz: np.ndarray, lo, hi) -> np.ndarray:
-    return ((xyz >= np.asarray(lo)) & (xyz < np.asarray(hi))).all(axis=1)
-
-
 def gen_scene(cfg: Config, seed: int) -> SceneSample:
     """Generate one deterministic scene.
 
@@ -142,7 +145,7 @@ def gen_scene(cfg: Config, seed: int) -> SceneSample:
                                          size=cfg.synth_ground_points)
     gi = rng.uniform(0.0, 1.0, size=cfg.synth_ground_points)
     ground = np.stack([gx, gy, gz, gi], axis=1).astype(np.float32)
-    ground = ground[_in_range(ground[:, :3].astype(float), lo, hi)]
+    ground = ground[in_range(ground[:, :3].astype(float), lo, hi)]
 
     boxes: list[Box3D] = []
     classes: list[int] = []
@@ -180,7 +183,7 @@ def gen_scene(cfg: Config, seed: int) -> SceneSample:
             xyz += rng.normal(0.0, cfg.synth_surface_noise, size=xyz.shape)
             inten = rng.uniform(0.0, 1.0, size=xyz.shape[0])
             cand_pts = np.concatenate([xyz, inten[:, None]], axis=1).astype(np.float32)
-            cand_pts = cand_pts[_in_range(cand_pts[:, :3].astype(float), lo, hi)]
+            cand_pts = cand_pts[in_range(cand_pts[:, :3].astype(float), lo, hi)]
             inside = geom.points_in_box(cand_pts[:, :3].astype(float), box)
             if inside.sum() >= cfg.synth_min_points:
                 pts = cand_pts
@@ -335,7 +338,7 @@ def gt_paste(
         boxes.append(placed)
         classes.append(cls)
     points = current.astype(np.float32)
-    if not _in_range(points[:, :3].astype(float), lo, hi).all():
+    if not in_range(points[:, :3].astype(float), lo, hi).all():
         raise PlacementError("pasted points escaped the scene range")
     return SceneSample(points, tuple(boxes), tuple(classes), scene.seed,
                        scene.range_min, scene.range_max)
@@ -362,47 +365,47 @@ def save_scene(scene: SceneSample, path) -> None:
 
 
 def load_scene(path) -> SceneSample:
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        try:
-            text = line.decode("ascii").strip()
-        except UnicodeDecodeError as exc:
-            raise SceneFileError("scene header is not ascii") from exc
-        fields = text.split()
-        if not fields or fields[0] != MAGIC:
-            if fields and fields[0].startswith("PVSCN"):
-                raise SceneFileError(
-                    f"unsupported scene format version {fields[0]!r} "
-                    f"(expected {MAGIC})"
-                )
-            raise SceneFileError(f"bad scene magic: {text[:30]!r}")
-        kv = dict(tok.split("=", 1) for tok in fields[1:] if "=" in tok)
-        try:
-            n_points = int(kv["points"])
-            n_boxes = int(kv["boxes"])
-            seed = int(kv["seed"])
-            rng_vals = [float(v) for v in kv["range"].split(",")]
-            if len(rng_vals) != 6:
-                raise ValueError("range must have six values")
-        except (KeyError, ValueError) as exc:
-            raise SceneFileError(f"malformed scene header: {text!r}") from exc
+    """Read a scene file; malformed content raises SceneFileError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.readline().decode("ascii", errors="replace").strip()
+            fields = text.split()
+            if not fields or fields[0] != MAGIC:
+                if fields and fields[0].startswith("PVSCN"):
+                    raise SceneFileError(
+                        f"unsupported scene format version {fields[0]!r} "
+                        f"(expected {MAGIC})"
+                    )
+                raise SceneFileError(f"bad scene magic: {text[:30]!r}")
+            kv = dict(tok.split("=", 1) for tok in fields[1:] if "=" in tok)
+            try:
+                n_points = int(kv["points"])
+                n_boxes = int(kv["boxes"])
+                seed = int(kv["seed"])
+                rng_vals = [float(v) for v in kv["range"].split(",")]
+                if len(rng_vals) != 6:
+                    raise ValueError("range must have six values")
+            except (KeyError, ValueError) as exc:
+                raise SceneFileError(f"malformed scene header: {text!r}") from exc
 
-        blob = fh.read(n_points * 16)
-        if len(blob) != n_points * 16:
-            raise SceneFileError("truncated point records")
-        points = np.frombuffer(blob, dtype="<f4").reshape(n_points, 4)
-        boxes, classes = [], []
-        for _ in range(n_boxes):
-            rec = fh.read(7 * 4 + 4)
-            if len(rec) != 32:
-                raise SceneFileError("truncated box record")
-            vals = np.frombuffer(rec[:28], dtype="<f4")
-            cls = int(np.frombuffer(rec[28:], dtype="<i4")[0])
-            boxes.append(geom.box_from_array(vals))
-            classes.append(cls)
-        if fh.read(1):
-            raise SceneFileError("trailing bytes after box records")
-    return SceneSample(
-        points, tuple(boxes), tuple(classes), seed,
-        tuple(rng_vals[:3]), tuple(rng_vals[3:]),
-    )
+            blob = fh.read(n_points * 16)
+            if len(blob) != n_points * 16:
+                raise SceneFileError("truncated point records")
+            points = np.frombuffer(blob, dtype="<f4").reshape(n_points, 4)
+            boxes, classes = [], []
+            for _ in range(n_boxes):
+                rec = fh.read(7 * 4 + 4)
+                if len(rec) != 32:
+                    raise SceneFileError("truncated box record")
+                vals = np.frombuffer(rec[:28], dtype="<f4")
+                cls = int(np.frombuffer(rec[28:], dtype="<i4")[0])
+                boxes.append(geom.box_from_array(vals))
+                classes.append(cls)
+            if fh.read(1):
+                raise SceneFileError("trailing bytes after box records")
+        return SceneSample(
+            points, tuple(boxes), tuple(classes), seed,
+            tuple(rng_vals[:3]), tuple(rng_vals[3:]),
+        )
+    except ValueError as exc:  # SceneFileError, or a Box3D / SceneSample check
+        raise SceneFileError(f"{path}: {exc}") from exc

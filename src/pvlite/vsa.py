@@ -18,27 +18,6 @@ from .geom import Box3D
 from .sparsegrid import BevMap, SparseTensor, bilinear_sample, voxel_centers
 
 
-@dataclass(frozen=True)
-class RadiiConfig:
-    """Neighborhood radii (meters) and per-query neighbor caps."""
-
-    level_radii: tuple[tuple[float, float], ...] = (
-        (0.4, 0.8), (0.8, 1.2), (1.2, 2.4), (2.4, 4.8),
-    )
-    level_caps: tuple[int, ...] = (16, 16, 32, 32)
-    raw_radii: tuple[float, float] = (0.4, 0.8)
-    raw_cap: int = 16
-    grid_radii: tuple[float, float] = (0.8, 1.6)
-    grid_cap: int = 32
-
-    def __post_init__(self):
-        for pair in (*self.level_radii, self.raw_radii, self.grid_radii):
-            if pair[0] <= 0 or pair[1] <= pair[0]:
-                raise ValueError(f"radius pair {pair} must be positive, increasing")
-        if len(self.level_radii) != len(self.level_caps):
-            raise ValueError("level radii / caps length mismatch")
-
-
 def fps(points: np.ndarray, n: int, start_index: int = 0) -> np.ndarray:
     """Greedy farthest point sampling.
 
@@ -180,6 +159,11 @@ def set_abstraction(
     return nn.mlp_forward(mlp, rows).max(axis=0)
 
 
+# Rows _aggregate_branch gathers at a time, so that no full-size temporary
+# copy of the gathered neighbour features is held next to the MLP input.
+GATHER_CHUNK_ROWS = 8192
+
+
 def _aggregate_branch(
     queries: np.ndarray,
     neighbor_lists: list[np.ndarray],
@@ -196,9 +180,11 @@ def _aggregate_branch(
         return out
     flat = np.concatenate([nl for nl in neighbor_lists if len(nl)])
     rep = np.repeat(np.arange(m), lens)
-    rows = np.concatenate(
-        [features[flat].reshape(total, -1), positions[flat] - queries[rep]], axis=1
-    )
+    rows = np.empty((total, features.shape[1] + 3))
+    for s in range(0, total, GATHER_CHUNK_ROWS):
+        part = slice(s, s + GATHER_CHUNK_ROWS)
+        rows[part, :-3] = features[flat[part]]
+        rows[part, -3:] = positions[flat[part]] - queries[rep[part]]
     vals = nn.mlp_forward(mlp, rows)
     starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
     nonempty = lens > 0
@@ -210,7 +196,8 @@ def _aggregate_branch(
 def vsa_multi_level(
     keypoints: np.ndarray,
     level_tensors: list[SparseTensor],
-    cfg: RadiiConfig,
+    radii: tuple[tuple[float, float], ...],
+    caps: tuple[int, ...],
     mlps: list[list[nn.MlpParams]],
     seed: int = 0,
 ) -> np.ndarray:
@@ -222,7 +209,8 @@ def vsa_multi_level(
     Args:
         keypoints: (n, 3) positions.
         level_tensors: the four backbone outputs.
-        cfg: radii and caps.
+        radii: radii[k] is level k's radius pair, meters.
+        caps: caps[k] is level k's neighbor cap.
         mlps: mlps[k][r] for level k, radius index r.
         seed: base seed for neighbor-cap subsampling.
 
@@ -233,9 +221,9 @@ def vsa_multi_level(
     blocks = []
     for k, tensor in enumerate(level_tensors):
         centers = voxel_centers(tensor)
-        for r, radius in enumerate(cfg.level_radii[k]):
+        for r, radius in enumerate(radii[k]):
             neigh = radius_query(
-                kp, centers, radius, cfg.level_caps[k], seed=seed + 1000 * k + r
+                kp, centers, radius, caps[k], seed=seed + 1000 * k + r
             )
             blocks.append(
                 _aggregate_branch(kp, neigh, centers, tensor.features, mlps[k][r])
@@ -248,21 +236,22 @@ def extended_vsa(
     f_pv: np.ndarray,
     raw_points: np.ndarray,
     bev: BevMap,
-    cfg: RadiiConfig,
+    radii: tuple[float, float],
+    cap: int,
     raw_mlps: list[nn.MlpParams],
     seed: int = 0,
 ) -> np.ndarray:
     """Concatenate [f_pv, f_raw, f_bev] per keypoint.
 
     f_raw aggregates raw points (intensity as the single feature channel)
-    at the raw radius pair; f_bev bilinearly samples the BEV map at the
-    keypoint's ground-plane position.
+    at each radius of the pair (at most `cap` neighbors each); f_bev
+    bilinearly samples the BEV map at the keypoint's ground-plane position.
     """
     kp = np.asarray(keypoints, dtype=float).reshape(-1, 3)
     raw = np.asarray(raw_points, dtype=float).reshape(-1, 4)
     blocks = [np.asarray(f_pv, dtype=float)]
-    for r, radius in enumerate(cfg.raw_radii):
-        neigh = radius_query(kp, raw[:, :3], radius, cfg.raw_cap, seed=seed + 7000 + r)
+    for r, radius in enumerate(radii):
+        neigh = radius_query(kp, raw[:, :3], radius, cap, seed=seed + 7000 + r)
         blocks.append(
             _aggregate_branch(kp, neigh, raw[:, :3], raw[:, 3:4], raw_mlps[r])
         )

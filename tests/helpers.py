@@ -2,12 +2,14 @@
 
 Each oracle recomputes a result by a different algorithm than the library
 path it checks (sampling for areas, dense convolution for sparse, full
-recomputation for incremental FPS, a list-of-Detection loop for NMS).
+recomputation for incremental FPS, a list-of-Detection loop for NMS),
+plus a writer of malformed scene files.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -220,3 +222,13 @@ def nms_reference(
             if max_keep is not None and len(kept) >= max_keep:
                 break
     return kept
+
+
+def set_point_value(path, row: int, col: int, value: float) -> None:
+    """Overwrite one point value of a saved scene file (after the header
+    line, each point is 16 bytes: x, y, z, intensity as little-endian
+    float32), bypassing the checks a SceneSample makes."""
+    data = bytearray(Path(path).read_bytes())
+    at = data.index(b"\n") + 1 + 16 * row + 4 * col
+    data[at:at + 4] = np.array([value], dtype="<f4").tobytes()
+    Path(path).write_bytes(bytes(data))

@@ -4,7 +4,9 @@ plumbing and the invariant check suite."""
 import numpy as np
 import pytest
 
-from pvlite import cli, config, evalkit, synth
+from pvlite import cli, config, evalkit, nn, pipeline, synth
+
+from helpers import set_point_value
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +30,14 @@ def scene_dir(cfg_path, tmp_path_factory):
                    "--count", "2", "--seed", "5"])
     assert rc == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def desk7(tmp_path_factory):
+    """The full desk config file and desk scene 7."""
+    root = tmp_path_factory.mktemp("desk7")
+    config.save(config.desk_config(), root / "desk.cfg")
+    return str(root / "desk.cfg"), synth.gen_scene(config.desk_config(), seed=7)
 
 
 class TestSynth:
@@ -172,3 +182,84 @@ class TestCheck:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL geom.bev_iou_vs_sampling" in out
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("col, field, value", [(0, "x", np.nan),
+                                                   (3, "intensity", np.inf)])
+    def test_non_finite_point_names_scene(self, desk7, tmp_path, capsys,
+                                          col, field, value):
+        cfg_file, scene = desk7
+        path = tmp_path / "scene_7.pvscn"
+        synth.save_scene(scene, path)
+        set_point_value(path, 5, col, value)
+        rc = cli.main(["run", "--config", cfg_file, "--scenes", str(path),
+                       "--out", str(tmp_path / "d"), "--seed", "7"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"{path}: point 5: {field} must be finite" in err
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--out", "{tmp}/d"],
+        ["train-heads", "--which", "pkw", "--iters", "1", "--out", "{tmp}/p"],
+        ["bench"],
+    ])
+    def test_class_id_outside_config_names_scene(self, desk7, tmp_path, capsys,
+                                                 command):
+        cfg_file, scene = desk7
+        path = tmp_path / "scene_7.pvscn"
+        bad = scene.gt_classes[:-1] + (5,)  # the desk config has one class
+        synth.save_scene(synth.SceneSample(scene.points, scene.gt_boxes, bad, 7,
+                                           scene.range_min, scene.range_max), path)
+        rc = cli.main([command[0], "--config", cfg_file, "--scenes", str(path),
+                       "--seed", "7", *(a.format(tmp=tmp_path) for a in command[1:])])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"{path}: box {len(bad) - 1}: class id 5" in err
+
+    @pytest.mark.parametrize("exc", [FloatingPointError("overflow in exp"),
+                                     IndexError("index 9 is out of bounds"),
+                                     ValueError("non-finite BEV values")])
+    def test_scene_failure_exits_2_naming_scene(self, cfg_path, scene_dir,
+                                                tmp_path, capsys, monkeypatch,
+                                                exc):
+        def fail(*_args, **_kw):
+            raise exc
+        monkeypatch.setattr(pipeline, "run_scene", fail)
+        rc = cli.main(["run", "--config", cfg_path, "--scenes", str(scene_dir),
+                       "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        first = sorted(scene_dir.glob("*.pvscn"))[0]
+        assert rc == 2
+        assert err == f"runtime error: {first}: {type(exc).__name__}: {exc}\n"
+
+    def test_training_failure_exits_2_naming_scenes(self, cfg_path, scene_dir,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        def fail(*_args, **_kw):
+            raise IndexError("index 9 is out of bounds")
+        monkeypatch.setattr(pipeline, "build_pkw_batch", fail)
+        rc = cli.main(["train-heads", "--config", cfg_path, "--scenes",
+                       str(scene_dir), "--which", "pkw", "--out",
+                       str(tmp_path / "p")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"runtime error: {scene_dir}: ")
+
+    def test_bad_config_value_exits_1(self, scene_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("num_keypoints=0\n")
+        rc = cli.main(["run", "--config", str(bad), "--scenes", str(scene_dir),
+                       "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "num_keypoints must be >= 1" in capsys.readouterr().err
+
+    def test_mismatched_param_file_names_file(self, cfg_path, scene_dir,
+                                              tmp_path, capsys):
+        params = tmp_path / "wide.params"
+        with open(params, "wb") as fh:
+            nn.save_params(nn.init_params((3, 1), seed=0,
+                                          out_activation="sigmoid"), fh, name="pkw")
+        rc = cli.main(["run", "--config", cfg_path, "--scenes", str(scene_dir),
+                       "--out", str(tmp_path / "d"), "--params", str(params)])
+        assert rc == 1
+        assert f"{params}: pkw dims" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 """Config validation, flat-file round trip, env overrides and profiles."""
 
+import ast
+import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +52,7 @@ class TestValidation:
 
 class TestFileRoundTrip:
     def test_save_load(self, tmp_path):
-        cfg = config.desk_config().replace(num_keypoints=333, rpn_beta=1.5)
+        cfg = config.desk_config().replace(num_keypoints=333, final_nms_iou=0.05)
         path = tmp_path / "test.cfg"
         config.save(cfg, path)
         loaded = config.load(path, env={})
@@ -81,8 +84,20 @@ class TestFileRoundTrip:
 
     def test_invalid_combination_rejected_on_load(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("match_neg_iou=0.9\n")  # exceeds match_pos_iou
+        path.write_text("synth_ground_z=5.0\n")  # above the default z range
         with pytest.raises(ConfigError):
+            config.load(path, env={})
+
+    def test_retired_keys_load(self, tmp_path):
+        # The six keys older versions saved (values as they wrote them).
+        retired = ("match_pos_iou=0.6\nmatch_neg_iou=0.45\nrpn_beta=2.0\n"
+                   "aug_flip_prob=0.5\naug_scale_range=0.95,1.05\n"
+                   "aug_rot_range=-0.7853981633974483,0.7853981633974483\n")
+        path = tmp_path / "old.cfg"
+        path.write_text(retired + "num_keypoints=64\n")
+        assert config.load(path, env={}) == Config(num_keypoints=64)
+        path.write_text(retired + "no_such_knob=3\n")
+        with pytest.raises(ConfigError, match="no_such_knob"):
             config.load(path, env={})
 
 
@@ -103,3 +118,18 @@ class TestEnvOverrides:
 
     def test_no_env_uses_defaults(self):
         assert config.load(None, env={}) == config.default_config()
+
+
+def test_every_field_is_read():
+    """Every Config field is read as an attribute somewhere in src/pvlite,
+    not counting the checks in config.validate."""
+    read = set()
+    for path in Path(config.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if path.name == "config.py" and getattr(node, "name", "") == "validate":
+                node.body = []
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f.name for f in dataclasses.fields(Config) if f.name not in read]
+    assert unread == []

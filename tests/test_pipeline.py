@@ -102,6 +102,38 @@ class TestRunScene:
         assert ((kp.scores > 0) & (kp.scores < 1)).all()
         np.testing.assert_allclose(kp.weighted, kp.scores[:, None] * kp.f_p)
 
+    @pytest.mark.parametrize("near_edge", [False, True])
+    def test_out_of_range_point_is_ignored(self, near_edge):
+        # Desk scene 7 with point 5 moved out of the range: voxelize drops
+        # the point, and keypoints and the raw-point branches must too, so
+        # the detections equal those of the scene without point 5. Moved to
+        # x = 1e6 m, or to just below x = 0 next to the in-range point of
+        # least x (a keypoint, so the point would enter its raw branches).
+        cfg = desk_config()
+        model = pipeline.build_model(cfg, seed=7)
+        anchors = rpn.generate_anchors(cfg.classes, pipeline.bev_grid(cfg))
+        scene = synth.gen_scene(cfg, seed=7)
+
+        def run(points):
+            s = SceneSample(points, scene.gt_boxes, scene.gt_classes, scene.seed,
+                            scene.range_min, scene.range_max)
+            return s, pipeline.run_scene(s, model, cfg, anchors, seed=7)
+
+        far = scene.points.copy()
+        far[5, 0] = 1e6
+        if near_edge:
+            far[5, :3] = far[np.argmin(scene.points[:, 0]), :3]
+            far[5, 0] = -0.01
+        far_scene, moved = run(far)
+        _, dropped = run(np.delete(scene.points, 5, axis=0))
+        assert moved.detections == dropped.detections
+        kp = moved.keypoints
+        np.testing.assert_array_equal(kp.positions, dropped.keypoints.positions)
+        np.testing.assert_array_equal(kp.f_p, dropped.keypoints.f_p)
+        assert 5 not in kp.indices
+        np.testing.assert_array_equal(far_scene.points_f64()[kp.indices, :3],
+                                      kp.positions)
+
 
 class TestParamSections:
     def test_apply_pkw(self, model):

@@ -9,6 +9,8 @@ from pvlite import geom, synth
 from pvlite.config import desk_config
 from pvlite.synth import AugmentParams
 
+from helpers import set_point_value
+
 CFG = desk_config()
 
 IDENTITY_AUG = AugmentParams(flip_prob=0.0, scale_range=(1.0, 1.0),
@@ -176,3 +178,34 @@ class TestSceneFiles:
         with pytest.raises(synth.SceneFileError) as err:
             synth.load_scene(bad)
         assert "version" in str(err.value)
+
+    @pytest.mark.parametrize("col, field, value", [(0, "x", np.nan),
+                                                   (3, "intensity", np.inf)])
+    def test_non_finite_point_names_file_row_and_field(self, scene, tmp_path,
+                                                       col, field, value):
+        path = tmp_path / "scene.pvscn"
+        synth.save_scene(scene, path)
+        set_point_value(path, 5, col, value)
+        with pytest.raises(synth.SceneFileError) as err:
+            synth.load_scene(path)
+        assert str(err.value).startswith(f"{path}: point 5: {field} must be finite")
+
+    def test_rejected_box_record_is_scene_file_error(self, scene, tmp_path):
+        path = tmp_path / "scene.pvscn"
+        synth.save_scene(scene, path)
+        data = bytearray(path.read_bytes())
+        at = len(data) - 32 + 3 * 4  # l of the last box record
+        data[at:at + 4] = np.array([-1.0], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(synth.SceneFileError) as err:
+            synth.load_scene(path)
+        assert str(path) in str(err.value) and "positive" in str(err.value)
+
+
+class TestSceneSample:
+    def test_nan_point_rejected(self, scene):
+        pts = scene.points.copy()
+        pts[5, 0] = np.nan
+        with pytest.raises(ValueError, match="point 5: x must be finite"):
+            synth.SceneSample(pts, scene.gt_boxes, scene.gt_classes, scene.seed,
+                              scene.range_min, scene.range_max)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pvlite import nn, rpn, vsa
+from pvlite.config import Config
 from pvlite.geom import Box3D
 from pvlite.sparsegrid import BevMap, SparseTensor
 
@@ -269,6 +270,21 @@ class TestSetAbstraction:
                                          pts[neigh[i]], mlp)
             np.testing.assert_array_equal(batched[i], single)
 
+    def test_batched_engine_gathers_in_chunks(self, monkeypatch):
+        # Rows gathered in chunks that split queries' neighbour runs give
+        # the same outputs as one chunk, bit for bit.
+        rng = np.random.default_rng(63)
+        mlp = self._mlp(2 + 3, seed=4)
+        pts = rng.normal(size=(50, 3))
+        feats = rng.normal(size=(50, 2))
+        queries = rng.normal(size=(8, 3)) * 0.5
+        neigh = vsa.radius_query(queries, pts, 1.5, 16, seed=5)
+        assert sum(map(len, neigh)) > 5
+        whole = vsa._aggregate_branch(queries, neigh, pts, feats, mlp)
+        monkeypatch.setattr(vsa, "GATHER_CHUNK_ROWS", 5)
+        chunked = vsa._aggregate_branch(queries, neigh, pts, feats, mlp)
+        np.testing.assert_array_equal(chunked, whole)
+
 
 def _tiny_levels(rng, widths=(4, 4, 4, 4)):
     """Four small sparse tensors with voxel sizes doubling per level."""
@@ -301,23 +317,23 @@ class TestVsaMultiLevel:
                          np.empty((0, 3), np.int64), np.empty((0, 4)))
             for k in range(4)
         ]
-        cfg = vsa.RadiiConfig()
+        cfg = Config()
         mlps = _mlps_for(empty)
         kp = np.array([[1.0, 1.0, 1.0]])
-        out = vsa.vsa_multi_level(kp, empty, cfg, mlps)
+        out = vsa.vsa_multi_level(kp, empty, cfg.vsa_radii, cfg.vsa_caps, mlps)
         np.testing.assert_array_equal(out, np.zeros((1, 4 * 2 * 5)))
 
     def test_output_width(self):
         rng = np.random.default_rng(70)
         tensors = _tiny_levels(rng)
-        cfg = vsa.RadiiConfig()
+        cfg = Config()
         mlps = [
             [nn.init_params((t.feature_width + 3, 32, 32), seed=k * 2 + r)
              for r in range(2)]
             for k, t in enumerate(tensors)
         ]
         kp = rng.uniform(0, 2, size=(6, 3))
-        out = vsa.vsa_multi_level(kp, tensors, cfg, mlps)
+        out = vsa.vsa_multi_level(kp, tensors, cfg.vsa_radii, cfg.vsa_caps, mlps)
         assert out.shape == (6, 256)
 
     def test_feature_scaling_with_centered_keypoint(self):
@@ -329,7 +345,6 @@ class TestVsaMultiLevel:
         dims = (3 + 3, 8, 4)
         raw = nn.init_params(dims, seed=9)
         mlp = nn.MlpParams(dims, raw.weights, [np.zeros(d) for d in dims[1:]])
-        cfg = vsa.RadiiConfig(level_radii=((0.4, 0.8),) * 4)
         kp = np.array([[0.5, 0.5, 0.5]])
         one = vsa._aggregate_branch(kp, vsa.radius_query(kp, np.array([[0.5, 0.5, 0.5]]), 0.4, 4, 0),
                                     np.array([[0.5, 0.5, 0.5]]), t.features, mlp)
@@ -361,15 +376,16 @@ class TestExtendedVsa:
     def test_blocks_and_width(self):
         rng = np.random.default_rng(72)
         tensors = _tiny_levels(rng)
-        cfg = vsa.RadiiConfig()
+        cfg = Config()
         mlps = _mlps_for(tensors)
         raw_mlps = [nn.init_params((1 + 3, 8, 4), seed=30 + r) for r in range(2)]
         bev = BevMap(rng.normal(size=(4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
         kp = rng.uniform(0.2, 2.8, size=(7, 3))
         raw_pts = np.concatenate([rng.uniform(0, 3, size=(40, 3)),
                                   rng.uniform(0, 1, size=(40, 1))], axis=1)
-        f_pv = vsa.vsa_multi_level(kp, tensors, cfg, mlps)
-        f_p = vsa.extended_vsa(kp, f_pv, raw_pts, bev, cfg, raw_mlps)
+        f_pv = vsa.vsa_multi_level(kp, tensors, cfg.vsa_radii, cfg.vsa_caps, mlps)
+        f_p = vsa.extended_vsa(kp, f_pv, raw_pts, bev, cfg.raw_radii, cfg.raw_cap,
+                               raw_mlps)
         assert f_p.shape == (7, f_pv.shape[1] + 2 * 4 + 6)
         assert np.isfinite(f_p).all()
         np.testing.assert_array_equal(f_p[:, : f_pv.shape[1]], f_pv)
@@ -377,28 +393,30 @@ class TestExtendedVsa:
     def test_no_raw_neighbors_zero_block(self):
         rng = np.random.default_rng(73)
         tensors = _tiny_levels(rng)
-        cfg = vsa.RadiiConfig()
+        cfg = Config()
         mlps = _mlps_for(tensors)
         raw_mlps = [nn.init_params((1 + 3, 8, 4), seed=40 + r) for r in range(2)]
         bev = BevMap(np.zeros((4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
         kp = np.array([[1.0, 1.0, 1.0]])
         far_raw = np.array([[50.0, 50.0, 50.0, 0.5]])
-        f_pv = vsa.vsa_multi_level(kp, tensors, cfg, mlps)
-        f_p = vsa.extended_vsa(kp, f_pv, far_raw, bev, cfg, raw_mlps)
+        f_pv = vsa.vsa_multi_level(kp, tensors, cfg.vsa_radii, cfg.vsa_caps, mlps)
+        f_p = vsa.extended_vsa(kp, f_pv, far_raw, bev, cfg.raw_radii, cfg.raw_cap,
+                               raw_mlps)
         width = f_pv.shape[1]
         np.testing.assert_array_equal(f_p[0, width : width + 8], np.zeros(8))
 
     def test_keypoint_outside_bev_zero_block(self):
         rng = np.random.default_rng(74)
         tensors = _tiny_levels(rng)
-        cfg = vsa.RadiiConfig()
+        cfg = Config()
         mlps = _mlps_for(tensors)
         raw_mlps = [nn.init_params((1 + 3, 8, 4), seed=50 + r) for r in range(2)]
         bev = BevMap(rng.normal(size=(4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
         kp = np.array([[100.0, 100.0, 0.0]])
         raw_pts = np.array([[100.0, 100.0, 0.0, 0.3]])
-        f_pv = vsa.vsa_multi_level(kp, tensors, cfg, mlps)
-        f_p = vsa.extended_vsa(kp, f_pv, raw_pts, bev, cfg, raw_mlps)
+        f_pv = vsa.vsa_multi_level(kp, tensors, cfg.vsa_radii, cfg.vsa_caps, mlps)
+        f_p = vsa.extended_vsa(kp, f_pv, raw_pts, bev, cfg.raw_radii, cfg.raw_cap,
+                               raw_mlps)
         np.testing.assert_array_equal(f_p[0, -6:], np.zeros(6))
 
 
