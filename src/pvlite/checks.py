@@ -163,9 +163,10 @@ def check_mlp_gradients(env):
 
     def f(vec):
         p = nn.params_from_vector(template, vec)
-        y = nn.mlp_forward(p, x)
+        layers = nn.mlp_layers(p, x)
+        y = layers[-1][0]
         val = 0.5 * float(y @ y)
-        w_g, b_g, _ = nn.mlp_backward(p, x, y)
+        w_g, b_g, _ = nn.mlp_backward(p, x, layers, y)
         return val, nn.params_to_vector(nn.MlpParams(p.layer_dims, w_g, b_g,
                                                      p.out_activation))
 

@@ -1,8 +1,9 @@
 """Command-line front-end: scene synthesis, pipeline runs, head training,
 evaluation, the pooling benchmark and the invariant check suite.
 
-Exit codes: 0 success, 1 validation error (arguments, config, file
-formats), 2 runtime failure (naming the scene file it happened in).
+Exit codes: 0 success, 1 validation error (config, file formats), 2 usage
+error (argparse rejected the arguments) or runtime failure (naming the
+scene file it happened in).
 """
 
 from __future__ import annotations
@@ -117,6 +118,9 @@ def cmd_train_heads(args) -> int:
     if args.which == "pkw":
         with _processing(args.scenes):
             batch = pipeline.build_pkw_batch(cfg, model, scenes, seed=cfg.seed)
+        if batch.features.shape[0] == 0:
+            print("no keypoints; nothing to train", file=sys.stderr)
+            return 2
         trained, losses, acc = pipeline.train_pkw(model.pkw, batch,
                                                   args.iters, args.lr)
         with open(out, "wb") as fh:

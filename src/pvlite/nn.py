@@ -113,10 +113,16 @@ def _as_batch(x: np.ndarray, width: int):
     raise ShapeError(f"input must be 1-D or 2-D, got shape {x.shape}")
 
 
-def _forward_cached(p: MlpParams, xb: np.ndarray):
-    """Forward over a (B, d0) batch, returning output and per-layer activations."""
-    acts = [xb]
-    a = xb
+def mlp_layers(p: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """Evaluate the MLP on one vector (d0,) or a batch (B, d0), keeping
+    every layer's output.
+
+    Returns:
+        One (B, layer_dims[i + 1]) array per layer, B = 1 for a vector;
+        the last entry is the MLP output. mlp_backward takes this list.
+    """
+    a, _ = _as_batch(x, p.in_width)
+    layers = []
     last = len(p.weights) - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
         z = a @ w.T + b
@@ -126,39 +132,52 @@ def _forward_cached(p: MlpParams, xb: np.ndarray):
             a = sigmoid(z)
         else:
             a = z
-        acts.append(a)
-    return a, acts
+        layers.append(a)
+    return layers
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Evaluate the MLP on one vector (d0,) or a batch (B, d0)."""
-    xb, single = _as_batch(x, p.in_width)
-    y, _ = _forward_cached(p, xb)
-    return y[0] if single else y
+    y = mlp_layers(p, x)[-1]
+    return y[0] if np.ndim(x) == 1 else y
 
 
-def mlp_backward(p: MlpParams, x: np.ndarray, upstream_grad: np.ndarray):
+def mlp_backward(p: MlpParams, x: np.ndarray, layers: list[np.ndarray],
+                 upstream_grad: np.ndarray):
     """Reverse-mode gradients for all parameters and the input.
 
     Args:
         p: parameters.
         x: input vector (d0,) or batch (B, d0).
+        layers: mlp_layers(p, x) from the caller's forward pass; no forward
+            pass runs here.
         upstream_grad: dLoss/dOutput, matching the forward output shape.
 
     Returns:
         (weight_grads, bias_grads, input_grad) with shapes mirroring
         p.weights, p.biases and x.
+
+    Raises:
+        ShapeError: x, layers or upstream_grad do not have the shapes that
+            p and x imply.
     """
     xb, single = _as_batch(x, p.in_width)
+    rows = xb.shape[0]
+    n_layers = len(p.weights)
+    if len(layers) != n_layers:
+        raise ShapeError(f"{len(layers)} layer outputs != {n_layers} layers")
+    for i, a in enumerate(layers):
+        if np.shape(a) != (rows, p.layer_dims[i + 1]):
+            raise ShapeError(f"layer {i} output shape {np.shape(a)} != "
+                             f"{(rows, p.layer_dims[i + 1])}")
     up = np.asarray(upstream_grad, dtype=float)
     if single:
         up = up[None, :]
-    if up.shape != (xb.shape[0], p.out_width):
+    if up.shape != (rows, p.out_width):
         raise ShapeError(
-            f"upstream grad shape {up.shape} != {(xb.shape[0], p.out_width)}"
+            f"upstream grad shape {up.shape} != {(rows, p.out_width)}"
         )
-    _, acts = _forward_cached(p, xb)
-    n_layers = len(p.weights)
+    acts = [xb, *layers]
     w_grads = [np.empty(0)] * n_layers
     b_grads = [np.empty(0)] * n_layers
     delta = up

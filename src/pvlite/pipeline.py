@@ -181,7 +181,7 @@ def build_keypoints(
                            cfg.raw_cap, model.raw_mlps, seed=seed)
     weighted, scores, labels = vsa.pkw(positions, f_p, list(scene.gt_boxes),
                                        model.pkw)
-    return KeypointSet(positions, idx, f_pv, f_p, weighted, scores, labels)
+    return KeypointSet(positions, idx, f_p, weighted, scores, labels)
 
 
 @dataclass
@@ -191,8 +191,6 @@ class PipelineResult:
     detections: list[Detection]
     proposals: list[Detection]
     keypoints: KeypointSet | None
-    tensors: list[SparseTensor]
-    bev: BevMap | None
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -220,7 +218,7 @@ def run_scene(
                       cfg.voxel_size)
     timings["voxelize"] = time.perf_counter() - t0
     if level1.num_voxels == 0:
-        return PipelineResult([], [], None, [], None, timings)
+        return PipelineResult([], [], None, timings)
 
     t0 = time.perf_counter()
     tensors = run_backbone(level1, model.backbone)
@@ -248,7 +246,7 @@ def run_scene(
         detections.append(Detection(refined, conf, prop.class_id))
     detections = roihead.final_select(detections, nms_iou=cfg.final_nms_iou)
     timings["refine"] = time.perf_counter() - t0
-    return PipelineResult(detections, proposals, keypoints, tensors, bev, timings)
+    return PipelineResult(detections, proposals, keypoints, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +267,30 @@ class PkwBatch:
     labels: np.ndarray  # (n,)
 
 
+def _scene_keypoints(cfg: Config, model: ModelParams, scene: SceneSample,
+                     seed: int) -> tuple[BevMap, KeypointSet] | None:
+    """Voxelize, backbone, BEV and keypoints of one training scene; None for
+    a scene with no in-range point, which the batch builders skip."""
+    level1 = voxelize(scene.points_f64(), cfg.range_min, cfg.range_max,
+                      cfg.voxel_size)
+    if level1.num_voxels == 0:
+        return None
+    tensors = run_backbone(level1, model.backbone)
+    bev = bev_collapse(tensors[3])
+    return bev, build_keypoints(scene, tensors, bev, cfg, model, seed)
+
+
 def build_pkw_batch(cfg: Config, model: ModelParams, scenes: list[SceneSample],
                     seed: int) -> PkwBatch:
-    feats, labels = [], []
+    """Keypoint features and labels of every scene; scene s draws from
+    seed + 101 * s. With no keypoints at all the batch has 0 rows."""
+    feats = [np.empty((0, keypoint_feature_width(cfg)))]
+    labels = [np.empty(0, dtype=np.int64)]
     for s_idx, scene in enumerate(scenes):
-        level1 = voxelize(scene.points_f64(), cfg.range_min, cfg.range_max,
-                          cfg.voxel_size)
-        tensors = run_backbone(level1, model.backbone)
-        bev = bev_collapse(tensors[3])
-        kp = build_keypoints(scene, tensors, bev, cfg, model, seed + 101 * s_idx)
+        found = _scene_keypoints(cfg, model, scene, seed + 101 * s_idx)
+        if found is None:
+            continue
+        _, kp = found
         feats.append(kp.f_p)
         labels.append(kp.labels)
     return PkwBatch(np.concatenate(feats, axis=0), np.concatenate(labels))
@@ -294,10 +307,11 @@ def train_pkw(
     params = head.copy()
     losses = []
     for _ in range(iters):
-        scores = nn.mlp_forward(params, batch.features)[:, 0]
+        layers = nn.mlp_layers(params, batch.features)
+        scores = layers[-1][:, 0]
         losses.append(vsa.seg_loss(scores, batch.labels))
         up = rpn.focal_loss_grad(scores, batch.labels)[:, None]
-        w_g, b_g, _ = nn.mlp_backward(params, batch.features, up)
+        w_g, b_g, _ = nn.mlp_backward(params, batch.features, layers, up)
         _sgd_step(params, w_g, b_g, lr)
     scores = nn.mlp_forward(params, batch.features)[:, 0]
     acc = float(((scores > 0.5).astype(int) == batch.labels).mean())
@@ -336,11 +350,10 @@ def build_refine_batch(
     feats, rois, matched = [], [], []
     ys, residuals, positives, matched_idx = [], [], [], []
     for s_idx, scene in enumerate(scenes):
-        level1 = voxelize(scene.points_f64(), cfg.range_min, cfg.range_max,
-                          cfg.voxel_size)
-        tensors = run_backbone(level1, model.backbone)
-        bev = bev_collapse(tensors[3])
-        kp = build_keypoints(scene, tensors, bev, cfg, model, seed + 101 * s_idx)
+        found = _scene_keypoints(cfg, model, scene, seed + 101 * s_idx)
+        if found is None:
+            continue
+        bev, kp = found
         props = training_proposals(model, cfg, anchors, bev)
         sampled, targets = roihead.sample_proposals(
             props, list(scene.gt_boxes), seed + 977 * s_idx,
@@ -366,14 +379,6 @@ def build_refine_batch(
     return RefineBatch(features, rois, combined, matched)
 
 
-def refine_forward(head: RefineHead, features: np.ndarray):
-    """Batched head forward: (confidences (S,), residuals (S, 7), trunk)."""
-    trunk = nn.mlp_forward(head.shared, features)
-    conf = nn.mlp_forward(head.confidence, trunk)[:, 0]
-    res = nn.mlp_forward(head.regression, trunk)
-    return conf, res, trunk
-
-
 def train_refine(head: RefineHead, batch: RefineBatch, iters: int, lr: float):
     """Full-batch SGD on the confidence + box refinement loss.
 
@@ -384,18 +389,24 @@ def train_refine(head: RefineHead, batch: RefineBatch, iters: int, lr: float):
     losses = []
     pos = batch.targets.positive
     for _ in range(iters):
-        conf, res, trunk = refine_forward(h, batch.features)
+        shared = nn.mlp_layers(h.shared, batch.features)
+        trunk = shared[-1]
+        confidence = nn.mlp_layers(h.confidence, trunk)
+        regression = nn.mlp_layers(h.regression, trunk)
+        conf, res = confidence[-1][:, 0], regression[-1]
         total, _parts = roihead.rcnn_loss(conf, res, batch.targets)
         losses.append(total)
 
         up_conf = roihead.iou_bce_grad(conf, batch.targets.y)[:, None]
-        cw, cb, d_trunk_conf = nn.mlp_backward(h.confidence, trunk, up_conf)
+        cw, cb, d_trunk_conf = nn.mlp_backward(h.confidence, trunk, confidence,
+                                               up_conf)
         up_res = np.zeros_like(res)
         if pos.any():
             up_res[pos] = rpn.smooth_l1_grad(res[pos],
                                              batch.targets.residuals[pos])
-        rw, rb, d_trunk_res = nn.mlp_backward(h.regression, trunk, up_res)
-        sw, sb, _ = nn.mlp_backward(h.shared, batch.features,
+        rw, rb, d_trunk_res = nn.mlp_backward(h.regression, trunk, regression,
+                                              up_res)
+        sw, sb, _ = nn.mlp_backward(h.shared, batch.features, shared,
                                     d_trunk_conf + d_trunk_res)
         _sgd_step(h.confidence, cw, cb, lr)
         _sgd_step(h.regression, rw, rb, lr)
@@ -412,7 +423,8 @@ def matched_iou_stats(head: RefineHead, batch: RefineBatch):
     pos = np.flatnonzero(batch.targets.positive)
     if pos.size == 0:
         return float("nan"), float("nan")
-    conf, res, _ = refine_forward(head, batch.features)
+    res = nn.mlp_forward(head.regression,
+                         nn.mlp_forward(head.shared, batch.features))
     raw, refined = [], []
     for i in pos:
         gt = batch.matched_boxes[i]

@@ -298,11 +298,10 @@ def seg_loss(scores: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass
 class KeypointSet:
-    """Sampled keypoints with their per-source and combined features."""
+    """Sampled keypoints with their combined features and weighting."""
 
     positions: np.ndarray  # (n, 3)
     indices: np.ndarray  # (n,) into the raw cloud
-    f_pv: np.ndarray  # multi-level voxel features
     f_p: np.ndarray  # [f_pv, f_raw, f_bev]
     weighted: np.ndarray  # scores[:, None] * f_p
     scores: np.ndarray  # (n,) in (0, 1)

@@ -138,10 +138,11 @@ def test_03_gradient_checks():
 
     def f_pkw(vec):
         p = nn.params_from_vector(pkw, vec)
-        scores = nn.mlp_forward(p, feats)[:, 0]
+        layers = nn.mlp_layers(p, feats)
+        scores = layers[-1][:, 0]
         val = vsa.seg_loss(scores, labels)
         up = rpn.focal_loss_grad(scores, labels)[:, None]
-        w_g, b_g, _ = nn.mlp_backward(p, feats, up)
+        w_g, b_g, _ = nn.mlp_backward(p, feats, layers, up)
         return val, nn.params_to_vector(nn.MlpParams(p.layer_dims, w_g, b_g,
                                                      p.out_activation))
 
@@ -156,10 +157,11 @@ def test_03_gradient_checks():
 
     def f_conf(vec):
         p = nn.params_from_vector(conf_branch, vec)
-        conf = nn.mlp_forward(p, trunk)[:, 0]
+        layers = nn.mlp_layers(p, trunk)
+        conf = layers[-1][:, 0]
         val = roihead.iou_bce_loss(conf, yc)
         up = roihead.iou_bce_grad(conf, yc)[:, None]
-        w_g, b_g, _ = nn.mlp_backward(p, trunk, up)
+        w_g, b_g, _ = nn.mlp_backward(p, trunk, layers, up)
         return val, nn.params_to_vector(nn.MlpParams(p.layer_dims, w_g, b_g,
                                                      p.out_activation))
 
@@ -176,10 +178,11 @@ def test_03_gradient_checks():
 
     def f_reg(vec):
         p = nn.params_from_vector(reg_branch, vec)
-        res = nn.mlp_forward(p, trunk)
+        layers = nn.mlp_layers(p, trunk)
+        res = layers[-1]
         val = rpn.smooth_l1(res, res_target)
         up = rpn.smooth_l1_grad(res, res_target)
-        w_g, b_g, _ = nn.mlp_backward(p, trunk, up)
+        w_g, b_g, _ = nn.mlp_backward(p, trunk, layers, up)
         return val, nn.params_to_vector(nn.MlpParams(p.layer_dims, w_g, b_g,
                                                      p.out_activation))
 

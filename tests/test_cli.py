@@ -130,6 +130,28 @@ class TestTrainHeads:
                                  "refine_regression"}
 
 
+    @pytest.mark.parametrize("which, message", [
+        ("pkw", "no keypoints; nothing to train"),
+        ("refine", "no sampled RoIs; nothing to train"),
+    ], ids=["pkw", "refine"])
+    def test_only_empty_scenes_exit_2(self, cfg_path, tmp_path, capsys, which,
+                                      message):
+        cfg = config.load(cfg_path, env={})
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        for name in ("a", "b"):
+            synth.save_scene(synth.SceneSample(np.empty((0, 4), np.float32), (),
+                                               (), 0, cfg.range_min,
+                                               cfg.range_max),
+                             scenes / f"{name}.pvscn")
+        rc = cli.main(["train-heads", "--config", cfg_path, "--scenes",
+                       str(scenes), "--which", which, "--iters", "2", "--out",
+                       str(tmp_path / "p")])
+        assert rc == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "p").exists()
+
+
 class TestEval:
     def test_perfect_detections_ap_one(self, cfg_path, scene_dir, tmp_path):
         det_dir = tmp_path / "dets"
@@ -244,6 +266,17 @@ class TestInputErrors:
                        str(tmp_path / "p")])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"runtime error: {scene_dir}: ")
+
+    @pytest.mark.parametrize("args", [
+        ["bench", "--scenes", "{scenes}", "--strategies", "bogus"],
+        ["run", "--out", "{tmp}/d"],
+    ], ids=["bench --strategies bogus", "run without --scenes"])
+    def test_usage_error_exits_2(self, scene_dir, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([a.format(scenes=scene_dir, tmp=tmp_path) for a in args])
+        assert exit_info.value.code == 2
+        assert "usage: pvlite" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_bad_config_value_exits_1(self, scene_dir, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

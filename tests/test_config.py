@@ -2,6 +2,8 @@
 
 import ast
 import dataclasses
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -120,16 +122,37 @@ class TestEnvOverrides:
         assert config.load(None, env={}) == config.default_config()
 
 
-def test_every_field_is_read():
-    """Every Config field is read as an attribute somewhere in src/pvlite,
-    not counting the checks in config.validate."""
+SRC = Path(config.__file__).parent
+TESTS = Path(__file__).parent
+
+
+def _attribute_reads(files) -> set[str]:
+    """Names read as attributes in the files, not counting config.validate."""
     read = set()
-    for path in Path(config.__file__).parent.glob("*.py"):
+    for path in files:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if path.name == "config.py" and getattr(node, "name", "") == "validate":
+            if path == SRC / "config.py" and getattr(node, "name", "") == "validate":
                 node.body = []
         read |= {n.attr for n in ast.walk(tree)
                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    unread = [f.name for f in dataclasses.fields(Config) if f.name not in read]
+    return read
+
+
+def test_every_field_is_read():
+    """Every field of every dataclass in src/pvlite is read as an attribute
+    in src/pvlite, tests/ or bench/. A Config field must be read in
+    src/pvlite itself, not counting the checks in config.validate."""
+    src_reads = _attribute_reads(SRC.glob("*.py"))
+    all_reads = src_reads | _attribute_reads(
+        [*TESTS.rglob("*.py"), *(TESTS.parent / "bench").rglob("*.py")])
+    unread = []
+    for info in pkgutil.iter_modules([str(SRC)]):
+        module = importlib.import_module(f"pvlite.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                reads = src_reads if cls is Config else all_reads
+                unread += [f"{cls.__name__}.{f.name}"
+                           for f in dataclasses.fields(cls) if f.name not in reads]
     assert unread == []

@@ -14,10 +14,10 @@ def loss_over_params(template, x, target):
 
     def f(vec):
         p = nn.params_from_vector(template, vec)
-        y = nn.mlp_forward(p, x)
-        diff = y - target
+        layers = nn.mlp_layers(p, x)
+        diff = layers[-1][0] - target
         val = 0.5 * float((diff * diff).sum())
-        w_g, b_g, _ = nn.mlp_backward(p, x, diff)
+        w_g, b_g, _ = nn.mlp_backward(p, x, layers, diff)
         grad = nn.params_to_vector(
             nn.MlpParams(p.layer_dims, w_g, b_g, p.out_activation)
         )
@@ -44,6 +44,18 @@ class TestForward:
         expected = h @ p.weights[1].T + p.biases[1]
         np.testing.assert_allclose(nn.mlp_forward(p, x), expected, atol=1e-9)
 
+    def test_layers_hold_every_layer_output(self):
+        p = nn.init_params((5, 7, 3), seed=0)
+        x = np.random.default_rng(1).normal(size=(6, 5))
+        layers = nn.mlp_layers(p, x)
+        assert [a.shape for a in layers] == [(6, 7), (6, 3)]
+        h = np.maximum(x @ p.weights[0].T + p.biases[0], 0.0)
+        np.testing.assert_allclose(layers[0], h, atol=1e-9)
+        np.testing.assert_array_equal(layers[-1], nn.mlp_forward(p, x))
+        single = nn.mlp_layers(p, x[0])
+        assert [a.shape for a in single] == [(1, 7), (1, 3)]
+        np.testing.assert_array_equal(single[-1][0], nn.mlp_forward(p, x[0]))
+
     def test_sigmoid_output(self):
         p = nn.zero_params((3, 1), out_activation="sigmoid")
         assert nn.mlp_forward(p, np.zeros(3))[0] == pytest.approx(0.5)
@@ -68,13 +80,15 @@ class TestForward:
 class TestBackward:
     def test_dead_network_zero_input_grad(self):
         p = nn.zero_params((3, 4, 2))
-        _, _, gx = nn.mlp_backward(p, np.ones(3), np.ones(2))
+        x = np.ones(3)
+        _, _, gx = nn.mlp_backward(p, x, nn.mlp_layers(p, x), np.ones(2))
         np.testing.assert_array_equal(gx, np.zeros(3))
 
     def test_identity_layer_passes_upstream(self):
         p = nn.MlpParams((3, 3), [np.eye(3)], [np.zeros(3)])
         up = np.array([1.0, -2.0, 0.5])
-        _, _, gx = nn.mlp_backward(p, np.zeros(3), up)
+        x = np.zeros(3)
+        _, _, gx = nn.mlp_backward(p, x, nn.mlp_layers(p, x), up)
         np.testing.assert_array_equal(gx, up)
 
     @pytest.mark.parametrize("out_act", ["identity", "sigmoid"])
@@ -87,15 +101,30 @@ class TestBackward:
         err = nn.grad_check(f, nn.params_to_vector(template))
         assert err < 1e-4
 
+    @pytest.mark.parametrize("bad", ["one layer short", "one layer extra",
+                                     "other rows", "other widths"])
+    def test_layers_must_match_params_and_input(self, bad):
+        p = nn.init_params((4, 6, 5, 2), seed=11)
+        x = np.random.default_rng(12).normal(size=(3, 4))
+        layers = {
+            "one layer short": lambda: nn.mlp_layers(p, x)[:-1],
+            "one layer extra": lambda: nn.mlp_layers(p, x) + [np.zeros((3, 2))],
+            "other rows": lambda: nn.mlp_layers(p, x[:2]),
+            "other widths": lambda: nn.mlp_layers(
+                nn.init_params((4, 7, 5, 2), seed=11), x),
+        }[bad]()
+        with pytest.raises(nn.ShapeError):
+            nn.mlp_backward(p, x, layers, np.ones((3, 2)))
+
     def test_input_gradient_matches_fd(self):
         p = nn.init_params((5, 8, 1), seed=9)
         rng = np.random.default_rng(10)
         x0 = rng.normal(size=5)
 
         def f(x):
-            y = nn.mlp_forward(p, x)
-            _, _, gx = nn.mlp_backward(p, x, np.ones(1))
-            return float(y[0]), gx
+            layers = nn.mlp_layers(p, x)
+            _, _, gx = nn.mlp_backward(p, x, layers, np.ones(1))
+            return float(layers[-1][0, 0]), gx
 
         assert nn.grad_check(f, x0) < 1e-4
 

@@ -2,12 +2,14 @@
 application, head training loops and the pooling benchmark."""
 
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from pvlite import nn, pipeline, rpn, synth
 from pvlite.config import desk_config
+from pvlite.roihead import RefineTargets
 from pvlite.synth import SceneSample
 
 CFG = desk_config().replace(
@@ -17,6 +19,8 @@ CFG = desk_config().replace(
     synth_points_per_object=200,
     top_proposals=30,
 )
+EMPTY = SceneSample(np.empty((0, 4), np.float32), (), (), 0, CFG.range_min,
+                    CFG.range_max)
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +77,7 @@ class TestDerivedShapes:
 
 class TestRunScene:
     def test_empty_scene_empty_outputs(self, model, anchors):
-        empty = SceneSample(np.empty((0, 4), np.float32), (), (), 0,
-                            CFG.range_min, CFG.range_max)
-        result = pipeline.run_scene(empty, model, CFG, anchors, seed=0)
+        result = pipeline.run_scene(EMPTY, model, CFG, anchors, seed=0)
         assert result.detections == []
         assert result.proposals == []
         assert result.keypoints is None
@@ -159,6 +161,68 @@ class TestParamSections:
                 pipeline.build_model(CFG, seed=3),
                 {"mystery": nn.init_params((2, 1), seed=0)},
             )
+
+
+@pytest.fixture
+def mlp_layers_calls(monkeypatch):
+    """Counts nn.mlp_layers calls by the layer_dims of the MLP evaluated."""
+    calls = Counter()
+    layers = nn.mlp_layers
+
+    def counting(p, x):
+        calls[p.layer_dims] += 1
+        return layers(p, x)
+
+    monkeypatch.setattr(nn, "mlp_layers", counting)
+    return calls
+
+
+class TestOneForwardPerStep:
+    def test_train_pkw(self, model, mlp_layers_calls):
+        rng = np.random.default_rng(0)
+        batch = pipeline.PkwBatch(rng.normal(size=(20, model.pkw.in_width)),
+                                  rng.integers(0, 2, 20))
+        pipeline.train_pkw(model.pkw, batch, 3, lr=0.01)
+        assert mlp_layers_calls == {model.pkw.layer_dims: 3 + 1}
+
+    def test_train_refine(self, model, mlp_layers_calls):
+        rng = np.random.default_rng(1)
+        head = model.refine
+        targets = RefineTargets(rng.uniform(size=12), rng.normal(size=(12, 7)),
+                                rng.random(12) < 0.5, np.zeros(12, np.int64))
+        batch = pipeline.RefineBatch(rng.normal(size=(12, head.shared.in_width)),
+                                     [], targets, [])
+        pipeline.train_refine(head, batch, 3, lr=0.01)
+        assert mlp_layers_calls == {head.shared.layer_dims: 3,
+                                    head.confidence.layer_dims: 3,
+                                    head.regression.layer_dims: 3}
+
+
+class TestEmptySceneInBatch:
+    def test_pkw_batch_skips_empty_scene(self, model, scene):
+        # Scene s keeps its stream seed + 101 * s: behind an empty scene,
+        # the full scene draws from seed 4 + 101.
+        for scenes, full_seed in (([scene, EMPTY], 4), ([EMPTY, scene], 4 + 101)):
+            full = pipeline.build_pkw_batch(CFG, model, [scene], seed=full_seed)
+            mixed = pipeline.build_pkw_batch(CFG, model, scenes, seed=4)
+            np.testing.assert_array_equal(mixed.features, full.features)
+            np.testing.assert_array_equal(mixed.labels, full.labels)
+
+    def test_pkw_batch_of_empty_scenes_has_no_rows(self, model):
+        batch = pipeline.build_pkw_batch(CFG, model, [EMPTY, EMPTY], seed=4)
+        assert batch.features.shape == (0, pipeline.keypoint_feature_width(CFG))
+        assert batch.labels.shape == (0,)
+
+    def test_refine_batch_skips_empty_scene(self, model, anchors, scene):
+        full = pipeline.build_refine_batch(CFG, model, [scene], anchors, seed=4)
+        mixed = pipeline.build_refine_batch(CFG, model, [scene, EMPTY], anchors,
+                                            seed=4)
+        np.testing.assert_array_equal(mixed.features, full.features)
+        assert mixed.rois == full.rois
+        assert mixed.matched_boxes == full.matched_boxes
+        for name in ("y", "residuals", "positive", "matched_gt"):
+            np.testing.assert_array_equal(getattr(mixed.targets, name),
+                                          getattr(full.targets, name))
 
 
 class TestTrainPkw:

@@ -332,10 +332,11 @@ class TestRefine:
 
         def f(vec):
             p = nn.params_from_vector(template, vec)
-            conf = nn.mlp_forward(p, trunk)[:, 0]
+            layers = nn.mlp_layers(p, trunk)
+            conf = layers[-1][:, 0]
             val = roihead.iou_bce_loss(conf, y)
             up = roihead.iou_bce_grad(conf, y)[:, None]
-            w_g, b_g, _ = nn.mlp_backward(p, trunk, up)
+            w_g, b_g, _ = nn.mlp_backward(p, trunk, layers, up)
             return val, nn.params_to_vector(
                 nn.MlpParams(p.layer_dims, w_g, b_g, p.out_activation)
             )
@@ -352,10 +353,11 @@ class TestRefine:
 
         def f(vec):
             p = nn.params_from_vector(template, vec)
-            res = nn.mlp_forward(p, trunk)
+            layers = nn.mlp_layers(p, trunk)
+            res = layers[-1]
             val = rpn.smooth_l1(res, target)
             up = rpn.smooth_l1_grad(res, target)
-            w_g, b_g, _ = nn.mlp_backward(p, trunk, up)
+            w_g, b_g, _ = nn.mlp_backward(p, trunk, layers, up)
             return val, nn.params_to_vector(
                 nn.MlpParams(p.layer_dims, w_g, b_g, p.out_activation)
             )
