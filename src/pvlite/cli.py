@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import time
 from pathlib import Path
@@ -241,6 +242,26 @@ def _strategy_list(text: str) -> list[str]:
     return text.split(",")
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _learning_rate(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pvlite",
@@ -259,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic scenes")
     add_common(p, scenes=False)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_at_least_one, default=1)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("run", help="run the full pipeline on scenes")
@@ -272,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-heads", help="SGD on one trainable head")
     add_common(p)
     p.add_argument("--which", choices=("pkw", "refine"), required=True)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--lr", type=float, default=1.0)
+    p.add_argument("--iters", type=_at_least_one, default=500)
+    p.add_argument("--lr", type=_learning_rate, default=1.0)
     p.add_argument("--out", required=True, help="parameter output file")
     p.add_argument("--params", action="append",
                    help="pre-trained params to start from (repeatable)")

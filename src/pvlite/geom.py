@@ -222,17 +222,15 @@ def nms(
     boxes: np.ndarray,
     scores: np.ndarray,
     iou_threshold: float,
-    iou_kind: str = "3d",
     max_keep: int | None = None,
 ) -> list[int]:
-    """Greedy non-maximum suppression over box rows.
+    """Greedy non-maximum suppression over box rows by 3D IoU.
 
     Args:
         boxes: (N, 7) rows of (cx, cy, cz, l, w, h, theta).
         scores: (N,) finite scores.
         iou_threshold: a row is suppressed iff its IoU with an already-kept
             row exceeds this.
-        iou_kind: "3d" (iou_3d) or "bev" (bev_iou).
         max_keep: stop once this many are kept, which is exactly equivalent
             to truncating the full result.
 
@@ -248,8 +246,6 @@ def nms(
     the kept rows that pass it, in kept order, up to the first suppression.
     Returns kept indices in visit order.
     """
-    if iou_kind not in ("bev", "3d"):
-        raise ValueError(f"iou_kind must be 'bev' or '3d', got {iou_kind!r}")
     rows = np.asarray(boxes, dtype=float)
     s = np.asarray(scores, dtype=float)
     n = s.shape[0] if s.ndim == 1 else -1
@@ -262,7 +258,6 @@ def nms(
     if max_keep is not None and max_keep < 0:
         raise ValueError(f"max_keep must be >= 0, got {max_keep}")
     limit = n if max_keep is None else min(max_keep, n)
-    iou_fn = bev_iou if iou_kind == "bev" else iou_3d
     kept: list[int] = []
     kept_boxes: list[Box3D] = []
     # Bounding-circle prefilter data of the kept rows, in kept order.
@@ -275,7 +270,7 @@ def nms(
         rad = 0.5 * math.hypot(box.l, box.w)
         apart = ((box.cx - kcx[:m]) ** 2 + (box.cy - kcy[:m]) ** 2
                  > (rad + krad[:m]) ** 2)
-        if any(iou_fn(box, kept_boxes[k]) > iou_threshold
+        if any(iou_3d(box, kept_boxes[k]) > iou_threshold
                for k in np.flatnonzero(~apart).tolist()):
             continue
         kept.append(i)

@@ -82,13 +82,6 @@ def init_params(layer_dims, seed, out_activation: str = "identity") -> MlpParams
     return MlpParams(dims, weights, biases, out_activation)
 
 
-def zero_params(layer_dims, out_activation: str = "identity") -> MlpParams:
-    dims = tuple(int(d) for d in layer_dims)
-    weights = [np.zeros((dout, din)) for din, dout in zip(dims[:-1], dims[1:])]
-    biases = [np.zeros(dout) for dout in dims[1:]]
-    return MlpParams(dims, weights, biases, out_activation)
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     z = np.asarray(z, dtype=float)

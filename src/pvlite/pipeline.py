@@ -330,17 +330,13 @@ class RefineBatch:
 
 def training_proposals(
     model: ModelParams, cfg: Config, anchors: AnchorSet, bev: BevMap
-) -> list[Detection]:
-    """Every anchor decoded through the regression head, scored by the
-    classification head (no NMS / truncation: the score ranking is untrained
-    at desk scale, so refinement training samples from the full decoded set)."""
+) -> np.ndarray:
+    """Every anchor decoded through the regression head, as (A, 7) box rows
+    validated as in rpn.extract_proposals. No ranking, NMS or truncation:
+    the classification scores are untrained at desk scale, so refinement
+    training samples from the full decoded set."""
     cls_probs, reg = rpn_head_outputs(model, bev, len(cfg.classes))
-    decoded = rpn.decode_residuals(reg, anchors.boxes)
-    return [
-        Detection(geom.box_from_array(decoded[i]), float(cls_probs[i]),
-                  int(anchors.class_ids[i]))
-        for i in range(len(anchors))
-    ]
+    return rpn.decode_anchors(cls_probs, reg, anchors)[1]
 
 
 def build_refine_batch(
@@ -354,12 +350,12 @@ def build_refine_batch(
         if found is None:
             continue
         bev, kp = found
-        props = training_proposals(model, cfg, anchors, bev)
         sampled, targets = roihead.sample_proposals(
-            props, list(scene.gt_boxes), seed + 977 * s_idx,
+            training_proposals(model, cfg, anchors, bev),
+            list(scene.gt_boxes), seed + 977 * s_idx,
             n_sample=cfg.roi_samples, pos_iou=cfg.roi_pos_iou,
         )
-        boxes = [det.box for det in sampled]
+        boxes = [geom.box_from_array(row) for row in sampled]
         grids = _pool_rois(cfg, model, kp, boxes, seed + 7919 * s_idx)
         feats.extend(grid.roi_feature for grid in grids)
         rois.extend(boxes)

@@ -132,7 +132,7 @@ class RefineTargets:
 
 
 def sample_proposals(
-    proposals: list[Detection],
+    proposals: np.ndarray,
     gt: list[Box3D],
     seed: int,
     n_sample: int = 128,
@@ -140,31 +140,30 @@ def sample_proposals(
 ):
     """Sample RoIs for refinement training at a 1:1 positive:negative ratio.
 
-    A proposal is positive when its best 3D IoU with the ground truth
-    reaches pos_iou; positives carry residuals of their best gt encoded
-    against the proposal box. Confidence targets follow the piecewise
-    linear IoU mapping for every sampled RoI. When one side has fewer than
-    n_sample/2 candidates the other side fills the remainder.
+    proposals are (N, 7) box rows, such as pipeline.training_proposals
+    returns. A proposal is positive when its best 3D IoU with the ground
+    truth reaches pos_iou; positives carry residuals of their best gt
+    encoded against the proposal box, one row at a time. Confidence targets
+    follow the piecewise linear IoU mapping for every sampled RoI. When one
+    side has fewer than n_sample/2 candidates the other side fills the
+    remainder. A Box3D is built only for a row whose bounding circle meets
+    a gt box's, where the IoU is computed.
 
     Returns:
-        (sampled_proposals, RefineTargets); empty when there are no proposals.
+        (sampled (S, 7) rows, RefineTargets); empty when there are no
+        proposals.
     """
-    if not proposals:
-        return [], RefineTargets(
-            np.empty(0), np.empty((0, 7)), np.empty(0, dtype=bool),
-            np.empty(0, dtype=np.int64),
-        )
-    n_prop = len(proposals)
+    rows = np.asarray(proposals, dtype=float).reshape(-1, 7)
+    n_prop = rows.shape[0]
     best_iou = np.zeros(n_prop)
     best_gt = np.full(n_prop, -1, dtype=np.int64)
-    centers = np.array([(d.box.cx, d.box.cy) for d in proposals])
-    reach = np.array([0.5 * np.hypot(d.box.l, d.box.w) for d in proposals])
+    reach = 0.5 * np.hypot(rows[:, 3], rows[:, 4])
     for g, box in enumerate(gt):
         r = reach + 0.5 * np.hypot(box.l, box.w)
-        near = ((centers[:, 0] - box.cx) ** 2
-                + (centers[:, 1] - box.cy) ** 2) <= r * r
+        near = ((rows[:, 0] - box.cx) ** 2
+                + (rows[:, 1] - box.cy) ** 2) <= r * r
         for i in np.flatnonzero(near):
-            iou = geom.iou_3d(proposals[i].box, box)
+            iou = geom.iou_3d(geom.box_from_array(rows[i]), box)
             if iou > best_iou[i]:
                 best_iou[i] = iou
                 best_gt[i] = g
@@ -180,15 +179,15 @@ def sample_proposals(
     chosen_neg = rng.choice(neg_idx, size=take_neg, replace=False) if take_neg else np.empty(0, np.int64)
     chosen = np.concatenate([np.sort(chosen_pos), np.sort(chosen_neg)]).astype(np.int64)
 
-    sampled = [proposals[i] for i in chosen]
     y = confidence_target(best_iou[chosen])
     positive = best_iou[chosen] >= pos_iou
     matched = best_gt[chosen]
     residuals = np.zeros((len(chosen), 7))
     for s, i in enumerate(chosen):
         if positive[s]:
-            residuals[s] = rpn.encode_residual(gt[best_gt[i]], proposals[i].box)
-    return sampled, RefineTargets(y, residuals, positive, matched)
+            residuals[s] = rpn.encode_residual(gt[best_gt[i]],
+                                               geom.box_from_array(rows[i]))
+    return rows[chosen], RefineTargets(y, residuals, positive, matched)
 
 
 @dataclass
@@ -240,7 +239,7 @@ def rcnn_loss(
 
 
 def final_select(
-    detections: list[Detection], nms_iou: float = 0.01, iou_kind: str = "3d"
+    detections: list[Detection], nms_iou: float = 0.01
 ) -> list[Detection]:
     """Greedy NMS over refined detections to drop near-duplicates.
 
@@ -250,5 +249,5 @@ def final_select(
     """
     boxes = np.array([d.box.to_array() for d in detections]).reshape(-1, 7)
     scores = np.array([d.score for d in detections], dtype=float)
-    keep = geom.nms(boxes, scores, nms_iou, iou_kind=iou_kind)
+    keep = geom.nms(boxes, scores, nms_iou)
     return [detections[i] for i in keep]

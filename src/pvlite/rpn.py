@@ -1,6 +1,6 @@
 """Anchor-based proposal generation: anchor lattices, the residual box
-codec, target assignment, focal / smooth-L1 losses, proposal extraction
-with NMS, and a proposal recall metric.
+codec, target assignment, focal / smooth-L1 losses, validated decoding of
+every anchor, and proposal extraction with NMS.
 """
 
 from __future__ import annotations
@@ -291,46 +291,38 @@ def smooth_l1_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.where(np.abs(d) < 1.0, d, np.sign(d)) / rows
 
 
-def rpn_loss(
-    cls_preds: np.ndarray,
-    reg_preds: np.ndarray,
-    targets: RpnTargets,
-    beta: float = 2.0,
-):
-    """Classification focal loss plus beta-weighted box regression loss.
-
-    Ignored anchors contribute to neither term; regression runs over
-    positives only.
-
-    Returns:
-        (total, components) where components has 'cls' and 'reg' entries.
-    """
-    labels = targets.labels
-    use = labels != IGNORE
-    cls = focal_loss(np.asarray(cls_preds)[use], (labels[use] == POSITIVE).astype(int))
-    pos = labels == POSITIVE
-    reg = smooth_l1(np.asarray(reg_preds)[pos], targets.residuals[pos])
-    return cls + beta * reg, {"cls": cls, "reg": reg}
-
-
 # ---------------------------------------------------------------------------
-# Proposal extraction and recall
+# Proposal extraction
 # ---------------------------------------------------------------------------
 
 _BOX_FIELDS = ("cx", "cy", "cz", "l", "w", "h", "theta")
 
 
-def _check_decoded(decoded: np.ndarray, scores: np.ndarray) -> None:
-    """Raise ValueError naming the first anchor whose decoded box has a
-    non-finite field or a non-positive size, or whose score is NaN or
-    outside [0, 1]: the rules Box3D and Detection enforce, applied to every
-    anchor whether or not NMS reaches it."""
+def decode_anchors(
+    cls_map: np.ndarray, reg_map: np.ndarray, anchors: AnchorSet
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and decoded (A, 7) box rows of every anchor, validated.
+
+    Raises ValueError when the maps do not cover the anchors, or naming the
+    first anchor whose decoded box has a non-finite field or a non-positive
+    size, or whose score is NaN or outside [0, 1]: the rules Box3D and
+    Detection enforce, applied to every row whether or not a box is built
+    from it.
+    """
+    scores = np.asarray(cls_map, dtype=float).reshape(-1)
+    reg = np.asarray(reg_map, dtype=float).reshape(-1, 7)
+    if scores.shape[0] != len(anchors) or reg.shape[0] != len(anchors):
+        raise ValueError(
+            f"maps cover {scores.shape[0]}/{reg.shape[0]} anchors, "
+            f"expected {len(anchors)}"
+        )
+    decoded = decode_residuals(reg, anchors.boxes)
     nonfinite = ~np.isfinite(decoded)
     nonpositive = decoded[:, 3:6] <= 0.0
     bad_score = ~((scores >= 0.0) & (scores <= 1.0))
     bad = nonfinite.any(axis=1) | nonpositive.any(axis=1) | bad_score
     if not bad.any():
-        return
+        return scores, decoded
     i = int(np.argmax(bad))
     if nonfinite[i].any():
         j = int(np.argmax(nonfinite[i]))
@@ -349,11 +341,10 @@ def extract_proposals(
     anchors: AnchorSet,
     top_k: int = 100,
     nms_iou: float = 0.7,
-    iou_kind: str = "3d",
 ) -> list[Detection]:
     """Decode every anchor, rank by classification score, NMS, keep top_k.
 
-    Every decoded box and score is validated up front (_check_decoded);
+    Every decoded box and score is validated up front (decode_anchors);
     ranking and suppression run on the arrays in geom.nms, and a Detection
     is built only for each kept anchor.
 
@@ -365,34 +356,11 @@ def extract_proposals(
     Returns:
         Kept detections in descending score order (at most top_k).
     """
-    scores = np.asarray(cls_map, dtype=float).reshape(-1)
-    reg = np.asarray(reg_map, dtype=float).reshape(-1, 7)
-    if scores.shape[0] != len(anchors) or reg.shape[0] != len(anchors):
-        raise ValueError(
-            f"maps cover {scores.shape[0]}/{reg.shape[0]} anchors, "
-            f"expected {len(anchors)}"
-        )
-    decoded = decode_residuals(reg, anchors.boxes)
-    _check_decoded(decoded, scores)
-    keep = geom.nms(decoded, scores, nms_iou, iou_kind=iou_kind, max_keep=top_k)
+    scores, decoded = decode_anchors(cls_map, reg_map, anchors)
+    keep = geom.nms(decoded, scores, nms_iou, max_keep=top_k)
     return [
         Detection(geom.box_from_array(decoded[i]), float(scores[i]),
                   int(anchors.class_ids[i]))
         for i in keep
     ]
 
-
-def recall(
-    proposals: list[Detection], gt: list[Box3D], iou_thresh: float = 0.7
-) -> float:
-    """Fraction of gt boxes covered by at least one proposal at 3D IoU >=
-    the threshold. Vacuously 1.0 when there are no gt boxes."""
-    if not gt:
-        return 1.0
-    hit = 0
-    for g in gt:
-        for det in proposals:
-            if geom.iou_3d(det.box, g) >= iou_thresh:
-                hit += 1
-                break
-    return hit / len(gt)

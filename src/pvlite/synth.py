@@ -1,6 +1,5 @@
 """Deterministic synthetic LiDAR-like scenes: a noisy ground plane plus
-boxes with surface-sampled points, global augmentations, object pasting
-between scenes, and a binary scene file format.
+boxes with surface-sampled points, and a binary scene file format.
 
 Scenes are intentionally minimal (no occlusion ray-casting): they exist to
 exercise the pipeline's operators, not to model a sensor. Points and box
@@ -199,149 +198,6 @@ def gen_scene(cfg: Config, seed: int) -> SceneSample:
     points = np.concatenate(chunks, axis=0).astype(np.float32)
     return SceneSample(points, tuple(boxes), tuple(classes), seed,
                        tuple(cfg.range_min), tuple(cfg.range_max))
-
-
-@dataclass(frozen=True)
-class AugmentParams:
-    """Ranges the augmentation draws from (collapse them for identity)."""
-
-    flip_prob: float = 0.5
-    scale_range: tuple[float, float] = (0.95, 1.05)
-    rot_range: tuple[float, float] = (-math.pi / 4, math.pi / 4)
-
-
-def _rot_bounds(lo, hi, angle):
-    """Axis-aligned envelope of a rotated xy rectangle (z untouched)."""
-    corners = np.array([(lo[0], lo[1]), (lo[0], hi[1]), (hi[0], lo[1]), (hi[0], hi[1])])
-    c, s = math.cos(angle), math.sin(angle)
-    rx = c * corners[:, 0] - s * corners[:, 1]
-    ry = s * corners[:, 0] + c * corners[:, 1]
-    return (
-        (min(rx), min(ry), lo[2]),
-        (max(rx), max(ry), hi[2]),
-    )
-
-
-def augment(scene: SceneSample, params: AugmentParams, seed: int) -> SceneSample:
-    """Global flip / scale / rotate applied identically to points and boxes.
-
-    The flip negates y and yaw; scaling multiplies positions and dims;
-    rotation about Z rotates centers and adds to yaw. The stored range is
-    replaced by the transformed envelope so no point is dropped and per-box
-    membership is preserved.
-    """
-    rng = np.random.default_rng(seed)
-    flip = bool(rng.random() < params.flip_prob)
-    scale = float(rng.uniform(*params.scale_range))
-    angle = float(rng.uniform(*params.rot_range))
-
-    pts = scene.points_f64()
-    xyz = pts[:, :3].copy()
-    lo = np.asarray(scene.range_min, dtype=float)
-    hi = np.asarray(scene.range_max, dtype=float)
-    box_rows = np.array([b.to_array() for b in scene.gt_boxes]).reshape(-1, 7)
-
-    if flip:
-        xyz[:, 1] = -xyz[:, 1]
-        box_rows[:, 1] = -box_rows[:, 1]
-        box_rows[:, 6] = -box_rows[:, 6]
-        lo, hi = (lo[0], -hi[1], lo[2]), (hi[0], -lo[1], hi[2])
-        lo, hi = np.asarray(lo), np.asarray(hi)
-    if scale != 1.0:
-        xyz *= scale
-        box_rows[:, :6] *= scale
-        lo = lo * scale
-        hi = hi * scale
-    if angle != 0.0:
-        c, s = math.cos(angle), math.sin(angle)
-        x, y = xyz[:, 0].copy(), xyz[:, 1].copy()
-        xyz[:, 0] = c * x - s * y
-        xyz[:, 1] = s * x + c * y
-        bx, by = box_rows[:, 0].copy(), box_rows[:, 1].copy()
-        box_rows[:, 0] = c * bx - s * by
-        box_rows[:, 1] = s * bx + c * by
-        box_rows[:, 6] += angle
-        lo, hi = _rot_bounds(lo, hi, angle)
-        lo, hi = np.asarray(lo), np.asarray(hi)
-
-    new_pts = np.concatenate([xyz, pts[:, 3:4]], axis=1).astype(np.float32)
-    # float32 rounding can place a point exactly on the new envelope edge.
-    eps = 1e-3
-    new_lo = tuple(float(np.nextafter(np.float32(v - eps), np.float32(-np.inf)))
-                   for v in lo)
-    new_hi = tuple(float(np.nextafter(np.float32(v + eps), np.float32(np.inf)))
-                   for v in hi)
-    boxes = tuple(_f32_box(*row) for row in box_rows)
-    return SceneSample(new_pts, boxes, scene.gt_classes, scene.seed,
-                       new_lo, new_hi)
-
-
-def gt_paste(
-    scene: SceneSample,
-    donor_scenes: list[SceneSample],
-    count: int,
-    seed: int,
-    max_attempts: int = 100,
-) -> SceneSample:
-    """Paste ground-truth objects (box plus inside points) from donor scenes
-    into BEV-collision-free spots of this scene.
-
-    Placements overlapping an existing or previously pasted box are
-    rejected and retried; exhausting retries raises PlacementError.
-    Pre-existing points under a pasted box (ground hits) are removed, so
-    each pasted box contains exactly its donor's inside points.
-    """
-    if count == 0:
-        return scene
-    pool = []
-    for donor in donor_scenes:
-        dpts = donor.points_f64()
-        for box, cls in zip(donor.gt_boxes, donor.gt_classes):
-            inside = geom.points_in_box(dpts[:, :3], box)
-            if inside.any():
-                pool.append((box, cls, dpts[inside]))
-    if not pool:
-        raise PlacementError("donor scenes contain no objects to paste")
-
-    rng = np.random.default_rng(seed)
-    lo = np.asarray(scene.range_min, dtype=float)
-    hi = np.asarray(scene.range_max, dtype=float)
-    boxes = list(scene.gt_boxes)
-    classes = list(scene.gt_classes)
-    current = scene.points_f64()
-    for _ in range(count):
-        box, cls, pts = pool[int(rng.integers(len(pool)))]
-        donor_count = pts.shape[0]
-        spread = float(np.abs(pts[:, :3] - [box.cx, box.cy, box.cz]).max())
-        margin = spread + 0.05
-        placed = moved = None
-        for _attempt in range(max_attempts):
-            cx = rng.uniform(lo[0] + margin, hi[0] - margin)
-            cy = rng.uniform(lo[1] + margin, hi[1] - margin)
-            cand = _f32_box(cx, cy, box.cz, box.l, box.w, box.h, box.theta)
-            if not all(geom.bev_iou(cand, b) == 0.0 for b in boxes):
-                continue
-            shifted = pts.copy()
-            shifted[:, 0] += cand.cx - box.cx
-            shifted[:, 1] += cand.cy - box.cy
-            shifted = shifted.astype(np.float32)
-            # float32 rounding can flip membership of near-boundary points;
-            # accept only placements that keep the donor's inside count.
-            inside = geom.points_in_box(shifted[:, :3].astype(float), cand)
-            if int(inside.sum()) == donor_count:
-                placed, moved = cand, shifted.astype(float)
-                break
-        if placed is None:
-            raise PlacementError(f"could not paste object after {max_attempts} tries")
-        occluded = geom.points_in_box(current[:, :3], placed)
-        current = np.concatenate([current[~occluded], moved], axis=0)
-        boxes.append(placed)
-        classes.append(cls)
-    points = current.astype(np.float32)
-    if not in_range(points[:, :3].astype(float), lo, hi).all():
-        raise PlacementError("pasted points escaped the scene range")
-    return SceneSample(points, tuple(boxes), tuple(classes), scene.seed,
-                       scene.range_min, scene.range_max)
 
 
 # ---------------------------------------------------------------------------

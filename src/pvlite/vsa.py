@@ -145,7 +145,8 @@ def set_abstraction(
     mlp: nn.MlpParams,
 ) -> np.ndarray:
     """Channel-wise max of the MLP applied to [feature; position - center]
-    per neighbor. An empty neighborhood yields the zero vector."""
+    per neighbor: _aggregate_branch over one query. An empty neighborhood
+    yields the zero vector."""
     feats = np.asarray(neighbor_feats, dtype=float)
     pos = np.asarray(neighbor_positions, dtype=float).reshape(-1, 3)
     feats = feats.reshape(pos.shape[0], -1) if feats.size else feats.reshape(0, mlp.in_width - 3)
@@ -155,8 +156,8 @@ def set_abstraction(
         raise nn.ShapeError(
             f"MLP expects width {mlp.in_width}, got features {feats.shape[1]} + 3"
         )
-    rows = np.concatenate([feats, pos - np.asarray(center, dtype=float)], axis=1)
-    return nn.mlp_forward(mlp, rows).max(axis=0)
+    query = np.asarray(center, dtype=float).reshape(1, 3)
+    return _aggregate_branch(query, [np.arange(pos.shape[0])], pos, feats, mlp)[0]
 
 
 # Rows _aggregate_branch gathers at a time, so that no full-size temporary

@@ -3,7 +3,7 @@
 Each oracle recomputes a result by a different algorithm than the library
 path it checks (sampling for areas, dense convolution for sparse, full
 recomputation for incremental FPS, a list-of-Detection loop for NMS),
-plus a writer of malformed scene files.
+plus an all-zero MLP and a writer of malformed scene files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pvlite import geom
+from pvlite import geom, nn
 from pvlite.geom import Box3D, Detection
 
 
@@ -188,10 +188,9 @@ def radius_query_bruteforce(queries, points, radius, cap, seed):
 def nms_reference(
     detections: list[Detection],
     iou_threshold: float,
-    iou_kind: str = "3d",
     max_keep: int | None = None,
 ) -> list[int]:
-    """Greedy NMS over Detection objects, one Python comparison per pair.
+    """Greedy 3D-IoU NMS over Detection objects, one Python comparison per pair.
 
     Visits detections by descending score (ties by ascending index) and
     suppresses one iff its IoU with an already-kept detection exceeds the
@@ -207,14 +206,13 @@ def nms_reference(
     cx = np.array([b.cx for b in boxes])
     cy = np.array([b.cy for b in boxes])
     rad = np.array([0.5 * math.hypot(b.l, b.w) for b in boxes])
-    iou_fn = geom.bev_iou if iou_kind == "bev" else geom.iou_3d
     kept: list[int] = []
     for i in order:
         suppressed = False
         for k in kept:
             if (cx[i] - cx[k]) ** 2 + (cy[i] - cy[k]) ** 2 > (rad[i] + rad[k]) ** 2:
                 continue
-            if iou_fn(boxes[i], boxes[k]) > iou_threshold:
+            if geom.iou_3d(boxes[i], boxes[k]) > iou_threshold:
                 suppressed = True
                 break
         if not suppressed:
@@ -222,6 +220,14 @@ def nms_reference(
             if max_keep is not None and len(kept) >= max_keep:
                 break
     return kept
+
+
+def zero_params(layer_dims, out_activation: str = "identity") -> nn.MlpParams:
+    """An MLP whose weights and biases are all zero."""
+    dims = tuple(int(d) for d in layer_dims)
+    weights = [np.zeros((dout, din)) for din, dout in zip(dims[:-1], dims[1:])]
+    biases = [np.zeros(dout) for dout in dims[1:]]
+    return nn.MlpParams(dims, weights, biases, out_activation)
 
 
 def set_point_value(path, row: int, col: int, value: float) -> None:

@@ -270,7 +270,17 @@ class TestInputErrors:
     @pytest.mark.parametrize("args", [
         ["bench", "--scenes", "{scenes}", "--strategies", "bogus"],
         ["run", "--out", "{tmp}/d"],
-    ], ids=["bench --strategies bogus", "run without --scenes"])
+        *(["train-heads", "--scenes", "{scenes}", "--which", "pkw", "--out",
+           "{tmp}/d/p", flag, value]
+          for flag, value in (("--iters", "0"), ("--iters", "-3"),
+                              ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"),
+                              ("--lr", "-0.1"))),
+        ["synth", "--out", "{tmp}/d", "--count", "-2"],
+        ["synth", "--out", "{tmp}/d", "--count", "0"],
+    ], ids=["bench --strategies bogus", "run without --scenes",
+            "train-heads --iters 0", "train-heads --iters -3",
+            "train-heads --lr nan", "train-heads --lr inf", "train-heads --lr 0",
+            "train-heads --lr -0.1", "synth --count -2", "synth --count 0"])
     def test_usage_error_exits_2(self, scene_dir, tmp_path, capsys, args):
         with pytest.raises(SystemExit) as exit_info:
             cli.main([a.format(scenes=scene_dir, tmp=tmp_path) for a in args])

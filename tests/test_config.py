@@ -156,3 +156,39 @@ def test_every_field_is_read():
                 unread += [f"{cls.__name__}.{f.name}"
                            for f in dataclasses.fields(cls) if f.name not in reads]
     assert unread == []
+
+
+def _names(node) -> set[str]:
+    """Identifiers a syntax tree names: variables, attributes, imported
+    names, and string constants (for lookups by name, as bench/tracer.py
+    makes)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rsplit(".", 1)[-1])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def test_every_definition_is_used():
+    """Every top-level function and class in src/pvlite is named somewhere
+    in src/pvlite outside its own body, in bench/ or in
+    tests/test_acceptance.py. A definition only the unit tests name is code
+    no command, benchmark or acceptance criterion runs."""
+    named = set()
+    for path in [*(TESTS.parent / "bench").rglob("*.py"), TESTS / "test_acceptance.py"]:
+        named |= _names(ast.parse(path.read_text(encoding="utf-8")))
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(f"{path.stem}.{node.name}")
+                named |= _names(node) - {node.name}
+            else:
+                named |= _names(node)
+    assert [d for d in defined if d.split(".")[1] not in named] == []

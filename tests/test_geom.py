@@ -242,13 +242,6 @@ class TestNms:
         with pytest.raises(ValueError):
             geom.nms(*rows(dets), 0.5, max_keep=-1)
 
-    def test_bev_kind(self):
-        # Same footprint, disjoint heights: suppressed in bev, kept in 3d.
-        a = Detection(box(cz=0.0), 0.9)
-        b = Detection(box(cz=10.0), 0.8)
-        assert geom.nms(*rows([a, b]), 0.5, iou_kind="bev") == [0]
-        assert geom.nms(*rows([a, b]), 0.5, iou_kind="3d") == [0, 1]
-
     def test_rejects_bad_input(self):
         boxes, scores = rows([Detection(box(), 0.9), Detection(box(cx=9.0), 0.8)])
         with pytest.raises(ValueError):
@@ -257,8 +250,6 @@ class TestNms:
             geom.nms(boxes[:, :6], scores, 0.5)
         with pytest.raises(ValueError):
             geom.nms(boxes, np.array([0.9, np.nan]), 0.5)
-        with pytest.raises(ValueError):
-            geom.nms(boxes, scores, 0.5, iou_kind="2d")
 
     def test_builds_boxes_only_for_visited_rows(self, monkeypatch):
         # Row 2 is invalid but ranks last; max_keep stops before it.
@@ -282,22 +273,20 @@ def _tied_boxes(rng, n):
     return [Detection(b, float(s)) for b, s in zip(boxes, scores)]
 
 
-@pytest.mark.parametrize("iou_kind", ["3d", "bev"])
 @pytest.mark.parametrize("seed", range(6))
-def test_nms_matches_reference(seed, iou_kind, monkeypatch):
+def test_nms_matches_reference(seed, monkeypatch):
     rng = np.random.default_rng(100 + seed)
     dets = _tied_boxes(rng, 60)
     threshold = float(rng.uniform(0.05, 0.6))
-    name = "iou_3d" if iou_kind == "3d" else "bev_iou"
-    real = getattr(geom, name)
+    real = geom.iou_3d
     pairs = []
-    monkeypatch.setattr(geom, name, lambda a, b: pairs.append((a, b)) or real(a, b))
+    monkeypatch.setattr(geom, "iou_3d", lambda a, b: pairs.append((a, b)) or real(a, b))
     for max_keep in (None, 0, 1, 3, 10, 100):
         pairs.clear()
-        expect = nms_reference(dets, threshold, iou_kind, max_keep)
+        expect = nms_reference(dets, threshold, max_keep)
         ref_pairs = list(pairs)
         pairs.clear()
-        assert geom.nms(*rows(dets), threshold, iou_kind, max_keep) == expect
+        assert geom.nms(*rows(dets), threshold, max_keep) == expect
         assert pairs == ref_pairs
 
 

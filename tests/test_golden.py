@@ -1,8 +1,11 @@
-"""Golden detections: run_scene on fixed-seed scenes must reproduce the
+"""Golden outputs: run_scene on fixed-seed scenes must reproduce the
 committed outputs (same count, class ids exact, every box field and score
 within 1e-9). The desk fixture holds the detections of three desk scenes;
 the kitti fixture holds the proposals and the detections of one kitti
-scene, where proposal extraction ranks 70,400 anchors.
+scene, where proposal extraction ranks 70,400 anchors. The refine-batch
+fixture holds the build_refine_batch output of one desk scene: the sampled
+RoI rows and targets, and the sum and first 8 columns of each feature row
+(the positive flags and matched gt indices must match exactly).
 
 Regenerate the fixtures only for an intended change of behaviour, and say
 why in CHANGES.md:
@@ -22,10 +25,13 @@ from pvlite.config import default_config, desk_config
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden_desk.json"
 GOLDEN_KITTI = DATA / "golden_kitti.json"
+GOLDEN_REFINE = DATA / "golden_refine_batch.json"
 MODEL_SEED = 7
 PIPELINE_SEED = 7
 SCENE_SEEDS = (11, 12, 13)
 KITTI_SCENE_SEED = 7
+REFINE_SCENE_SEED = 11
+FEATURE_HEAD = 8
 TOL = 1e-9
 
 
@@ -54,6 +60,26 @@ def kitti_rows() -> dict[str, list[list[float]]]:
             "detections": _rows(result.detections)}
 
 
+def refine_batch_parts() -> dict[str, list]:
+    """The parts of the golden desk scene's refinement batch that are kept."""
+    cfg = desk_config()
+    model = pipeline.build_model(cfg, MODEL_SEED)
+    anchors = rpn.generate_anchors(cfg.classes, pipeline.bev_grid(cfg))
+    scene = synth.gen_scene(cfg, seed=REFINE_SCENE_SEED)
+    batch = pipeline.build_refine_batch(cfg, model, [scene], anchors,
+                                        seed=PIPELINE_SEED)
+    t = batch.targets
+    return {
+        "rois": [[*map(float, r.to_array())] for r in batch.rois],
+        "y": t.y.tolist(),
+        "residuals": t.residuals.tolist(),
+        "positive": t.positive.tolist(),
+        "matched_gt": t.matched_gt.tolist(),
+        "feature_sums": batch.features.sum(axis=1).tolist(),
+        "feature_head": batch.features[:, :FEATURE_HEAD].tolist(),
+    }
+
+
 def assert_rows_match(got_rows, expect_rows) -> None:
     expect = np.array(expect_rows, dtype=float)
     got = np.array(got_rows, dtype=float)
@@ -77,7 +103,21 @@ def test_kitti_proposals_and_detections_match_golden():
         assert_rows_match(got[key], golden[key])
 
 
-def _block(key: str, rows: list[list[float]]) -> str:
+def test_refine_batch_matches_golden():
+    golden = json.loads(GOLDEN_REFINE.read_text(encoding="ascii"))
+    got = refine_batch_parts()
+    assert got.keys() == golden.keys() - {"profile", "scene_seed", "model_seed",
+                                          "pipeline_seed"}
+    assert len(golden["rois"]) == desk_config().roi_samples
+    for key in ("positive", "matched_gt"):
+        assert got[key] == golden[key]
+    for key in ("rois", "y", "residuals", "feature_sums", "feature_head"):
+        np.testing.assert_allclose(np.array(got[key], dtype=float),
+                                   np.array(golden[key], dtype=float),
+                                   rtol=0, atol=TOL, err_msg=key)
+
+
+def _block(key: str, rows: list) -> str:
     """One JSON member holding rows, one row per line."""
     return f' "{key}": [\n' + ",\n".join(f"  {json.dumps(r)}" for r in rows) + "\n ]"
 
@@ -95,3 +135,8 @@ if __name__ == "__main__":
                          "model_seed": MODEL_SEED, "pipeline_seed": PIPELINE_SEED})
     GOLDEN_KITTI.write_text(f"{header[:-1]}, {body.lstrip()}\n}}\n", encoding="ascii")
     print(f"wrote {GOLDEN_KITTI}")
+    body = ",\n".join(_block(k, rows) for k, rows in refine_batch_parts().items())
+    header = json.dumps({"profile": "desk", "scene_seed": REFINE_SCENE_SEED,
+                         "model_seed": MODEL_SEED, "pipeline_seed": PIPELINE_SEED})
+    GOLDEN_REFINE.write_text(f"{header[:-1]}, {body.lstrip()}\n}}\n", encoding="ascii")
+    print(f"wrote {GOLDEN_REFINE}")

@@ -8,6 +8,8 @@ import pytest
 
 from pvlite import nn
 
+from helpers import zero_params
+
 
 def loss_over_params(template, x, target):
     """Scalar quadratic loss as a function of the flat parameter vector."""
@@ -28,7 +30,7 @@ def loss_over_params(template, x, target):
 
 class TestForward:
     def test_zero_net(self):
-        p = nn.zero_params((3, 4, 2))
+        p = zero_params((3, 4, 2))
         np.testing.assert_array_equal(nn.mlp_forward(p, np.ones(3)), np.zeros(2))
 
     def test_identity_linear_layer(self):
@@ -57,7 +59,7 @@ class TestForward:
         np.testing.assert_array_equal(single[-1][0], nn.mlp_forward(p, x[0]))
 
     def test_sigmoid_output(self):
-        p = nn.zero_params((3, 1), out_activation="sigmoid")
+        p = zero_params((3, 1), out_activation="sigmoid")
         assert nn.mlp_forward(p, np.zeros(3))[0] == pytest.approx(0.5)
 
     def test_width_mismatch_raises(self):
@@ -79,7 +81,7 @@ class TestForward:
 
 class TestBackward:
     def test_dead_network_zero_input_grad(self):
-        p = nn.zero_params((3, 4, 2))
+        p = zero_params((3, 4, 2))
         x = np.ones(3)
         _, _, gx = nn.mlp_backward(p, x, nn.mlp_layers(p, x), np.ones(2))
         np.testing.assert_array_equal(gx, np.zeros(3))

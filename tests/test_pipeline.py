@@ -10,6 +10,7 @@ import pytest
 from pvlite import nn, pipeline, rpn, synth
 from pvlite.config import desk_config
 from pvlite.roihead import RefineTargets
+from pvlite.sparsegrid import bev_collapse, run_backbone, voxelize
 from pvlite.synth import SceneSample
 
 CFG = desk_config().replace(
@@ -223,6 +224,37 @@ class TestEmptySceneInBatch:
         for name in ("y", "residuals", "positive", "matched_gt"):
             np.testing.assert_array_equal(getattr(mixed.targets, name),
                                           getattr(full.targets, name))
+
+
+@pytest.fixture(scope="module")
+def bev(model, scene):
+    level1 = voxelize(scene.points_f64(), CFG.range_min, CFG.range_max,
+                      CFG.voxel_size)
+    return bev_collapse(run_backbone(level1, model.backbone)[3])
+
+
+class TestTrainingProposals:
+    def test_decoded_row_per_anchor(self, model, anchors, bev):
+        rows = pipeline.training_proposals(model, CFG, anchors, bev)
+        _, reg = pipeline.rpn_head_outputs(model, bev, len(CFG.classes))
+        np.testing.assert_array_equal(rows, rpn.decode_residuals(reg, anchors.boxes))
+
+    @pytest.mark.parametrize("score, residual, message", [
+        (np.nan, 0.0, "score must be in \\[0, 1\\], got nan"),
+        (0.5, np.inf, "decoded w must be finite, got inf"),
+    ], ids=["nan score", "infinite width"])
+    def test_bad_row_raises_as_in_extract_proposals(self, model, anchors, bev,
+                                                    monkeypatch, score, residual,
+                                                    message):
+        cls, reg = pipeline.rpn_head_outputs(model, bev, len(CFG.classes))
+        cls, reg = cls.copy(), reg.copy()
+        cls[-1], reg[-1, 4] = score, residual
+        monkeypatch.setattr(pipeline, "rpn_head_outputs", lambda *_: (cls, reg))
+        match = f"anchor {len(anchors) - 1}: {message}"
+        with pytest.raises(ValueError, match=match):
+            pipeline.training_proposals(model, CFG, anchors, bev)
+        with pytest.raises(ValueError, match=match):
+            rpn.extract_proposals(cls, reg, anchors)
 
 
 class TestTrainPkw:

@@ -9,7 +9,9 @@ import pytest
 from pvlite import geom, nn, roihead, rpn, vsa
 from pvlite.geom import Box3D, Detection
 
-from helpers import nms_reference, radius_query_bruteforce, random_box
+from helpers import (
+    nms_reference, radius_query_bruteforce, random_box, zero_params,
+)
 
 
 def grid_mlps(feat_width, out=4, seed=0):
@@ -212,14 +214,12 @@ class TestIouBce:
 
 class TestSampleProposals:
     def _props_on(self, gts, extra_far=0):
-        props = [Detection(b, 0.9) for b in gts]
+        """Box rows: one on each gt, then extra_far rows far from all."""
+        rows = [b.to_array() for b in gts]
         rng = np.random.default_rng(13)
         for k in range(extra_far):
-            props.append(
-                Detection(Box3D(200 + 5 * k, 200, 0, 4, 2, 1.5,
-                                float(rng.uniform(-3, 3))), 0.1)
-            )
-        return props
+            rows.append([200 + 5 * k, 200, 0, 4, 2, 1.5, float(rng.uniform(-3, 3))])
+        return np.array(rows, dtype=float).reshape(-1, 7)
 
     def test_all_equal_gt(self):
         gts = [random_box(np.random.default_rng(14)) for _ in range(3)]
@@ -240,10 +240,10 @@ class TestSampleProposals:
         # Same footprint shifted vertically for IoU exactly 0.55:
         # overlap h solves h / (4 - h) = 0.55 -> h = 2*0.55*2/1.55.
         dz = 2.0 - 2 * 0.55 * 2.0 / 1.55
-        prop = Detection(Box3D(0, 0, dz, 4, 2, 2.0, 0.0), 0.8)
-        assert geom.iou_3d(prop.box, gt) == pytest.approx(0.55, abs=1e-12)
-        sampled, targets = roihead.sample_proposals([prop], [gt], seed=0,
-                                                    n_sample=2)
+        prop = Box3D(0, 0, dz, 4, 2, 2.0, 0.0)
+        assert geom.iou_3d(prop, gt) == pytest.approx(0.55, abs=1e-12)
+        sampled, targets = roihead.sample_proposals(prop.to_array()[None], [gt],
+                                                    seed=0, n_sample=2)
         assert targets.positive[0]
         assert targets.y[0] == pytest.approx(0.6, abs=1e-9)
 
@@ -264,20 +264,41 @@ class TestSampleProposals:
         assert targets.positive.sum() == 1
 
     def test_empty_proposals(self):
-        sampled, targets = roihead.sample_proposals([], [Box3D(0, 0, 0, 1, 1, 1, 0)],
-                                                    seed=0)
-        assert sampled == []
+        sampled, targets = roihead.sample_proposals(
+            np.empty((0, 7)), [Box3D(0, 0, 0, 1, 1, 1, 0)], seed=0)
+        assert sampled.shape == (0, 7)
         assert targets.y.size == 0
 
     def test_residuals_decode_to_gt(self):
-        rng = np.random.default_rng(15)
         gt = Box3D(5, 3, -0.5, 4.2, 1.8, 1.5, 0.3)
-        prop = Detection(Box3D(5.3, 2.9, -0.45, 4.0, 1.7, 1.6, 0.25), 0.7)
-        assert geom.iou_3d(prop.box, gt) > 0.55
-        sampled, targets = roihead.sample_proposals([prop], [gt], seed=3,
-                                                    n_sample=2)
-        back = rpn.decode_residual(targets.residuals[0], prop.box)
+        prop = Box3D(5.3, 2.9, -0.45, 4.0, 1.7, 1.6, 0.25)
+        assert geom.iou_3d(prop, gt) > 0.55
+        sampled, targets = roihead.sample_proposals(prop.to_array()[None], [gt],
+                                                    seed=3, n_sample=2)
+        back = rpn.decode_residual(targets.residuals[0], prop)
         np.testing.assert_allclose(back.to_array(), gt.to_array(), atol=1e-9)
+
+    def test_sampled_rows_are_input_rows_positives_first(self):
+        gts = [Box3D(i * 10.0, 0, 0, 4, 2, 1.5, 0.0) for i in range(8)]
+        props = self._props_on(gts, extra_far=20)
+        sampled, targets = roihead.sample_proposals(props, gts, seed=1,
+                                                    n_sample=8)
+        index = [int(np.flatnonzero((props == row).all(axis=1))[0])
+                 for row in sampled]
+        assert index == sorted(index[:4]) + sorted(index[4:])
+        np.testing.assert_array_equal(targets.positive, [True] * 4 + [False] * 4)
+        np.testing.assert_array_equal(targets.matched_gt[:4], index[:4])
+
+    def test_builds_boxes_only_for_rows_near_gt(self, monkeypatch):
+        gts = [Box3D(0, 0, 0, 4, 2, 1.5, 0.0)]
+        props = self._props_on(gts, extra_far=10)
+        built = []
+        real = geom.box_from_array
+        monkeypatch.setattr(geom, "box_from_array",
+                            lambda r: built.append(float(r[0])) or real(r))
+        roihead.sample_proposals(props, gts, seed=2, n_sample=8)
+        # The one row on the gt: once for its IoU, once for its residual.
+        assert built == [0.0, 0.0]
 
 
 class TestRefine:
@@ -292,8 +313,8 @@ class TestRefine:
     def test_zero_branches(self):
         head = roihead.RefineHead(
             shared=nn.init_params((6, 5, 5), seed=21),
-            confidence=nn.zero_params((5, 1), out_activation="sigmoid"),
-            regression=nn.zero_params((5, 7)),
+            confidence=zero_params((5, 1), out_activation="sigmoid"),
+            regression=zero_params((5, 7)),
         )
         roi = random_box(np.random.default_rng(22))
         conf, res, refined = roihead.refine(np.ones(6), roi, head)

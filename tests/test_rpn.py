@@ -1,5 +1,5 @@
 """Anchor generation, the residual codec round trip, target assignment,
-losses with finite-difference gradient checks, proposal NMS and recall."""
+losses with finite-difference gradient checks, and proposal NMS."""
 
 import math
 
@@ -194,41 +194,6 @@ class TestSmoothL1:
         assert nn.grad_check(f, pred.ravel()) < 1e-4
 
 
-class TestRpnLoss:
-    def _setup(self):
-        anchors = rpn.generate_anchors((CAR,), small_grid(nx=8, ny=8))
-        gt = anchors.box(20)
-        targets = rpn.assign_targets(anchors, [gt])
-        return anchors, targets
-
-    def test_perfect_predictions(self):
-        anchors, targets = self._setup()
-        cls = np.where(targets.labels == rpn.POSITIVE, 1.0 - 1e-7, 1e-7)
-        total, parts = rpn.rpn_loss(cls, targets.residuals, targets)
-        assert total < 1e-4
-        assert parts["reg"] == 0.0
-
-    def test_no_positives_zero_reg(self):
-        anchors = rpn.generate_anchors((CAR,), small_grid())
-        targets = rpn.assign_targets(anchors, [])
-        cls = np.full(len(anchors), 0.3)
-        total, parts = rpn.rpn_loss(cls, np.zeros((len(anchors), 7)), targets)
-        assert parts["reg"] == 0.0
-        assert total == pytest.approx(parts["cls"])
-
-    def test_recomposes_from_sub_losses(self):
-        anchors, targets = self._setup()
-        rng = np.random.default_rng(6)
-        cls = rng.uniform(0.05, 0.95, size=len(anchors))
-        reg = rng.normal(size=(len(anchors), 7))
-        total, parts = rpn.rpn_loss(cls, reg, targets, beta=2.0)
-        use = targets.labels != rpn.IGNORE
-        pos = targets.labels == rpn.POSITIVE
-        cls_expect = rpn.focal_loss(cls[use], (targets.labels[use] == 1).astype(int))
-        reg_expect = rpn.smooth_l1(reg[pos], targets.residuals[pos])
-        assert total == pytest.approx(cls_expect + 2.0 * reg_expect)
-
-
 class TestExtractProposals:
     def _anchors(self):
         return rpn.generate_anchors((CAR,), small_grid(nx=8, ny=8))
@@ -342,20 +307,3 @@ def test_extract_proposals_matches_reference(seed, monkeypatch):
         assert g.box.to_array().tobytes() == e.box.to_array().tobytes()
         assert (g.score, g.class_id) == (e.score, e.class_id)
 
-
-class TestRecall:
-    def test_perfect(self):
-        rng = np.random.default_rng(8)
-        gts = [random_box(rng) for _ in range(4)]
-        props = [Detection(b, 0.9) for b in gts]
-        assert rpn.recall(props, gts) == 1.0
-
-    def test_empty_proposals(self):
-        gts = [random_box(np.random.default_rng(9))]
-        assert rpn.recall([], gts) == 0.0
-
-    def test_half_covered(self):
-        a = Box3D(0, 0, 0, 4, 2, 1.5, 0.0)
-        b = Box3D(50, 0, 0, 4, 2, 1.5, 0.0)
-        props = [Detection(a, 0.9)]
-        assert rpn.recall(props, [a, b], iou_thresh=0.7) == 0.5
