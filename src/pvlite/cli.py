@@ -210,7 +210,7 @@ def cmd_bench(args) -> int:
                 print(f"{path.name}: empty scene, skipped")
                 continue
             for strat in args.strategies:
-                rep = pipeline.bench_pooling(cfg, model, result.keypoints,
+                rep = pipeline.bench_pooling(model, result.keypoints,
                                              result.proposals, strat, seed=cfg.seed)
                 rows.append({
                     "scene": path.stem, "strategy": rep.strategy, "rois": rep.rois,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geom, nn, roihead, rpn, vsa
+from . import config, geom, nn, roihead, rpn, vsa
 from .config import Config
 from .geom import Box3D, Detection
 from .roihead import RefineHead, RefineTargets
@@ -39,12 +39,12 @@ def level_grid_shapes(cfg: Config) -> list[tuple[int, int, int]]:
 
 
 def bev_channels(cfg: Config) -> int:
-    return level_grid_shapes(cfg)[3][2] * cfg.backbone_widths[3]
+    return level_grid_shapes(cfg)[3][2] * config.BACKBONE_WIDTHS[3]
 
 
 def keypoint_feature_width(cfg: Config) -> int:
-    pv = 2 * len(cfg.vsa_radii) * cfg.vsa_branch_width
-    raw = 2 * cfg.raw_branch_width
+    pv = 2 * len(config.VSA_RADII) * config.VSA_BRANCH_WIDTH
+    raw = 2 * config.RAW_BRANCH_WIDTH
     return pv + raw + bev_channels(cfg)
 
 
@@ -79,18 +79,18 @@ RPN_HEAD_OUT_SCALE = 0.01
 
 def build_model(cfg: Config, seed: int) -> ModelParams:
     """Deterministic seed-derived parameters sized from the config."""
-    widths = cfg.backbone_widths
+    widths = config.BACKBONE_WIDTHS
     backbone = init_backbone(POINT_FEATURES, widths, seed=[seed, 0])
     per_cell = 2 * len(cfg.classes)
     rpn_head = nn.init_params(
-        (bev_channels(cfg), cfg.rpn_hidden, per_cell * 8), seed=[seed, 1]
+        (bev_channels(cfg), config.RPN_HIDDEN, per_cell * 8), seed=[seed, 1]
     )
     rpn_head.weights[-1] *= RPN_HEAD_OUT_SCALE
     rpn_head.biases[-1] *= RPN_HEAD_OUT_SCALE
     vsa_mlps = [
         [
             nn.init_params(
-                (widths[k] + 3, cfg.vsa_branch_width, cfg.vsa_branch_width),
+                (widths[k] + 3, config.VSA_BRANCH_WIDTH, config.VSA_BRANCH_WIDTH),
                 seed=[seed, 2, k, r],
             )
             for r in range(2)
@@ -98,30 +98,30 @@ def build_model(cfg: Config, seed: int) -> ModelParams:
         for k in range(4)
     ]
     raw_mlps = [
-        nn.init_params((1 + 3, cfg.raw_branch_width, cfg.raw_branch_width),
+        nn.init_params((1 + 3, config.RAW_BRANCH_WIDTH, config.RAW_BRANCH_WIDTH),
                        seed=[seed, 3, r])
         for r in range(2)
     ]
     d = keypoint_feature_width(cfg)
-    pkw = nn.init_params((d, *cfg.pkw_hidden, 1), seed=[seed, 4],
+    pkw = nn.init_params((d, *config.PKW_HIDDEN, 1), seed=[seed, 4],
                          out_activation="sigmoid")
     grid_mlps = [
-        nn.init_params((d + 3, cfg.grid_branch_width, cfg.grid_branch_width),
+        nn.init_params((d + 3, config.GRID_BRANCH_WIDTH, config.GRID_BRANCH_WIDTH),
                        seed=[seed, 5, r])
         for r in range(2)
     ]
-    pool_in = roihead.GRID_POINTS * 2 * cfg.grid_branch_width
+    pool_in = roihead.GRID_POINTS * 2 * config.GRID_BRANCH_WIDTH
     pool_mlp = nn.init_params(
-        (pool_in, cfg.roi_feature_width, cfg.roi_feature_width), seed=[seed, 6]
+        (pool_in, config.ROI_FEATURE_WIDTH, config.ROI_FEATURE_WIDTH), seed=[seed, 6]
     )
     refine = RefineHead(
         shared=nn.init_params(
-            (cfg.roi_feature_width, cfg.refine_hidden, cfg.refine_hidden),
+            (config.ROI_FEATURE_WIDTH, config.REFINE_HIDDEN, config.REFINE_HIDDEN),
             seed=[seed, 7],
         ),
-        confidence=nn.init_params((cfg.refine_hidden, 1), seed=[seed, 8],
+        confidence=nn.init_params((config.REFINE_HIDDEN, 1), seed=[seed, 8],
                                   out_activation="sigmoid"),
-        regression=nn.init_params((cfg.refine_hidden, 7), seed=[seed, 9]),
+        regression=nn.init_params((config.REFINE_HIDDEN, 7), seed=[seed, 9]),
     )
     return ModelParams(backbone, rpn_head, vsa_mlps, raw_mlps, pkw, grid_mlps,
                        pool_mlp, refine)
@@ -175,10 +175,10 @@ def build_keypoints(
     kept = np.flatnonzero(in_range(pts[:, :3], cfg.range_min, cfg.range_max))
     idx = kept[vsa.fps(pts[kept, :3], cfg.num_keypoints)]
     positions = pts[idx, :3]
-    f_pv = vsa.vsa_multi_level(positions, tensors, cfg.vsa_radii, cfg.vsa_caps,
-                               model.vsa_mlps, seed=seed)
-    f_p = vsa.extended_vsa(positions, f_pv, pts[kept], bev, cfg.raw_radii,
-                           cfg.raw_cap, model.raw_mlps, seed=seed)
+    f_pv = vsa.vsa_multi_level(positions, tensors, config.VSA_RADII,
+                               config.VSA_CAPS, model.vsa_mlps, seed=seed)
+    f_p = vsa.extended_vsa(positions, f_pv, pts[kept], bev, config.RAW_RADII,
+                           config.RAW_CAP, model.raw_mlps, seed=seed)
     weighted, scores, labels = vsa.pkw(positions, f_p, list(scene.gt_boxes),
                                        model.pkw)
     return KeypointSet(positions, idx, f_p, weighted, scores, labels)
@@ -194,12 +194,12 @@ class PipelineResult:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def _pool_rois(cfg: Config, model: ModelParams, keypoints: KeypointSet,
-               rois: list[Box3D], seed: int) -> list[roihead.RoiGrid]:
+def _pool_rois(model: ModelParams, keypoints: KeypointSet, rois: list[Box3D],
+               seed: int) -> list[roihead.RoiGrid]:
     """RoI-grid pooling of every RoI; the k-th RoI draws from seed + 31 * k."""
     return roihead.roi_grid_pool(
-        rois, keypoints.positions, keypoints.weighted, cfg.grid_radii,
-        cfg.grid_cap, model.grid_mlps, model.pool_mlp,
+        rois, keypoints.positions, keypoints.weighted, config.GRID_RADII,
+        config.GRID_CAP, model.grid_mlps, model.pool_mlp,
         seeds=[seed + 31 * k for k in range(len(rois))],
     )
 
@@ -227,10 +227,8 @@ def run_scene(
     t0 = time.perf_counter()
     bev = bev_collapse(tensors[3])
     cls_probs, reg = rpn_head_outputs(model, bev, len(cfg.classes))
-    proposals = rpn.extract_proposals(
-        cls_probs, reg, anchors, top_k=cfg.top_proposals,
-        nms_iou=cfg.proposal_nms_iou,
-    )
+    proposals = rpn.extract_proposals(cls_probs, reg, anchors,
+                                      top_k=cfg.top_proposals)
     timings["rpn"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -238,13 +236,13 @@ def run_scene(
     timings["keypoints"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    grids = _pool_rois(cfg, model, keypoints, [p.box for p in proposals], seed)
+    grids = _pool_rois(model, keypoints, [p.box for p in proposals], seed)
     detections = []
     for prop, grid in zip(proposals, grids):
         conf, _res, refined = roihead.refine(grid.roi_feature, prop.box,
                                              model.refine)
         detections.append(Detection(refined, conf, prop.class_id))
-    detections = roihead.final_select(detections, nms_iou=cfg.final_nms_iou)
+    detections = roihead.final_select(detections)
     timings["refine"] = time.perf_counter() - t0
     return PipelineResult(detections, proposals, keypoints, timings)
 
@@ -352,11 +350,10 @@ def build_refine_batch(
         bev, kp = found
         sampled, targets = roihead.sample_proposals(
             training_proposals(model, cfg, anchors, bev),
-            list(scene.gt_boxes), seed + 977 * s_idx,
-            n_sample=cfg.roi_samples, pos_iou=cfg.roi_pos_iou,
+            list(scene.gt_boxes), seed + 977 * s_idx, n_sample=cfg.roi_samples,
         )
         boxes = [geom.box_from_array(row) for row in sampled]
-        grids = _pool_rois(cfg, model, kp, boxes, seed + 7919 * s_idx)
+        grids = _pool_rois(model, kp, boxes, seed + 7919 * s_idx)
         feats.extend(grid.roi_feature for grid in grids)
         rois.extend(boxes)
         matched.extend(scene.gt_boxes[g] if g >= 0 else None
@@ -371,7 +368,7 @@ def build_refine_batch(
         np.concatenate(positives) if positives else np.empty(0, dtype=bool),
         np.concatenate(matched_idx) if matched_idx else np.empty(0, dtype=np.int64),
     )
-    features = np.stack(feats) if feats else np.empty((0, cfg.roi_feature_width))
+    features = np.stack(feats) if feats else np.empty((0, config.ROI_FEATURE_WIDTH))
     return RefineBatch(features, rois, combined, matched)
 
 
@@ -445,8 +442,8 @@ class BenchReport:
 
 
 def bench_pooling(
-    cfg: Config, model: ModelParams, keypoints: KeypointSet,
-    proposals: list[Detection], strategy: str, seed: int,
+    model: ModelParams, keypoints: KeypointSet, proposals: list[Detection],
+    strategy: str, seed: int,
 ) -> BenchReport:
     """Run one pooling strategy over all proposals and measure it.
 
@@ -456,8 +453,8 @@ def bench_pooling(
     """
     t0 = time.perf_counter()
     if strategy == "roi_grid":
-        width = 2 * cfg.grid_branch_width
-        grids = _pool_rois(cfg, model, keypoints, [p.box for p in proposals], seed)
+        width = 2 * config.GRID_BRANCH_WIDTH
+        grids = _pool_rois(model, keypoints, [p.box for p in proposals], seed)
         rows = [g.grid_features for g in grids]
     elif strategy == "average_pool":
         width = keypoints.feature_width

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geom, nn, rpn
+from . import config, geom, nn, rpn
 from .geom import Box3D, Detection
 from .vsa import _aggregate_branch, radius_query
 
@@ -136,7 +136,7 @@ def sample_proposals(
     gt: list[Box3D],
     seed: int,
     n_sample: int = 128,
-    pos_iou: float = 0.55,
+    pos_iou: float = config.ROI_POS_IOU,
 ):
     """Sample RoIs for refinement training at a 1:1 positive:negative ratio.
 
@@ -239,7 +239,7 @@ def rcnn_loss(
 
 
 def final_select(
-    detections: list[Detection], nms_iou: float = 0.01
+    detections: list[Detection], nms_iou: float = config.FINAL_NMS_IOU
 ) -> list[Detection]:
     """Greedy NMS over refined detections to drop near-duplicates.
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .config import ClassSpec
+from .config import PROPOSAL_NMS_IOU, ClassSpec
 from .geom import Box3D, Detection
 
 
@@ -340,7 +340,7 @@ def extract_proposals(
     reg_map: np.ndarray,
     anchors: AnchorSet,
     top_k: int = 100,
-    nms_iou: float = 0.7,
+    nms_iou: float = PROPOSAL_NMS_IOU,
 ) -> list[Detection]:
     """Decode every anchor, rank by classification score, NMS, keep top_k.
 

@@ -339,15 +339,15 @@ class BevMap:
         return self.values.shape[2]
 
 
-def bev_collapse(t8: SparseTensor, expected_level: int = 4) -> BevMap:
+def bev_collapse(t8: SparseTensor) -> BevMap:
     """Stack a voxel level along Z into a dense BEV map.
 
     Channel block b (width = feature width) of cell (i, j) holds the feature
     of voxel (i, j, b), or zeros where that voxel is empty.
     """
-    if t8.level_index != expected_level:
+    if t8.level_index != 4:
         raise GridConfigError(
-            f"bev_collapse expects the {expected_level}x-level tensor, "
+            "bev_collapse expects the level-4 (8x) tensor, "
             f"got level {t8.level_index}"
         )
     nx, ny, nz = t8.grid_shape

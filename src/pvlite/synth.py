@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geom
+from . import config, geom
 from .config import Config
 from .geom import Box3D
 from .sparsegrid import in_range
@@ -140,7 +140,7 @@ def gen_scene(cfg: Config, seed: int) -> SceneSample:
 
     gx = rng.uniform(lo[0], hi[0], size=cfg.synth_ground_points)
     gy = rng.uniform(lo[1], hi[1], size=cfg.synth_ground_points)
-    gz = cfg.synth_ground_z + rng.normal(0.0, cfg.synth_ground_noise,
+    gz = cfg.synth_ground_z + rng.normal(0.0, config.SYNTH_GROUND_NOISE,
                                          size=cfg.synth_ground_points)
     gi = rng.uniform(0.0, 1.0, size=cfg.synth_ground_points)
     ground = np.stack([gx, gy, gz, gi], axis=1).astype(np.float32)
@@ -155,11 +155,11 @@ def gen_scene(cfg: Config, seed: int) -> SceneSample:
         box = None
         for _attempt in range(100):
             dims = np.asarray(spec.size) * np.exp(
-                rng.normal(0.0, cfg.synth_size_std, size=3)
+                rng.normal(0.0, config.SYNTH_SIZE_STD, size=3)
             )
             yaw = (rng.integers(2) * math.pi / 2
-                   + rng.normal(0.0, cfg.synth_yaw_jitter))
-            margin = 0.5 * math.hypot(dims[0], dims[1]) + cfg.synth_margin
+                   + rng.normal(0.0, config.SYNTH_YAW_JITTER))
+            margin = 0.5 * math.hypot(dims[0], dims[1]) + config.SYNTH_MARGIN
             cx = rng.uniform(lo[0] + margin, hi[0] - margin)
             cy = rng.uniform(lo[1] + margin, hi[1] - margin)
             cz = cfg.synth_ground_z + 0.5 * dims[2]
@@ -173,23 +173,23 @@ def gen_scene(cfg: Config, seed: int) -> SceneSample:
             )
         dist = math.hypot(box.cx, box.cy)
         count = max(
-            cfg.synth_min_points * 2,
-            int(cfg.synth_points_per_object / (1.0 + dist / cfg.synth_range_decay)),
+            config.SYNTH_MIN_POINTS * 2,
+            int(cfg.synth_points_per_object / (1.0 + dist / config.SYNTH_RANGE_DECAY)),
         )
         pts = None
         for _attempt in range(20):
             xyz = _sample_box_surface(box, count, rng)
-            xyz += rng.normal(0.0, cfg.synth_surface_noise, size=xyz.shape)
+            xyz += rng.normal(0.0, config.SYNTH_SURFACE_NOISE, size=xyz.shape)
             inten = rng.uniform(0.0, 1.0, size=xyz.shape[0])
             cand_pts = np.concatenate([xyz, inten[:, None]], axis=1).astype(np.float32)
             cand_pts = cand_pts[in_range(cand_pts[:, :3].astype(float), lo, hi)]
             inside = geom.points_in_box(cand_pts[:, :3].astype(float), box)
-            if inside.sum() >= cfg.synth_min_points:
+            if inside.sum() >= config.SYNTH_MIN_POINTS:
                 pts = cand_pts
                 break
         if pts is None:
             raise PlacementError(
-                f"object {len(boxes)} kept fewer than {cfg.synth_min_points} points"
+                f"object {len(boxes)} kept fewer than {config.SYNTH_MIN_POINTS} points"
             )
         boxes.append(box)
         classes.append(cls)

@@ -18,11 +18,11 @@ from .geom import Box3D
 from .sparsegrid import BevMap, SparseTensor, bilinear_sample, voxel_centers
 
 
-def fps(points: np.ndarray, n: int, start_index: int = 0) -> np.ndarray:
+def fps(points: np.ndarray, n: int) -> np.ndarray:
     """Greedy farthest point sampling.
 
     Repeatedly selects the point maximizing distance to the selected set,
-    starting at start_index, breaking ties by lowest index. When the cloud
+    starting at index 0, breaking ties by lowest index. When the cloud
     has fewer than n points the selected order repeats cyclically.
 
     Args:
@@ -38,8 +38,8 @@ def fps(points: np.ndarray, n: int, start_index: int = 0) -> np.ndarray:
         raise ValueError("fps requires at least one point")
     distinct = min(n, num)
     sel = np.empty(distinct, dtype=np.int64)
-    sel[0] = start_index
-    best = ((pts - pts[start_index]) ** 2).sum(axis=1)
+    sel[0] = 0
+    best = ((pts - pts[0]) ** 2).sum(axis=1)
     for s in range(1, distinct):
         nxt = int(np.argmax(best))  # argmax takes the lowest index on ties
         sel[s] = nxt

@@ -6,7 +6,6 @@ oracle in helpers.py, enumerated by hand in the comments, or fixed by the
 piecewise formulas under test.
 """
 
-import io
 import math
 import time
 
@@ -15,7 +14,7 @@ import pytest
 
 from pvlite import cli, config, evalkit, geom, nn, pipeline, roihead, rpn, synth, vsa
 from pvlite.config import desk_config
-from pvlite.geom import Box3D, Detection
+from pvlite.geom import Box3D
 
 from helpers import (
     dense_conv3d, fps_bruteforce, mc_bev_iou, overlapping_box_pair,

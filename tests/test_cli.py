@@ -57,6 +57,21 @@ class TestSynth:
                        str(tmp_path / "x"), "--count", "1"])
         assert rc == 1
 
+    @pytest.mark.parametrize("line", ["voxel_size=nan,0.05,0.1",
+                                      "voxel_size=inf,0.05,0.1",
+                                      "range_max=inf,40.0,1.0",
+                                      "class_sizes=nan,1.6,1.56",
+                                      "class_z=nan"])
+    def test_non_finite_config_value_exits_1(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        rc = cli.main(["synth", "--config", str(bad), "--out",
+                       str(tmp_path / "x"), "--count", "1"])
+        field = line.split("=")[0]
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+        assert not (tmp_path / "x").exists()
+
 
 class TestRun:
     def test_outputs_and_determinism(self, cfg_path, scene_dir, tmp_path):
@@ -295,6 +310,20 @@ class TestInputErrors:
                        "--out", str(tmp_path / "d")])
         assert rc == 1
         assert "num_keypoints must be >= 1" in capsys.readouterr().err
+
+    def test_fixed_key_with_other_value_exits_1(self, desk7, scene_dir, tmp_path,
+                                                capsys, monkeypatch):
+        old = tmp_path / "old.cfg"
+        old.write_text("vsa_branch_width=64\n")
+        rc = cli.main(["run", "--config", str(old), "--scenes", str(scene_dir),
+                       "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert f"error: {old}:1: vsa_branch_width is fixed at 32" in capsys.readouterr().err
+        monkeypatch.setenv("PVL_GRID_CAP", "8")
+        rc = cli.main(["run", "--config", desk7[0], "--scenes", str(scene_dir),
+                       "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "error: PVL_GRID_CAP: grid_cap is fixed at 32" in capsys.readouterr().err
 
     def test_mismatched_param_file_names_file(self, cfg_path, scene_dir,
                                               tmp_path, capsys):

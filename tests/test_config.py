@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -33,17 +34,9 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Config(range_max=(70.43, 40.0, 1.0))
 
-    def test_bad_radii(self):
-        with pytest.raises(ConfigError):
-            Config(raw_radii=(0.8, 0.4))
-
     def test_bad_class_alignment(self):
         with pytest.raises(ConfigError):
             Config(class_names=("car", "ped"))
-
-    def test_bad_iou_threshold(self):
-        with pytest.raises(ConfigError):
-            Config(roi_pos_iou=1.5)
 
     def test_classes_property(self):
         cfg = config.default_config()
@@ -54,7 +47,7 @@ class TestValidation:
 
 class TestFileRoundTrip:
     def test_save_load(self, tmp_path):
-        cfg = config.desk_config().replace(num_keypoints=333, final_nms_iou=0.05)
+        cfg = config.desk_config().replace(num_keypoints=333, top_proposals=50)
         path = tmp_path / "test.cfg"
         config.save(cfg, path)
         loaded = config.load(path, env={})
@@ -76,7 +69,7 @@ class TestFileRoundTrip:
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("num_keypoints=lots\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:1: cannot parse")):
             config.load(path, env={})
 
     def test_comments_and_blanks_ok(self, tmp_path):
@@ -102,6 +95,27 @@ class TestFileRoundTrip:
         with pytest.raises(ConfigError, match="no_such_knob"):
             config.load(path, env={})
 
+    @pytest.mark.parametrize("name, profile", [("desk", config.desk_config),
+                                               ("kitti", config.default_config)])
+    def test_files_with_fixed_keys_load(self, name, profile):
+        # Saved by the version whose Config still had the 24 fixed values
+        # as fields: every fixed key holds its constant.
+        path = TESTS / "data" / f"config_{name}_saved.cfg"
+        assert set(config.FIXED_KEYS) < {ln.split("=")[0] for ln in
+                                         path.read_text().splitlines()}
+        assert config.load(path, env={}) == profile()
+
+    def test_fixed_key_with_other_value_rejected(self, tmp_path):
+        path = tmp_path / "old.cfg"
+        path.write_text("num_keypoints=64\nvsa_branch_width=64\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: vsa_branch_width")):
+            config.load(path, env={})
+        path.write_text("grid_radii=0.8,wide\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:1: cannot parse grid_radii")):
+            config.load(path, env={})
+        path.write_text("vsa_branch_width=32\nvsa_caps=16,16,32,32\n")
+        assert config.load(path, env={}) == Config()
+
 
 class TestEnvOverrides:
     def test_env_overrides_file(self, tmp_path):
@@ -120,6 +134,11 @@ class TestEnvOverrides:
 
     def test_no_env_uses_defaults(self):
         assert config.load(None, env={}) == config.default_config()
+
+    def test_env_fixed_key(self):
+        assert config.load(None, env={"PVL_GRID_CAP": "32"}) == Config()
+        with pytest.raises(ConfigError, match="PVL_GRID_CAP: grid_cap"):
+            config.load(None, env={"PVL_GRID_CAP": "8"})
 
 
 SRC = Path(config.__file__).parent
@@ -156,6 +175,36 @@ def test_every_field_is_read():
                 unread += [f"{cls.__name__}.{f.name}"
                            for f in dataclasses.fields(cls) if f.name not in reads]
     assert unread == []
+
+
+def _keywords_passed(tree) -> set[str]:
+    """Keywords passed to Config(...) or .replace(...) in a syntax tree; a
+    **NAME argument counts the keywords of a top-level NAME = dict(...)."""
+    dicts = {node.targets[0].id: {k.arg for k in node.value.keywords}
+             for node in tree.body
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+             and isinstance(node.value, ast.Call)
+             and getattr(node.value.func, "id", "") == "dict"}
+    out = set()
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", ""))
+                in ("Config", "replace")):
+            for k in n.keywords:
+                out |= {k.arg} if k.arg else dicts.get(getattr(k.value, "id", ""), set())
+    return out
+
+
+def test_every_field_is_varied():
+    """Every Config field is set by name, in Config(...) or .replace(...),
+    in src/pvlite, bench/ or a test file other than this one. A field
+    nothing sets holds one value: it is a constant, and no test or
+    benchmark covers another value of it."""
+    files = [*SRC.glob("*.py"), *(TESTS.parent / "bench").rglob("*.py"),
+             *(p for p in TESTS.rglob("*.py") if p.name != "test_config.py")]
+    varied = set()
+    for path in files:
+        varied |= _keywords_passed(ast.parse(path.read_text(encoding="utf-8")))
+    assert [f.name for f in dataclasses.fields(Config) if f.name not in varied] == []
 
 
 def _names(node) -> set[str]:

@@ -297,23 +297,23 @@ class TestBench:
                                  synth_points_per_object=120)
         scene = synth.gen_scene(sparse_cfg, seed=77)
         result = pipeline.run_scene(scene, model, sparse_cfg, anchors, seed=0)
-        grid = pipeline.bench_pooling(sparse_cfg, model, result.keypoints,
+        grid = pipeline.bench_pooling(model, result.keypoints,
                                       result.proposals, "roi_grid", seed=0)
-        avg = pipeline.bench_pooling(sparse_cfg, model, result.keypoints,
+        avg = pipeline.bench_pooling(model, result.keypoints,
                                      result.proposals, "average_pool", seed=0)
         assert grid.nonzero_fraction > avg.nonzero_fraction
         assert grid.rois == avg.rois
 
     def test_deterministic_fields(self, model, anchors, scene):
         result = pipeline.run_scene(scene, model, CFG, anchors, seed=0)
-        a = pipeline.bench_pooling(CFG, model, result.keypoints,
+        a = pipeline.bench_pooling(model, result.keypoints,
                                    result.proposals, "roi_grid", seed=0)
-        b = pipeline.bench_pooling(CFG, model, result.keypoints,
+        b = pipeline.bench_pooling(model, result.keypoints,
                                    result.proposals, "roi_grid", seed=0)
         assert a.nonzero_fraction == b.nonzero_fraction
 
     def test_unknown_strategy(self, model, anchors, scene):
         result = pipeline.run_scene(scene, model, CFG, anchors, seed=0)
         with pytest.raises(ValueError):
-            pipeline.bench_pooling(CFG, model, result.keypoints,
+            pipeline.bench_pooling(model, result.keypoints,
                                    result.proposals, "maxpool", seed=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pvlite import geom, synth
-from pvlite.config import desk_config
+from pvlite.config import SYNTH_MIN_POINTS, SYNTH_SIZE_STD, desk_config
 
 from helpers import set_point_value
 
@@ -43,7 +43,7 @@ class TestGenScene:
         pts = scene.points_f64()
         for box in scene.gt_boxes:
             count = geom.points_in_box(pts[:, :3], box).sum()
-            assert count >= CFG.synth_min_points
+            assert count >= SYNTH_MIN_POINTS
 
     def test_boxes_pairwise_bev_disjoint(self, scene):
         boxes = scene.gt_boxes
@@ -53,6 +53,17 @@ class TestGenScene:
 
     def test_object_count(self, scene):
         assert len(scene.gt_boxes) == CFG.synth_objects
+
+    def test_each_class_placed_at_its_size(self):
+        cfg = CFG.replace(class_names=("car", "pedestrian"),
+                          class_sizes=((3.9, 1.6, 1.56), (0.8, 0.6, 1.73)),
+                          class_z=(-0.82, -0.74), synth_objects=6)
+        s = synth.gen_scene(cfg, seed=3)
+        assert set(s.gt_classes) == {0, 1}
+        for box, cls in zip(s.gt_boxes, s.gt_classes):
+            log_ratio = np.log(np.array([box.l, box.w, box.h]) / cfg.class_sizes[cls])
+            assert (np.abs(log_ratio) < 5 * SYNTH_SIZE_STD).all()
+            assert box.cz - 0.5 * box.h == pytest.approx(cfg.synth_ground_z, abs=1e-5)
 
 
 class TestSceneFiles:

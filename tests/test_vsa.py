@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pvlite import nn, rpn, vsa
-from pvlite.config import Config
+from pvlite.config import RAW_CAP, RAW_RADII, VSA_CAPS, VSA_RADII
 from pvlite.geom import Box3D
 from pvlite.sparsegrid import BevMap, SparseTensor
 
@@ -317,23 +317,21 @@ class TestVsaMultiLevel:
                          np.empty((0, 3), np.int64), np.empty((0, 4)))
             for k in range(4)
         ]
-        cfg = Config()
         mlps = _mlps_for(empty)
         kp = np.array([[1.0, 1.0, 1.0]])
-        out = vsa.vsa_multi_level(kp, empty, cfg.vsa_radii, cfg.vsa_caps, mlps)
+        out = vsa.vsa_multi_level(kp, empty, VSA_RADII, VSA_CAPS, mlps)
         np.testing.assert_array_equal(out, np.zeros((1, 4 * 2 * 5)))
 
     def test_output_width(self):
         rng = np.random.default_rng(70)
         tensors = _tiny_levels(rng)
-        cfg = Config()
         mlps = [
             [nn.init_params((t.feature_width + 3, 32, 32), seed=k * 2 + r)
              for r in range(2)]
             for k, t in enumerate(tensors)
         ]
         kp = rng.uniform(0, 2, size=(6, 3))
-        out = vsa.vsa_multi_level(kp, tensors, cfg.vsa_radii, cfg.vsa_caps, mlps)
+        out = vsa.vsa_multi_level(kp, tensors, VSA_RADII, VSA_CAPS, mlps)
         assert out.shape == (6, 256)
 
     def test_feature_scaling_with_centered_keypoint(self):
@@ -376,15 +374,14 @@ class TestExtendedVsa:
     def test_blocks_and_width(self):
         rng = np.random.default_rng(72)
         tensors = _tiny_levels(rng)
-        cfg = Config()
         mlps = _mlps_for(tensors)
         raw_mlps = [nn.init_params((1 + 3, 8, 4), seed=30 + r) for r in range(2)]
         bev = BevMap(rng.normal(size=(4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
         kp = rng.uniform(0.2, 2.8, size=(7, 3))
         raw_pts = np.concatenate([rng.uniform(0, 3, size=(40, 3)),
                                   rng.uniform(0, 1, size=(40, 1))], axis=1)
-        f_pv = vsa.vsa_multi_level(kp, tensors, cfg.vsa_radii, cfg.vsa_caps, mlps)
-        f_p = vsa.extended_vsa(kp, f_pv, raw_pts, bev, cfg.raw_radii, cfg.raw_cap,
+        f_pv = vsa.vsa_multi_level(kp, tensors, VSA_RADII, VSA_CAPS, mlps)
+        f_p = vsa.extended_vsa(kp, f_pv, raw_pts, bev, RAW_RADII, RAW_CAP,
                                raw_mlps)
         assert f_p.shape == (7, f_pv.shape[1] + 2 * 4 + 6)
         assert np.isfinite(f_p).all()
@@ -393,14 +390,13 @@ class TestExtendedVsa:
     def test_no_raw_neighbors_zero_block(self):
         rng = np.random.default_rng(73)
         tensors = _tiny_levels(rng)
-        cfg = Config()
         mlps = _mlps_for(tensors)
         raw_mlps = [nn.init_params((1 + 3, 8, 4), seed=40 + r) for r in range(2)]
         bev = BevMap(np.zeros((4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
         kp = np.array([[1.0, 1.0, 1.0]])
         far_raw = np.array([[50.0, 50.0, 50.0, 0.5]])
-        f_pv = vsa.vsa_multi_level(kp, tensors, cfg.vsa_radii, cfg.vsa_caps, mlps)
-        f_p = vsa.extended_vsa(kp, f_pv, far_raw, bev, cfg.raw_radii, cfg.raw_cap,
+        f_pv = vsa.vsa_multi_level(kp, tensors, VSA_RADII, VSA_CAPS, mlps)
+        f_p = vsa.extended_vsa(kp, f_pv, far_raw, bev, RAW_RADII, RAW_CAP,
                                raw_mlps)
         width = f_pv.shape[1]
         np.testing.assert_array_equal(f_p[0, width : width + 8], np.zeros(8))
@@ -408,14 +404,13 @@ class TestExtendedVsa:
     def test_keypoint_outside_bev_zero_block(self):
         rng = np.random.default_rng(74)
         tensors = _tiny_levels(rng)
-        cfg = Config()
         mlps = _mlps_for(tensors)
         raw_mlps = [nn.init_params((1 + 3, 8, 4), seed=50 + r) for r in range(2)]
         bev = BevMap(rng.normal(size=(4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
         kp = np.array([[100.0, 100.0, 0.0]])
         raw_pts = np.array([[100.0, 100.0, 0.0, 0.3]])
-        f_pv = vsa.vsa_multi_level(kp, tensors, cfg.vsa_radii, cfg.vsa_caps, mlps)
-        f_p = vsa.extended_vsa(kp, f_pv, raw_pts, bev, cfg.raw_radii, cfg.raw_cap,
+        f_pv = vsa.vsa_multi_level(kp, tensors, VSA_RADII, VSA_CAPS, mlps)
+        f_p = vsa.extended_vsa(kp, f_pv, raw_pts, bev, RAW_RADII, RAW_CAP,
                                raw_mlps)
         np.testing.assert_array_equal(f_p[0, -6:], np.zeros(6))
 
