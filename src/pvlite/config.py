@@ -110,6 +110,10 @@ def validate(cfg: Config) -> None:
         value = getattr(cfg, f.name)
         if not all(math.isfinite(x) for x in _flat(value) if isinstance(x, float)):
             fail(f"{f.name} must be finite, got {_fmt(value)}")
+    for name in ("voxel_size", "range_min", "range_max"):
+        if len(getattr(cfg, name)) != 3:
+            fail(f"{name} must hold three values (x, y, z), "
+                 f"got {_fmt(getattr(cfg, name))}")
     for lo, hi, vs in zip(cfg.range_min, cfg.range_max, cfg.voxel_size):
         if vs <= 0:
             fail(f"voxel size must be positive, got {vs}")

@@ -118,9 +118,10 @@ def mlp_layers(p: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     layers = []
     last = len(p.weights) - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b  # in place, as is the rectifier: no second copy of a layer
         if i < last:
-            a = np.maximum(z, 0.0)
+            a = np.maximum(z, 0.0, out=z)
         elif p.out_activation == "sigmoid":
             a = sigmoid(z)
         else:

@@ -181,7 +181,8 @@ def build_keypoints(
                            config.RAW_CAP, model.raw_mlps, seed=seed)
     weighted, scores, labels = vsa.pkw(positions, f_p, list(scene.gt_boxes),
                                        model.pkw)
-    return KeypointSet(positions, idx, f_p, weighted, scores, labels)
+    return KeypointSet(positions, idx, f_p, np.hstack([weighted, positions]),
+                       scores, labels)
 
 
 @dataclass
@@ -198,7 +199,7 @@ def _pool_rois(model: ModelParams, keypoints: KeypointSet, rois: list[Box3D],
                seed: int) -> list[roihead.RoiGrid]:
     """RoI-grid pooling of every RoI; the k-th RoI draws from seed + 31 * k."""
     return roihead.roi_grid_pool(
-        rois, keypoints.positions, keypoints.weighted, config.GRID_RADII,
+        rois, keypoints.weighted_xyz, config.GRID_RADII,
         config.GRID_CAP, model.grid_mlps, model.pool_mlp,
         seeds=[seed + 31 * k for k in range(len(rois))],
     )

@@ -36,8 +36,7 @@ class RoiGrid:
 
 def roi_grid_pool(
     rois: list[Box3D],
-    keypoint_positions: np.ndarray,
-    keypoint_features: np.ndarray,
+    keypoints: np.ndarray,
     radii: tuple[float, float],
     cap: int,
     branch_mlps: list[nn.MlpParams],
@@ -50,28 +49,28 @@ def roi_grid_pool(
     the two radii (receptive fields extend beyond the RoI boundary); the two
     branch outputs are concatenated per grid point, all 216 grid features
     are vectorized, and a two-layer MLP maps them to the pooled RoI feature.
+    keypoints is the (n, d + 3) matrix [features | xyz] of the keypoints.
 
-    The grid points of up to ROI_BLOCK RoIs share one neighbour search per
-    radius. Grid point j of rois[p] subsamples from the stream
+    The grid points of up to ROI_BLOCK RoIs share one neighbour search for
+    both radii. Grid point j of rois[p] subsamples from the stream
     [seeds[p] + r, j] at radius index r, whichever RoIs share the call.
     """
     if len(seeds) != len(rois):
         raise ValueError(f"{len(seeds)} seeds for {len(rois)} RoIs")
-    kp = np.asarray(keypoint_positions, dtype=float).reshape(-1, 3)
-    feats = np.asarray(keypoint_features, dtype=float)
+    keypoints = np.asarray(keypoints, dtype=float)
+    kp = keypoints[:, -3:]
     pooled = []
     for b in range(0, len(rois), ROI_BLOCK):
         grids = [geom.roi_grid_points(roi, GRID_RESOLUTION)
                  for roi in rois[b : b + ROI_BLOCK]]
         keys = np.stack(np.meshgrid(seeds[b : b + ROI_BLOCK], np.arange(GRID_POINTS),
                                     indexing="ij"), axis=-1).reshape(-1, 2)
-        queries = np.concatenate(grids)
-        neigh = [radius_query(queries, kp, radius, cap, seed=keys + [r, 0])
-                 for r, radius in enumerate(radii)]
+        neigh = radius_query(np.concatenate(grids), kp, radii, cap, seed=keys)
+        neigh = [neigh[r * len(keys) : (r + 1) * len(keys)] for r in range(len(radii))]
         for i, grid in enumerate(grids):
             rows = slice(i * GRID_POINTS, (i + 1) * GRID_POINTS)
             grid_features = np.concatenate(
-                [_aggregate_branch(grid, nl[rows], kp, feats, mlp)
+                [_aggregate_branch(grid, nl[rows], keypoints, mlp)
                  for nl, mlp in zip(neigh, branch_mlps)], axis=1)
             roi_feature = nn.mlp_forward(pool_mlp, grid_features.reshape(-1))
             pooled.append(RoiGrid(rois[b + i], grid, grid_features, roi_feature))
@@ -135,7 +134,7 @@ def sample_proposals(
     proposals: np.ndarray,
     gt: list[Box3D],
     seed: int,
-    n_sample: int = 128,
+    n_sample: int,
     pos_iou: float = config.ROI_POS_IOU,
 ):
     """Sample RoIs for refinement training at a 1:1 positive:negative ratio.

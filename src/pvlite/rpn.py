@@ -339,7 +339,7 @@ def extract_proposals(
     cls_map: np.ndarray,
     reg_map: np.ndarray,
     anchors: AnchorSet,
-    top_k: int = 100,
+    top_k: int,
     nms_iou: float = PROPOSAL_NMS_IOU,
 ) -> list[Detection]:
     """Decode every anchor, rank by classification score, NMS, keep top_k.

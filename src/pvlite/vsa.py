@@ -39,11 +39,18 @@ def fps(points: np.ndarray, n: int) -> np.ndarray:
     distinct = min(n, num)
     sel = np.empty(distinct, dtype=np.int64)
     sel[0] = 0
-    best = ((pts - pts[0]) ** 2).sum(axis=1)
+    # Contiguous x, y, z rows: (dx² + dy²) + dz² in place, bit for bit as before.
+    cols = np.ascontiguousarray(pts.T)
+    sq = (cols - cols[:, :1]) ** 2
+    best, d2 = sq[0] + sq[1] + sq[2], np.empty(num)
     for s in range(1, distinct):
         nxt = int(np.argmax(best))  # argmax takes the lowest index on ties
         sel[s] = nxt
-        np.minimum(best, ((pts - pts[nxt]) ** 2).sum(axis=1), out=best)
+        np.subtract(cols, cols[:, nxt : nxt + 1], out=sq)
+        sq *= sq
+        np.add(sq[0], sq[1], out=d2)
+        d2 += sq[2]
+        np.minimum(best, d2, out=best)
     if n <= distinct:
         return sel[:n]
     reps = np.arange(n) % distinct
@@ -57,31 +64,35 @@ QUERY_CHUNK_PAIRS = 60_000
 def radius_query(
     queries: np.ndarray,
     points: np.ndarray,
-    radius: float,
+    radii: float | tuple[float, ...],
     cap: int,
     seed: int | np.ndarray,
 ) -> list[np.ndarray]:
-    """Neighbors of each query strictly within a radius, capped by subsampling.
+    """Capped neighbor lists of each query strictly within each radius.
 
-    A cell-list search: points are sorted into cubic cells at least `radius`
-    wide and each query tests the points of its 27 surrounding cells for
-    squared distance < radius**2. A point or query with a non-finite
-    coordinate has no neighbors. When a query has more than `cap` neighbors
-    a seeded uniform subsample of exactly `cap` is kept.
+    A cell-list search: points are sorted into cubic cells at least the
+    largest radius wide, and the points of each query's 27 surrounding cells
+    are its candidates at every radius r, kept when their squared distance
+    is < r**2. A point or query with a non-finite coordinate has no
+    neighbors. A query with more than `cap` neighbors at a radius keeps a
+    seeded uniform subsample of exactly `cap`.
 
     Args:
         queries: (M, 3).
         points: (N, 3).
-        radius: meters, > 0.
-        cap: max neighbors per query.
-        seed: an int, where query i subsamples from the stream [seed, i], or
-            an (M, 2) int array whose row i is query i's stream key.
+        radii: a radius or a tuple of radii, meters, each > 0.
+        cap: max neighbors per query and radius.
+        seed: an int, where query i at radius index r subsamples from the
+            stream [seed + r, i], or an (M, 2) int array whose row i keys
+            query i's streams as [row[0] + r, row[1]].
 
     Returns:
-        List of M int arrays of neighbor indices (ascending).
+        len(radii) * M int arrays of neighbor indices (ascending), radius
+        major: entry r * M + i holds query i's neighbors at radii[r].
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    radii = np.ravel(radii).astype(float)
+    if not (radii > 0).all():
+        raise ValueError(f"radius must be positive, got {radii}")
     q = np.asarray(queries, dtype=float).reshape(-1, 3)
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     m, n = q.shape[0], p.shape[0]
@@ -91,11 +102,11 @@ def radius_query(
                          f"got {np.shape(seed)}")
     ok_p, ok_q = (np.flatnonzero(np.isfinite(a).all(axis=1)) for a in (p, q))
     if ok_p.size == 0 or ok_q.size == 0:
-        return [np.empty(0, dtype=np.int64) for _ in range(m)]
-    # Cells at least `radius` wide, padded so that rounding in the division
-    # and the floor never puts a pair that passes the test two cells apart.
+        return [np.empty(0, dtype=np.int64) for _ in range(radii.size * m)]
+    # Cells at least the largest radius wide, padded so that rounding in the
+    # division and the floor never puts a pair that passes two cells apart.
     scale = max(np.abs(p[ok_p]).max(), np.abs(q[ok_q]).max())
-    width = radius * (1.0 + 1e-9) + 1e-12 * scale
+    width = radii.max() * (1.0 + 1e-9) + 1e-12 * scale
     pcell = np.floor(p[ok_p] / width).astype(np.int64)
     qcell = np.floor(q[ok_q] / width).astype(np.int64)
     # Keys of a cell and of the 27 around each query: mixed radix of per-axis
@@ -117,7 +128,7 @@ def radius_query(
     run = np.searchsorted(pkey, qkey, side="right") - lo
     cand = run.sum(axis=1)
     bound = np.concatenate([[0], np.cumsum(cand)])
-    pairs, s = [], 0  # query * n + point, sorted
+    pairs, s = [[] for _ in radii], 0  # per radius: query * n + point, sorted
     while s < ok_q.size:  # chunks of at most QUERY_CHUNK_PAIRS candidates
         e = np.searchsorted(bound, bound[s] + QUERY_CHUNK_PAIRS, side="right")
         e = max(int(e) - 1, s + 1)
@@ -125,16 +136,26 @@ def radius_query(
         pos = np.repeat(lo[s:e].ravel() - np.cumsum(lens) + lens, lens)
         pidx = point_of[pos + np.arange(pos.size)]
         qidx = np.repeat(ok_q[s:e], cand[s:e])
-        keep = ((p[pidx] - q[qidx]) ** 2).sum(axis=1) < radius * radius
-        pairs.append(np.sort(qidx[keep] * n + pidx[keep]))
+        d2 = ((p[pidx] - q[qidx]) ** 2).sum(axis=1)
+        for part, radius in zip(pairs, radii):
+            keep = d2 < radius * radius
+            part.append(np.sort(qidx[keep] * n + pidx[keep]))
         s = e
-    pairs = np.concatenate(pairs)
-    flat, offsets = pairs % n, np.searchsorted(pairs // n, np.arange(m + 1))
-    out = [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
-    for qi in np.flatnonzero(np.diff(offsets) > cap):
-        key = seed[qi] if per_query else (seed, qi)
-        rng = np.random.default_rng([int(k) for k in key])
-        out[qi] = out[qi][np.sort(rng.choice(len(out[qi]), size=cap, replace=False))]
+    out = []
+    for r, part in enumerate(pairs):
+        part = np.concatenate(part)
+        offsets = np.searchsorted(part // n, np.arange(m + 1))
+        keep = np.ones(part.size, dtype=bool)  # False where a cap drops a pair
+        for qi in np.flatnonzero(np.diff(offsets) > cap):
+            key = np.add(seed[qi], (r, 0)) if per_query else (seed + r, qi)
+            rng = np.random.default_rng([int(k) for k in key])
+            a, b = offsets[qi], offsets[qi + 1]
+            keep[a:b] = False
+            keep[a + rng.choice(b - a, size=cap, replace=False)] = True
+        # Compacted, so that the lists, views of flat, pin no dropped pair.
+        flat = part[keep] % n
+        offsets = np.concatenate([[0], np.cumsum(np.minimum(np.diff(offsets), cap))])
+        out += [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
     return out
 
 
@@ -157,22 +178,18 @@ def set_abstraction(
             f"MLP expects width {mlp.in_width}, got features {feats.shape[1]} + 3"
         )
     query = np.asarray(center, dtype=float).reshape(1, 3)
-    return _aggregate_branch(query, [np.arange(pos.shape[0])], pos, feats, mlp)[0]
-
-
-# Rows _aggregate_branch gathers at a time, so that no full-size temporary
-# copy of the gathered neighbour features is held next to the MLP input.
-GATHER_CHUNK_ROWS = 8192
+    return _aggregate_branch(query, [np.arange(pos.shape[0])],
+                             np.hstack([feats, pos]), mlp)[0]
 
 
 def _aggregate_branch(
     queries: np.ndarray,
     neighbor_lists: list[np.ndarray],
-    positions: np.ndarray,
-    features: np.ndarray,
+    points: np.ndarray,
     mlp: nn.MlpParams,
 ) -> np.ndarray:
-    """set_abstraction for every query at once (one MLP pass, segment max)."""
+    """set_abstraction for every query at once (one MLP pass, segment max)
+    over points, the (n, d + 3) matrix [features | xyz], gathered in one copy."""
     m = queries.shape[0]
     out = np.zeros((m, mlp.out_width))
     lens = np.array([len(nl) for nl in neighbor_lists])
@@ -180,12 +197,8 @@ def _aggregate_branch(
     if total == 0:
         return out
     flat = np.concatenate([nl for nl in neighbor_lists if len(nl)])
-    rep = np.repeat(np.arange(m), lens)
-    rows = np.empty((total, features.shape[1] + 3))
-    for s in range(0, total, GATHER_CHUNK_ROWS):
-        part = slice(s, s + GATHER_CHUNK_ROWS)
-        rows[part, :-3] = features[flat[part]]
-        rows[part, -3:] = positions[flat[part]] - queries[rep[part]]
+    rows = points.take(flat, axis=0)
+    rows[:, -3:] -= np.repeat(queries, lens, axis=0)
     vals = nn.mlp_forward(mlp, rows)
     starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
     nonempty = lens > 0
@@ -204,8 +217,8 @@ def vsa_multi_level(
 ) -> np.ndarray:
     """Multi-scale keypoint features from the backbone levels.
 
-    For each level and each of its two radii: query the level's voxel
-    centers, aggregate with that branch's MLP, and concatenate everything.
+    For each level: query the voxel centers at both radii in one pass,
+    aggregate each radius with its branch MLP, and concatenate everything.
 
     Args:
         keypoints: (n, 3) positions.
@@ -219,16 +232,13 @@ def vsa_multi_level(
         (n, sum of branch widths) feature matrix.
     """
     kp = np.asarray(keypoints, dtype=float).reshape(-1, 3)
-    blocks = []
+    m, blocks = kp.shape[0], []
     for k, tensor in enumerate(level_tensors):
         centers = voxel_centers(tensor)
-        for r, radius in enumerate(radii[k]):
-            neigh = radius_query(
-                kp, centers, radius, caps[k], seed=seed + 1000 * k + r
-            )
-            blocks.append(
-                _aggregate_branch(kp, neigh, centers, tensor.features, mlps[k][r])
-            )
+        neigh = radius_query(kp, centers, radii[k], caps[k], seed=seed + 1000 * k)
+        points = np.hstack([tensor.features, centers])
+        blocks += [_aggregate_branch(kp, neigh[r * m : (r + 1) * m], points, mlp)
+                   for r, mlp in enumerate(mlps[k])]
     return np.concatenate(blocks, axis=1)
 
 
@@ -250,12 +260,11 @@ def extended_vsa(
     """
     kp = np.asarray(keypoints, dtype=float).reshape(-1, 3)
     raw = np.asarray(raw_points, dtype=float).reshape(-1, 4)
+    m, points = kp.shape[0], raw[:, [3, 0, 1, 2]]  # [intensity | xyz]
+    neigh = radius_query(kp, raw[:, :3], radii, cap, seed=seed + 7000)
     blocks = [np.asarray(f_pv, dtype=float)]
-    for r, radius in enumerate(radii):
-        neigh = radius_query(kp, raw[:, :3], radius, cap, seed=seed + 7000 + r)
-        blocks.append(
-            _aggregate_branch(kp, neigh, raw[:, :3], raw[:, 3:4], raw_mlps[r])
-        )
+    blocks += [_aggregate_branch(kp, neigh[r * m : (r + 1) * m], points, mlp)
+               for r, mlp in enumerate(raw_mlps)]
     blocks.append(bilinear_sample(bev, kp[:, :2]))
     return np.concatenate(blocks, axis=1)
 
@@ -304,9 +313,13 @@ class KeypointSet:
     positions: np.ndarray  # (n, 3)
     indices: np.ndarray  # (n,) into the raw cloud
     f_p: np.ndarray  # [f_pv, f_raw, f_bev]
-    weighted: np.ndarray  # scores[:, None] * f_p
+    weighted_xyz: np.ndarray  # [scores[:, None] * f_p | positions]
     scores: np.ndarray  # (n,) in (0, 1)
     labels: np.ndarray  # (n,) in {0, 1}
+
+    @property
+    def weighted(self) -> np.ndarray:
+        return self.weighted_xyz[:, :-3]
 
     @property
     def n(self) -> int:

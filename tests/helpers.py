@@ -2,8 +2,9 @@
 
 Each oracle recomputes a result by a different algorithm than the library
 path it checks (sampling for areas, dense convolution for sparse, full
-recomputation for incremental FPS, a list-of-Detection loop for NMS),
-plus an all-zero MLP and a writer of malformed scene files.
+recomputation for incremental FPS, a list-of-Detection loop for NMS,
+separate feature and offset gathers for set abstraction), plus an
+all-zero MLP and a writer of malformed scene files.
 """
 
 from __future__ import annotations
@@ -182,6 +183,24 @@ def radius_query_bruteforce(queries, points, radius, cap, seed):
             rng = np.random.default_rng([int(k) for k in key])
             idx = idx[np.sort(rng.choice(idx.size, size=cap, replace=False))]
         out.append(idx)
+    return out
+
+
+def aggregate_branch_two_gathers(queries, neighbor_lists, positions, features, mlp):
+    """Set abstraction of every query from two separate gathers: neighbour
+    features from one array and positions minus their query from another,
+    joined into [features | offsets] rows for one MLP pass, then a max over
+    each query's rows (the zero vector for an empty neighbourhood)."""
+    lens = [len(nl) for nl in neighbor_lists]
+    out = np.zeros((len(lens), mlp.out_width))
+    if sum(lens) == 0:
+        return out
+    flat = np.concatenate(neighbor_lists).astype(np.int64)
+    owner = np.repeat(np.arange(len(lens)), lens)
+    vals = nn.mlp_forward(mlp, np.concatenate(
+        [features[flat], positions[flat] - queries[owner]], axis=1))
+    for i in np.flatnonzero(lens):
+        out[i] = vals[owner == i].max(axis=0)
     return out
 
 

@@ -311,6 +311,20 @@ class TestInputErrors:
         assert rc == 1
         assert "num_keypoints must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, field", [("voxel_size=0.1,0.1", "voxel_size"),
+                                             ("range_min=0.0,-40.0", "range_min")])
+    def test_two_value_geometry_exits_1(self, scene_dir, tmp_path, capsys, line,
+                                        field):
+        bad = tmp_path / "short.cfg"
+        bad.write_text(line + "\n")
+        rc = cli.main(["run", "--config", str(bad), "--scenes", str(scene_dir),
+                       "--out", str(tmp_path / "d")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{field} must hold three values (x, y, z)" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
     def test_fixed_key_with_other_value_exits_1(self, desk7, scene_dir, tmp_path,
                                                 capsys, monkeypatch):
         old = tmp_path / "old.cfg"

@@ -34,6 +34,21 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Config(range_max=(70.43, 40.0, 1.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("range_min", (0.0, -40.0)),
+        ("voxel_size", (0.1, 0.1)),
+        ("range_max", (70.4, 40.0, 1.0, 2.0)),
+    ])
+    def test_geometry_fields_hold_three_values(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must hold three values"):
+            Config(**{field: value})
+
+    def test_two_value_range_in_file_rejected(self, tmp_path):
+        path = tmp_path / "short.cfg"
+        path.write_text("range_min=0.0,-40.0\n")
+        with pytest.raises(ConfigError, match="range_min must hold three values"):
+            config.load(path, env={})
+
     def test_bad_class_alignment(self):
         with pytest.raises(ConfigError):
             Config(class_names=("car", "ped"))

@@ -254,7 +254,7 @@ class TestTrainingProposals:
         with pytest.raises(ValueError, match=match):
             pipeline.training_proposals(model, CFG, anchors, bev)
         with pytest.raises(ValueError, match=match):
-            rpn.extract_proposals(cls, reg, anchors)
+            rpn.extract_proposals(cls, reg, anchors, top_k=CFG.top_proposals)
 
 
 class TestTrainPkw:

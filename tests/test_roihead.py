@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pvlite import geom, nn, roihead, rpn, vsa
+from pvlite.config import Config
 from pvlite.geom import Box3D, Detection
 
 from helpers import (
@@ -28,7 +29,7 @@ class TestRoiGridPool:
         roi = Box3D(0, 0, 0, 4, 2, 1.5, 0.2)
         gm = grid_mlps(6)
         pm = pool_mlp(8)
-        [g] = roihead.roi_grid_pool([roi], np.empty((0, 3)), np.empty((0, 6)),
+        [g] = roihead.roi_grid_pool([roi], np.empty((0, 9)),
                                     (0.8, 1.6), 32, gm, pm, seeds=[0])
         assert not g.grid_features.any()
         np.testing.assert_allclose(
@@ -41,8 +42,8 @@ class TestRoiGridPool:
         feats = np.array([[1.0, 2.0]])
         gm = grid_mlps(2, seed=3)
         pm = pool_mlp(8, seed=4)
-        [g] = roihead.roi_grid_pool([roi], kp, feats, (0.8, 1.6), 32, gm, pm,
-                                    seeds=[0])
+        [g] = roihead.roi_grid_pool([roi], np.hstack([feats, kp]), (0.8, 1.6),
+                                    32, gm, pm, seeds=[0])
         # Every grid point of a unit box is within 0.8 m of the center.
         grid = geom.roi_grid_points(roi)
         d = np.linalg.norm(grid, axis=1)
@@ -60,8 +61,8 @@ class TestRoiGridPool:
         feats = np.ones((1, 3))
         gm = grid_mlps(3, seed=6)
         pm = pool_mlp(8, seed=7)
-        [g] = roihead.roi_grid_pool([roi], kp, feats, (0.8, 1.6), 32, gm, pm,
-                                    seeds=[0])
+        [g] = roihead.roi_grid_pool([roi], np.hstack([feats, kp]), (0.8, 1.6),
+                                    32, gm, pm, seeds=[0])
         grid = geom.roi_grid_points(roi)
         near = np.linalg.norm(grid - kp[0], axis=1) < 0.8
         assert near.any()
@@ -77,13 +78,13 @@ class TestRoiGridPool:
         feats = rng.normal(size=(40, 4))
         gm = grid_mlps(4, seed=31)
         pm = pool_mlp(8, seed=32)
-        [a] = roihead.roi_grid_pool([roi], kp, feats, (0.8, 1.6), 16, gm, pm,
-                                    seeds=[1])
+        [a] = roihead.roi_grid_pool([roi], np.hstack([feats, kp]), (0.8, 1.6),
+                                    16, gm, pm, seeds=[1])
         shift = np.array([7.0, -3.5, 1.25])
         roi2 = Box3D(roi.cx + shift[0], roi.cy + shift[1], roi.cz + shift[2],
                      roi.l, roi.w, roi.h, roi.theta)
-        [b] = roihead.roi_grid_pool([roi2], kp + shift, feats, (0.8, 1.6), 16,
-                                    gm, pm, seeds=[1])
+        [b] = roihead.roi_grid_pool([roi2], np.hstack([feats, kp + shift]),
+                                    (0.8, 1.6), 16, gm, pm, seeds=[1])
         np.testing.assert_allclose(b.grid_features, a.grid_features, atol=1e-9)
         np.testing.assert_allclose(b.roi_feature, a.roi_feature, atol=1e-9)
 
@@ -94,8 +95,8 @@ class TestRoiGridPool:
         feats = rng.normal(size=(30, 5))
         gm = grid_mlps(5, out=7, seed=10)
         pm = nn.init_params((216 * 14, 16, 16), seed=11)
-        [g] = roihead.roi_grid_pool([roi], kp, feats, (0.8, 1.6), 8, gm, pm,
-                                    seeds=[0])
+        [g] = roihead.roi_grid_pool([roi], np.hstack([feats, kp]), (0.8, 1.6),
+                                    8, gm, pm, seeds=[0])
         assert g.grid_features.shape == (216, 14)
         assert g.roi_feature.shape == (16,)
 
@@ -111,11 +112,12 @@ class TestRoiGridPool:
         rois = [random_box(rng, center_span=3.0) for _ in range(n - 1)]
         rois.append(Box3D(100.0, 100.0, 0.0, 2.0, 2.0, 2.0, 0.3))
         seeds = [int(s) for s in rng.integers(0, 10_000, size=n)]
-        batch = roihead.roi_grid_pool(rois, kp, feats, (0.8, 1.6), 8, gm, pm,
+        rows = np.hstack([feats, kp])
+        batch = roihead.roi_grid_pool(rois, rows, (0.8, 1.6), 8, gm, pm,
                                       seeds=seeds)
         assert len(batch) == n
         for roi, seed, got in zip(rois, seeds, batch):
-            [want] = roihead.roi_grid_pool([roi], kp, feats, (0.8, 1.6), 8,
+            [want] = roihead.roi_grid_pool([roi], rows, (0.8, 1.6), 8,
                                            gm, pm, seeds=[seed])
             assert got.roi == roi
             np.testing.assert_array_equal(got.grid_points, want.grid_points)
@@ -131,12 +133,13 @@ class TestRoiGridPool:
         feats = rng.normal(size=(200, 4))
         gm = grid_mlps(4, seed=37)
         roi = Box3D(0.2, -0.1, 0.0, 3.0, 2.0, 1.5, 0.4)
-        [g] = roihead.roi_grid_pool([roi], kp, feats, (0.8, 1.6), 8, gm,
+        rows = np.hstack([feats, kp])
+        [g] = roihead.roi_grid_pool([roi], rows, (0.8, 1.6), 8, gm,
                                     pool_mlp(8, seed=38), seeds=[40])
         want = [vsa._aggregate_branch(
                     g.grid_points,
                     radius_query_bruteforce(g.grid_points, kp, radius, 8, 40 + r),
-                    kp, feats, gm[r])
+                    rows, gm[r])
                 for r, radius in enumerate((0.8, 1.6))]
         np.testing.assert_array_equal(g.grid_features, np.concatenate(want, axis=1))
 
@@ -144,13 +147,13 @@ class TestRoiGridPool:
         gm = grid_mlps(4)
         pm = pool_mlp(8)
         kp = np.zeros((5, 3))
-        assert roihead.roi_grid_pool([], kp, np.ones((5, 4)), (0.8, 1.6), 8,
-                                     gm, pm, seeds=[]) == []
+        assert roihead.roi_grid_pool([], np.hstack([np.ones((5, 4)), kp]),
+                                     (0.8, 1.6), 8, gm, pm, seeds=[]) == []
 
     def test_one_seed_per_roi(self):
         roi = Box3D(0, 0, 0, 1, 1, 1, 0.0)
         with pytest.raises(ValueError):
-            roihead.roi_grid_pool([roi, roi], np.zeros((1, 3)), np.ones((1, 4)),
+            roihead.roi_grid_pool([roi, roi], np.ones((1, 7)),
                                   (0.8, 1.6), 8, grid_mlps(4), pool_mlp(8),
                                   seeds=[0])
 
@@ -265,7 +268,8 @@ class TestSampleProposals:
 
     def test_empty_proposals(self):
         sampled, targets = roihead.sample_proposals(
-            np.empty((0, 7)), [Box3D(0, 0, 0, 1, 1, 1, 0)], seed=0)
+            np.empty((0, 7)), [Box3D(0, 0, 0, 1, 1, 1, 0)], seed=0,
+            n_sample=Config().roi_samples)
         assert sampled.shape == (0, 7)
         assert targets.y.size == 0
 

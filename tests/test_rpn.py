@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pvlite import geom, nn, rpn
-from pvlite.config import ClassSpec
+from pvlite.config import ClassSpec, Config
 from pvlite.geom import Box3D, Detection
 
 from helpers import nms_reference, random_box
@@ -233,7 +233,8 @@ class TestExtractProposals:
     def test_shape_mismatch_raises(self):
         anchors = self._anchors()
         with pytest.raises(ValueError):
-            rpn.extract_proposals(np.zeros(3), np.zeros((3, 7)), anchors)
+            rpn.extract_proposals(np.zeros(3), np.zeros((3, 7)), anchors,
+                                  top_k=Config().top_proposals)
 
     @pytest.mark.parametrize("field, residual, message", [
         (0, np.inf, "cx must be finite"),
@@ -268,7 +269,7 @@ class TestExtractProposals:
         reg = np.zeros((len(anchors), 7))
         reg[70, 4] = np.inf
         with pytest.raises(ValueError, match="anchor 40: score"):
-            rpn.extract_proposals(cls, reg, anchors)
+            rpn.extract_proposals(cls, reg, anchors, top_k=Config().top_proposals)
 
 
 def _reference_proposals(cls, reg, anchors, top_k, nms_iou):

@@ -12,7 +12,9 @@ from pvlite.config import RAW_CAP, RAW_RADII, VSA_CAPS, VSA_RADII
 from pvlite.geom import Box3D
 from pvlite.sparsegrid import BevMap, SparseTensor
 
-from helpers import fps_bruteforce, radius_query_bruteforce
+from helpers import (
+    aggregate_branch_two_gathers, fps_bruteforce, radius_query_bruteforce,
+)
 
 
 class TestFps:
@@ -60,6 +62,15 @@ class TestFps:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             vsa.fps(np.empty((0, 3)), 1)
+
+    @pytest.mark.parametrize("n", [1, 30, 97, 250])
+    def test_matches_bruteforce_on_duplicates_and_ties(self, n):
+        # Integer points, each listed twice: many equal distances, where the
+        # lowest index wins; 250 is more than the 194 points.
+        rng = np.random.default_rng(42)
+        pts = rng.integers(-3, 4, size=(97, 3)).astype(float)
+        pts = np.concatenate([pts, pts[::-1]])
+        np.testing.assert_array_equal(vsa.fps(pts, n), fps_bruteforce(pts, n))
 
 
 def assert_same_neighbours(got, want):
@@ -210,6 +221,49 @@ class TestRadiusQuery:
         assert len(out) == 3
         assert all(o.size == 0 for o in out)
 
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_radius_pair_equals_single_radii(self, case):
+        # Entry r * M + i is query i at radii[r], drawing from [seed + r, i].
+        for q, p, radius, cap, seed in ORACLE_CASES[case]():
+            radii, m = (0.5 * radius, radius), len(q)
+            pair = vsa.radius_query(q, p, radii, cap, seed=seed)
+            assert len(pair) == 2 * m
+            for r, rad in enumerate(radii):
+                got = pair[r * m : (r + 1) * m]
+                assert_same_neighbours(got, vsa.radius_query(q, p, rad, cap, seed + r))
+                assert_same_neighbours(
+                    got, radius_query_bruteforce(q, p, rad, cap, seed + r))
+
+    def test_radius_pair_per_query_keys_capped(self):
+        # Both radii hit the cap; row i keys query i's streams [k0 + r, k1].
+        rng = np.random.default_rng(58)
+        p = rng.normal(scale=0.5, size=(600, 3))
+        q = rng.normal(scale=0.3, size=(40, 3))
+        keys = np.stack([rng.integers(0, 1000, size=40), np.arange(40)], axis=1)
+        radii = (1.0, 0.5)
+        pair = vsa.radius_query(q, p, radii, 8, seed=keys)
+        for r, rad in enumerate(radii):
+            got = pair[r * 40 : (r + 1) * 40]
+            assert sum(len(nl) == 8 for nl in got) > 20
+            assert_same_neighbours(got, vsa.radius_query(q, p, rad, 8, keys + [r, 0]))
+            assert_same_neighbours(
+                got, radius_query_bruteforce(q, p, rad, 8, keys + [r, 0]))
+
+    def test_radius_pair_non_finite_and_empty(self):
+        q = np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [50.0, 50.0, 50.0]])
+        p = np.array([[0.7, 0.0, 0.0], [0.0, np.inf, 0.0]])
+        out = vsa.radius_query(q, p, (0.5, 1.0), 4, seed=0)
+        assert [nl.tolist() for nl in out] == [[], [], [], [0], [], []]
+        for pts in (np.empty((0, 3)), np.full((2, 3), np.nan)):
+            out = vsa.radius_query(q, pts, (0.5, 1.0), 4, seed=0)
+            assert_same_neighbours(out, [np.empty(0, np.int64)] * 6)
+        out = vsa.radius_query(np.full((2, 3), np.inf), p, (0.5, 1.0), 4, seed=0)
+        assert_same_neighbours(out, [np.empty(0, np.int64)] * 4)
+
+    def test_radius_pair_rejects_non_positive(self):
+        with pytest.raises(ValueError):
+            vsa.radius_query(np.zeros((1, 3)), np.zeros((1, 3)), (0.5, 0.0), 4, 0)
+
 
 class TestSetAbstraction:
     def _mlp(self, in_width, out_width=6, seed=0):
@@ -264,26 +318,35 @@ class TestSetAbstraction:
         feats = rng.normal(size=(50, 2))
         queries = rng.normal(size=(8, 3)) * 0.5
         neigh = vsa.radius_query(queries, pts, 1.5, 16, seed=5)
-        batched = vsa._aggregate_branch(queries, neigh, pts, feats, mlp)
+        batched = vsa._aggregate_branch(queries, neigh, np.hstack([feats, pts]), mlp)
         for i in range(8):
             single = vsa.set_abstraction(queries[i], feats[neigh[i]],
                                          pts[neigh[i]], mlp)
             np.testing.assert_array_equal(batched[i], single)
 
-    def test_batched_engine_gathers_in_chunks(self, monkeypatch):
-        # Rows gathered in chunks that split queries' neighbour runs give
-        # the same outputs as one chunk, bit for bit.
+    @pytest.mark.parametrize("width", [1, 4, 611])
+    def test_one_gather_matches_two_array_oracle(self, width):
+        # One gather of [features | xyz] rows with the query subtracted in
+        # place equals gathering features and offsets apart, bit for bit,
+        # with empty neighbourhoods and a repeated neighbour included.
         rng = np.random.default_rng(63)
-        mlp = self._mlp(2 + 3, seed=4)
-        pts = rng.normal(size=(50, 3))
-        feats = rng.normal(size=(50, 2))
-        queries = rng.normal(size=(8, 3)) * 0.5
-        neigh = vsa.radius_query(queries, pts, 1.5, 16, seed=5)
-        assert sum(map(len, neigh)) > 5
-        whole = vsa._aggregate_branch(queries, neigh, pts, feats, mlp)
-        monkeypatch.setattr(vsa, "GATHER_CHUNK_ROWS", 5)
-        chunked = vsa._aggregate_branch(queries, neigh, pts, feats, mlp)
-        np.testing.assert_array_equal(chunked, whole)
+        mlp = self._mlp(width + 3, seed=4)
+        pts = rng.normal(size=(50, 3)) * 1e3
+        feats = rng.normal(size=(50, width))
+        queries = rng.normal(size=(9, 3)) * 1e3
+        neigh = vsa.radius_query(queries, pts, 1500.0, 16, seed=5)
+        neigh[3] = np.empty(0, np.int64)
+        neigh[4] = np.array([7, 7, 2])
+        assert sum(map(len, neigh)) > 16
+        np.testing.assert_array_equal(
+            vsa._aggregate_branch(queries, neigh, np.hstack([feats, pts]), mlp),
+            aggregate_branch_two_gathers(queries, neigh, pts, feats, mlp))
+
+    def test_no_neighbours_anywhere_zero(self):
+        mlp = self._mlp(2 + 3)
+        lists = [np.empty(0, np.int64)] * 4
+        out = vsa._aggregate_branch(np.zeros((4, 3)), lists, np.ones((6, 5)), mlp)
+        np.testing.assert_array_equal(out, np.zeros((4, 6)))
 
 
 def _tiny_levels(rng, widths=(4, 4, 4, 4)):
@@ -344,10 +407,11 @@ class TestVsaMultiLevel:
         raw = nn.init_params(dims, seed=9)
         mlp = nn.MlpParams(dims, raw.weights, [np.zeros(d) for d in dims[1:]])
         kp = np.array([[0.5, 0.5, 0.5]])
-        one = vsa._aggregate_branch(kp, vsa.radius_query(kp, np.array([[0.5, 0.5, 0.5]]), 0.4, 4, 0),
-                                    np.array([[0.5, 0.5, 0.5]]), t.features, mlp)
-        two = vsa._aggregate_branch(kp, vsa.radius_query(kp, np.array([[0.5, 0.5, 0.5]]), 0.4, 4, 0),
-                                    np.array([[0.5, 0.5, 0.5]]), 2.0 * t.features, mlp)
+        center = np.array([[0.5, 0.5, 0.5]])
+        neigh = vsa.radius_query(kp, center, 0.4, 4, 0)
+        one = vsa._aggregate_branch(kp, neigh, np.hstack([t.features, center]), mlp)
+        two = vsa._aggregate_branch(kp, neigh, np.hstack([2.0 * t.features, center]),
+                                    mlp)
         np.testing.assert_allclose(two, 2.0 * one, atol=1e-9)
 
     def test_joint_scaling_homogeneity(self):
@@ -365,8 +429,9 @@ class TestVsaMultiLevel:
         n2 = vsa.radius_query(kp * scale, pts * scale, 0.7 * scale, 64, seed=1)
         for a, b in zip(n1, n2):
             np.testing.assert_array_equal(a, b)
-        out1 = vsa._aggregate_branch(kp, n1, pts, feats, mlp)
-        out2 = vsa._aggregate_branch(kp * scale, n2, pts * scale, scale * feats, mlp)
+        out1 = vsa._aggregate_branch(kp, n1, np.hstack([feats, pts]), mlp)
+        out2 = vsa._aggregate_branch(kp * scale, n2,
+                                     np.hstack([scale * feats, pts * scale]), mlp)
         np.testing.assert_allclose(out2, scale * out1, rtol=1e-9)
 
 
