@@ -159,13 +159,13 @@ def check_voxelize_permutation(env):
 def check_mlp_gradients(env):
     template = nn.init_params((5, 7, 4, 1), seed=1005)
     rng = np.random.default_rng(1006)
-    x = rng.normal(size=5)
+    x = rng.normal(size=(1, 5))
 
     def f(vec):
         p = nn.params_from_vector(template, vec)
         layers = nn.mlp_layers(p, x)
-        y = layers[-1][0]
-        val = 0.5 * float(y @ y)
+        y = layers[-1]
+        val = 0.5 * float((y * y).sum())
         w_g, b_g, _ = nn.mlp_backward(p, x, layers, y)
         return val, nn.params_to_vector(nn.MlpParams(p.layer_dims, w_g, b_g,
                                                      p.out_activation))

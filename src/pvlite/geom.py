@@ -69,10 +69,6 @@ class Box3D:
         return self.l * self.w
 
     @property
-    def volume(self) -> float:
-        return self.l * self.w * self.h
-
-    @property
     def z_min(self) -> float:
         return self.cz - 0.5 * self.h
 

@@ -7,6 +7,7 @@ Parameters are immutable after init; training loops own mutable copies.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,28 +94,21 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_batch(x: np.ndarray, width: int):
+def _as_batch(x: np.ndarray, width: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if x.shape[0] != width:
-            raise ShapeError(f"input width {x.shape[0]} != expected {width}")
-        return x[None, :], True
-    if x.ndim == 2:
-        if x.shape[1] != width:
-            raise ShapeError(f"input width {x.shape[1]} != expected {width}")
-        return x, False
-    raise ShapeError(f"input must be 1-D or 2-D, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ShapeError(f"input must be (B, {width}) rows, got shape {x.shape}")
+    return x
 
 
 def mlp_layers(p: MlpParams, x: np.ndarray) -> list[np.ndarray]:
-    """Evaluate the MLP on one vector (d0,) or a batch (B, d0), keeping
-    every layer's output.
+    """Evaluate the MLP on (B, d0) rows, keeping every layer's output.
 
     Returns:
-        One (B, layer_dims[i + 1]) array per layer, B = 1 for a vector;
-        the last entry is the MLP output. mlp_backward takes this list.
+        One (B, layer_dims[i + 1]) array per layer; the last entry is the
+        MLP output. mlp_backward takes this list.
     """
-    a, _ = _as_batch(x, p.in_width)
+    a = _as_batch(x, p.in_width)
     layers = []
     last = len(p.weights) - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
@@ -131,9 +125,8 @@ def mlp_layers(p: MlpParams, x: np.ndarray) -> list[np.ndarray]:
 
 
 def mlp_forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Evaluate the MLP on one vector (d0,) or a batch (B, d0)."""
-    y = mlp_layers(p, x)[-1]
-    return y[0] if np.ndim(x) == 1 else y
+    """Evaluate the MLP on (B, d0) rows, returning (B, out_width)."""
+    return mlp_layers(p, x)[-1]
 
 
 def mlp_backward(p: MlpParams, x: np.ndarray, layers: list[np.ndarray],
@@ -142,10 +135,10 @@ def mlp_backward(p: MlpParams, x: np.ndarray, layers: list[np.ndarray],
 
     Args:
         p: parameters.
-        x: input vector (d0,) or batch (B, d0).
+        x: input rows (B, d0).
         layers: mlp_layers(p, x) from the caller's forward pass; no forward
             pass runs here.
-        upstream_grad: dLoss/dOutput, matching the forward output shape.
+        upstream_grad: dLoss/dOutput, (B, out_width).
 
     Returns:
         (weight_grads, bias_grads, input_grad) with shapes mirroring
@@ -155,7 +148,7 @@ def mlp_backward(p: MlpParams, x: np.ndarray, layers: list[np.ndarray],
         ShapeError: x, layers or upstream_grad do not have the shapes that
             p and x imply.
     """
-    xb, single = _as_batch(x, p.in_width)
+    xb = _as_batch(x, p.in_width)
     rows = xb.shape[0]
     n_layers = len(p.weights)
     if len(layers) != n_layers:
@@ -165,8 +158,6 @@ def mlp_backward(p: MlpParams, x: np.ndarray, layers: list[np.ndarray],
             raise ShapeError(f"layer {i} output shape {np.shape(a)} != "
                              f"{(rows, p.layer_dims[i + 1])}")
     up = np.asarray(upstream_grad, dtype=float)
-    if single:
-        up = up[None, :]
     if up.shape != (rows, p.out_width):
         raise ShapeError(
             f"upstream grad shape {up.shape} != {(rows, p.out_width)}"
@@ -186,8 +177,7 @@ def mlp_backward(p: MlpParams, x: np.ndarray, layers: list[np.ndarray],
         w_grads[i] = delta.T @ acts[i]
         b_grads[i] = delta.sum(axis=0)
         delta = delta @ p.weights[i]
-    input_grad = delta[0] if single else delta
-    return w_grads, b_grads, input_grad
+    return w_grads, b_grads, delta
 
 
 def grad_check(f, point: np.ndarray, eps: float = 1e-3, floor: float = 1e-8) -> float:
@@ -292,13 +282,19 @@ def load_params(fh):
         dims = tuple(int(d) for d in kv["dims"].split(","))
     except (KeyError, ValueError) as exc:
         raise ParamFileError(f"malformed header: {text!r}") from exc
+    if min(dims) <= 0:
+        raise ParamFileError(f"section {name!r}: dims={kv['dims']} must all be positive")
+    shapes = [(dout, din) for din, dout in zip(dims[:-1], dims[1:])]
+    nbytes = 8 * sum(dout * din + dout for dout, din in shapes)
+    here = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - here
+    fh.seek(here)
+    if nbytes > left:
+        raise ParamFileError(f"section {name!r}: dims={kv['dims']} needs {nbytes} "
+                             f"bytes, {left} left in the file")
     weights, biases = [], []
-    for din, dout in zip(dims[:-1], dims[1:]):
-        nbytes = (dout * din + dout) * 8
-        blob = fh.read(nbytes)
-        if len(blob) != nbytes:
-            raise ParamFileError("truncated parameter blob")
-        flat = np.frombuffer(blob, dtype="<f8")
+    for dout, din in shapes:
+        flat = np.frombuffer(fh.read((dout * din + dout) * 8), dtype="<f8")
         weights.append(flat[: dout * din].reshape(dout, din).astype(float))
         biases.append(flat[dout * din :].astype(float))
     return name, MlpParams(dims, weights, biases, out_act)

@@ -128,24 +128,22 @@ def build_model(cfg: Config, seed: int) -> ModelParams:
 
 
 def apply_param_sections(model: ModelParams, sections: dict[str, nn.MlpParams]) -> None:
-    """Replace trainable heads with loaded sections (dims must match)."""
+    """Replace trainable heads with loaded sections. Each section must have
+    the layer dims and output activation of the head it replaces."""
+    heads = {"pkw": (model, "pkw"), "refine_shared": (model.refine, "shared"),
+             "refine_confidence": (model.refine, "confidence"),
+             "refine_regression": (model.refine, "regression")}
     for name, params in sections.items():
-        if name == "pkw":
-            if params.layer_dims != model.pkw.layer_dims:
-                raise nn.ShapeError(
-                    f"pkw dims {params.layer_dims} != model {model.pkw.layer_dims}"
-                )
-            model.pkw = params
-        elif name == "refine_shared":
-            model.refine.shared = params
-        elif name == "refine_confidence":
-            model.refine.confidence = params
-        elif name == "refine_regression":
-            model.refine.regression = params
-        else:
+        if name not in heads:
             raise nn.ParamFileError(f"unknown parameter section {name!r}")
-    # Re-validate branch contracts after replacement.
-    RefineHead(model.refine.shared, model.refine.confidence, model.refine.regression)
+        owner, attr = heads[name]
+        have = getattr(owner, attr)
+        if (params.layer_dims, params.out_activation) != (have.layer_dims,
+                                                          have.out_activation):
+            raise nn.ShapeError(
+                f"{name} dims {params.layer_dims} out={params.out_activation} "
+                f"!= model {have.layer_dims} out={have.out_activation}")
+        setattr(owner, attr, params)
 
 
 def rpn_head_outputs(model: ModelParams, bev: BevMap, num_classes: int):
@@ -195,9 +193,9 @@ class PipelineResult:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def _pool_rois(model: ModelParams, keypoints: KeypointSet, rois: list[Box3D],
-               seed: int) -> list[roihead.RoiGrid]:
-    """RoI-grid pooling of every RoI; the k-th RoI draws from seed + 31 * k."""
+def _pool_rois(model: ModelParams, keypoints: KeypointSet, rois: np.ndarray,
+               seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """RoI-grid pooling of (R, 7) box rows; the k-th RoI draws from seed + 31 * k."""
     return roihead.roi_grid_pool(
         rois, keypoints.weighted_xyz, config.GRID_RADII,
         config.GRID_CAP, model.grid_mlps, model.pool_mlp,
@@ -237,13 +235,12 @@ def run_scene(
     timings["keypoints"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    grids = _pool_rois(model, keypoints, [p.box for p in proposals], seed)
-    detections = []
-    for prop, grid in zip(proposals, grids):
-        conf, _res, refined = roihead.refine(grid.roi_feature, prop.box,
-                                             model.refine)
-        detections.append(Detection(refined, conf, prop.class_id))
-    detections = roihead.final_select(detections)
+    rois = np.array([p.box.to_array() for p in proposals]).reshape(-1, 7)
+    _, roi_features = _pool_rois(model, keypoints, rois, seed)
+    conf, _, refined = roihead.refine(roi_features, rois, model.refine)
+    detections = [Detection(geom.box_from_array(refined[i]), float(conf[i]),
+                            proposals[i].class_id)
+                  for i in roihead.final_select(refined, conf)]
     timings["refine"] = time.perf_counter() - t0
     return PipelineResult(detections, proposals, keypoints, timings)
 
@@ -342,8 +339,9 @@ def build_refine_batch(
     cfg: Config, model: ModelParams, scenes: list[SceneSample],
     anchors: AnchorSet, seed: int,
 ) -> RefineBatch:
-    feats, rois, matched = [], [], []
-    ys, residuals, positives, matched_idx = [], [], [], []
+    feats, rois, matched = [np.empty((0, config.ROI_FEATURE_WIDTH))], [], []
+    parts = [RefineTargets(np.empty(0), np.empty((0, 7)), np.empty(0, dtype=bool),
+                           np.empty(0, dtype=np.int64))]
     for s_idx, scene in enumerate(scenes):
         found = _scene_keypoints(cfg, model, scene, seed + 101 * s_idx)
         if found is None:
@@ -353,23 +351,14 @@ def build_refine_batch(
             training_proposals(model, cfg, anchors, bev),
             list(scene.gt_boxes), seed + 977 * s_idx, n_sample=cfg.roi_samples,
         )
-        boxes = [geom.box_from_array(row) for row in sampled]
-        grids = _pool_rois(model, kp, boxes, seed + 7919 * s_idx)
-        feats.extend(grid.roi_feature for grid in grids)
-        rois.extend(boxes)
+        feats.append(_pool_rois(model, kp, sampled, seed + 7919 * s_idx)[1])
+        rois.extend(geom.box_from_array(row) for row in sampled)
         matched.extend(scene.gt_boxes[g] if g >= 0 else None
                        for g in targets.matched_gt)
-        ys.append(targets.y)
-        residuals.append(targets.residuals)
-        positives.append(targets.positive)
-        matched_idx.append(targets.matched_gt)
-    combined = RefineTargets(
-        np.concatenate(ys) if ys else np.empty(0),
-        np.concatenate(residuals) if residuals else np.empty((0, 7)),
-        np.concatenate(positives) if positives else np.empty(0, dtype=bool),
-        np.concatenate(matched_idx) if matched_idx else np.empty(0, dtype=np.int64),
-    )
-    features = np.stack(feats) if feats else np.empty((0, config.ROI_FEATURE_WIDTH))
+        parts.append(targets)
+    combined = RefineTargets(*(np.concatenate([getattr(t, f) for t in parts])
+                               for f in ("y", "residuals", "positive", "matched_gt")))
+    features = np.concatenate(feats)
     return RefineBatch(features, rois, combined, matched)
 
 
@@ -419,13 +408,12 @@ def matched_iou_stats(head: RefineHead, batch: RefineBatch):
         return float("nan"), float("nan")
     res = nn.mlp_forward(head.regression,
                          nn.mlp_forward(head.shared, batch.features))
-    raw, refined = [], []
-    for i in pos:
-        gt = batch.matched_boxes[i]
-        roi = batch.rois[i]
-        raw.append(geom.iou_3d(roi, gt))
-        refined_box = rpn.decode_residual(res[i], roi)
-        refined.append(geom.iou_3d(refined_box, gt))
+    rois = [batch.rois[i] for i in pos]
+    gts = [batch.matched_boxes[i] for i in pos]
+    rows = rpn.decode_residuals(res[pos], np.array([b.to_array() for b in rois]))
+    raw = [geom.iou_3d(roi, gt) for roi, gt in zip(rois, gts)]
+    refined = [geom.iou_3d(geom.box_from_array(row), gt)
+               for row, gt in zip(rows, gts)]
     return float(np.mean(raw)), float(np.mean(refined))
 
 
@@ -455,16 +443,17 @@ def bench_pooling(
     t0 = time.perf_counter()
     if strategy == "roi_grid":
         width = 2 * config.GRID_BRANCH_WIDTH
-        grids = _pool_rois(model, keypoints, [p.box for p in proposals], seed)
-        rows = [g.grid_features for g in grids]
+        rois = np.array([p.box.to_array() for p in proposals]).reshape(-1, 7)
+        grid_features, _ = _pool_rois(model, keypoints, rois, seed)
+        rows = grid_features.reshape(-1, width)
     elif strategy == "average_pool":
         width = keypoints.feature_width
-        rows = [roihead.average_pool_roi(p.box, keypoints.positions,
-                                         keypoints.weighted)[None] for p in proposals]
+        rows = np.array([roihead.average_pool_roi(p.box, keypoints.positions,
+                                                  keypoints.weighted)
+                         for p in proposals]).reshape(-1, width)
     else:
         raise ValueError(f"unknown pooling strategy {strategy!r}")
     wall = time.perf_counter() - t0
-    nonzero = sum(int((r != 0.0).any(axis=1).sum()) for r in rows)
-    total = sum(len(r) for r in rows)
-    frac = nonzero / total if total else 0.0
+    nonzero = int((rows != 0.0).any(axis=1).sum())
+    frac = nonzero / len(rows) if len(rows) else 0.0
     return BenchReport(strategy, len(proposals), wall, frac, width)

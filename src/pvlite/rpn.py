@@ -125,17 +125,6 @@ def decode_residuals(residual: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode_residual(gt: Box3D, anchor: Box3D) -> np.ndarray:
-    """Residual 7-vector of one ground-truth box against one anchor."""
-    return encode_residuals(gt.to_array()[None], anchor.to_array()[None])[0]
-
-
-def decode_residual(residual: np.ndarray, anchor: Box3D) -> Box3D:
-    """Box obtained by applying a residual 7-vector to an anchor."""
-    row = decode_residuals(np.asarray(residual)[None], anchor.to_array()[None])[0]
-    return geom.box_from_array(row)
-
-
 # ---------------------------------------------------------------------------
 # Target assignment
 # ---------------------------------------------------------------------------
@@ -150,10 +139,6 @@ class RpnTargets:
     labels: np.ndarray  # (A,) in {POSITIVE, NEGATIVE, IGNORE}
     residuals: np.ndarray  # (A, 7), valid rows only where positive
     matched_gt: np.ndarray  # (A,) gt index, -1 where unmatched
-
-    @property
-    def num_positive(self) -> int:
-        return int((self.labels == POSITIVE).sum())
 
 
 def _pairwise_bev_iou(anchors: np.ndarray, gt: Box3D) -> np.ndarray:

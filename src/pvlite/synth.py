@@ -9,6 +9,7 @@ parameters are stored in float32 so scene files round-trip byte-exactly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,15 +245,18 @@ def load_scene(path) -> SceneSample:
             except (KeyError, ValueError) as exc:
                 raise SceneFileError(f"malformed scene header: {text!r}") from exc
 
-            blob = fh.read(n_points * 16)
-            if len(blob) != n_points * 16:
-                raise SceneFileError("truncated point records")
-            points = np.frombuffer(blob, dtype="<f4").reshape(n_points, 4)
+            left = os.path.getsize(path) - fh.tell()
+            for field, count, size in (("points", n_points, 16), ("boxes", n_boxes, 32)):
+                if count < 0:
+                    raise SceneFileError(f"{field}={count} is negative")
+                if count * size > left:
+                    raise SceneFileError(f"{field}={count} needs {count * size} "
+                                         f"bytes, {left} left in the file")
+                left -= count * size
+            points = np.frombuffer(fh.read(n_points * 16), dtype="<f4").reshape(n_points, 4)
             boxes, classes = [], []
             for _ in range(n_boxes):
                 rec = fh.read(7 * 4 + 4)
-                if len(rec) != 32:
-                    raise SceneFileError("truncated box record")
                 vals = np.frombuffer(rec[:28], dtype="<f4")
                 cls = int(np.frombuffer(rec[28:], dtype="<i4")[0])
                 boxes.append(geom.box_from_array(vals))

@@ -57,7 +57,7 @@ def fps(points: np.ndarray, n: int) -> np.ndarray:
     return sel[reps]
 
 
-# Most candidate (query, point) pairs radius_query holds at once (~6 MB).
+# Most (query, point) pairs and query-cell keys radius_query holds at once.
 QUERY_CHUNK_PAIRS = 60_000
 
 
@@ -108,54 +108,66 @@ def radius_query(
     scale = max(np.abs(p[ok_p]).max(), np.abs(q[ok_q]).max())
     width = radii.max() * (1.0 + 1e-9) + 1e-12 * scale
     pcell = np.floor(p[ok_p] / width).astype(np.int64)
-    qcell = np.floor(q[ok_q] / width).astype(np.int64)
     # Keys of a cell and of the 27 around each query: mixed radix of per-axis
     # ranks among occupied coordinates, below (N + 1)**3 however far apart
     # the points are. A coordinate no point has ranks vals.size: no match.
+    vals = [np.unique(pcell[:, a]) for a in range(3)]
     pkey = np.zeros(ok_p.size, dtype=np.int64)
-    qkey = np.zeros((ok_q.size, 1), dtype=np.int64)
     for a in range(3):
-        vals = np.unique(pcell[:, a])
-        near = qcell[:, a, None] + np.arange(-1, 2)
-        rank = np.searchsorted(vals, near)
-        rank[vals[np.minimum(rank, vals.size - 1)] != near] = vals.size
-        radix = vals.size + 1
-        pkey = pkey * radix + np.searchsorted(vals, pcell[:, a])
-        qkey = (qkey[:, :, None] * radix + rank[:, None]).reshape(ok_q.size, -1)
+        pkey = pkey * (vals[a].size + 1) + np.searchsorted(vals[a], pcell[:, a])
     order = np.argsort(pkey, kind="stable")
     point_of, pkey = ok_p[order], pkey[order]
-    lo = np.searchsorted(pkey, qkey)
-    run = np.searchsorted(pkey, qkey, side="right") - lo
-    cand = run.sum(axis=1)
-    bound = np.concatenate([[0], np.cumsum(cand)])
-    pairs, s = [[] for _ in radii], 0  # per radius: query * n + point, sorted
-    while s < ok_q.size:  # chunks of at most QUERY_CHUNK_PAIRS candidates
-        e = np.searchsorted(bound, bound[s] + QUERY_CHUNK_PAIRS, side="right")
-        e = max(int(e) - 1, s + 1)
-        lens = run[s:e].ravel()
-        pos = np.repeat(lo[s:e].ravel() - np.cumsum(lens) + lens, lens)
-        pidx = point_of[pos + np.arange(pos.size)]
-        qidx = np.repeat(ok_q[s:e], cand[s:e])
-        d2 = ((p[pidx] - q[qidx]) ** 2).sum(axis=1)
-        for part, radius in zip(pairs, radii):
-            keep = d2 < radius * radius
-            part.append(np.sort(qidx[keep] * n + pidx[keep]))
-        s = e
+    # Contiguous x, y, z rows: (dx² + dy²) + dz² in place, as in fps.
+    pc, qc = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
+    flats = [[np.empty(0, dtype=np.int64)] for _ in radii]  # capped, query order
+    lens = np.zeros((radii.size, m), dtype=np.int64)
+    step = QUERY_CHUNK_PAIRS // 27  # queries whose 27 cell keys are held at once
+    for b in range(0, ok_q.size, step):
+        qb = ok_q[b : b + step]
+        qcell = np.floor(q[qb] / width).astype(np.int64)
+        qkey = np.zeros((qb.size, 1), dtype=np.int64)
+        for a in range(3):
+            near = qcell[:, a, None] + np.arange(-1, 2)
+            rank = np.searchsorted(vals[a], near)
+            rank[vals[a][np.minimum(rank, vals[a].size - 1)] != near] = vals[a].size
+            qkey = (qkey[:, :, None] * (vals[a].size + 1)
+                    + rank[:, None]).reshape(qb.size, -1)
+        lo = np.searchsorted(pkey, qkey)
+        run = np.searchsorted(pkey, qkey, side="right") - lo
+        cand = run.sum(axis=1)
+        bound = np.concatenate([[0], np.cumsum(cand)])
+        s = 0
+        while s < qb.size:  # chunks of at most QUERY_CHUNK_PAIRS candidates
+            e = np.searchsorted(bound, bound[s] + QUERY_CHUNK_PAIRS, side="right")
+            e = max(int(e) - 1, s + 1)
+            counts = run[s:e].ravel()
+            pos = np.repeat(lo[s:e].ravel() - np.cumsum(counts) + counts, counts)
+            pidx = point_of[pos + np.arange(pos.size)]
+            qidx = np.repeat(qb[s:e], cand[s:e])
+            d = pc.take(pidx, axis=1)
+            d -= qc.take(qidx, axis=1)
+            d *= d
+            d2 = d[0] + d[1]
+            d2 += d[2]
+            for r, radius in enumerate(radii):
+                keep = d2 < radius * radius
+                part = np.sort(qidx[keep] * n + pidx[keep])  # query * n + point
+                first = np.searchsorted(part, qb[s:e] * n)
+                found = np.diff(np.append(first, part.size))
+                kept = np.ones(part.size, dtype=bool)  # False where a cap drops a pair
+                for j in np.flatnonzero(found > cap):
+                    qi = qb[s + j]
+                    key = np.add(seed[qi], (r, 0)) if per_query else (seed + r, qi)
+                    rng = np.random.default_rng([int(k) for k in key])
+                    kept[first[j] : first[j] + found[j]] = False
+                    kept[first[j] + rng.choice(found[j], size=cap, replace=False)] = True
+                flats[r].append(part[kept] % n)
+                lens[r, qb[s:e]] = np.minimum(found, cap)
+            s = e
     out = []
-    for r, part in enumerate(pairs):
-        part = np.concatenate(part)
-        offsets = np.searchsorted(part // n, np.arange(m + 1))
-        keep = np.ones(part.size, dtype=bool)  # False where a cap drops a pair
-        for qi in np.flatnonzero(np.diff(offsets) > cap):
-            key = np.add(seed[qi], (r, 0)) if per_query else (seed + r, qi)
-            rng = np.random.default_rng([int(k) for k in key])
-            a, b = offsets[qi], offsets[qi + 1]
-            keep[a:b] = False
-            keep[a + rng.choice(b - a, size=cap, replace=False)] = True
-        # Compacted, so that the lists, views of flat, pin no dropped pair.
-        flat = part[keep] % n
-        offsets = np.concatenate([[0], np.cumsum(np.minimum(np.diff(offsets), cap))])
-        out += [flat[a:b] for a, b in zip(offsets[:-1], offsets[1:])]
+    for flat, size in zip(flats, lens):  # views of one array per radius
+        flat, ends = np.concatenate(flat), np.cumsum(size)
+        out += [flat[a:b] for a, b in zip(ends - size, ends)]
     return out
 
 

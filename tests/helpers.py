@@ -82,7 +82,7 @@ def mc_volume_iou(a: Box3D, b: Box3D, n_samples: int = 200_000, seed: int = 0) -
 
     vol = float(np.prod(hi - lo))
     inter = (inside(a) & inside(b)).mean() * vol
-    union = a.volume + b.volume - inter
+    union = a.l * a.w * a.h + b.l * b.w * b.h - inter
     return float(inter / union) if union > 0 else 0.0
 
 

@@ -249,14 +249,9 @@ def test_06_residual_codec_roundtrip():
     targets = rpn.assign_targets(anchor_set, gt_boxes)
     pos = np.flatnonzero(targets.labels == rpn.POSITIVE)
     assert pos.size > 0
-    worst_assign = 0.0
-    for i in pos:
-        decoded = rpn.decode_residual(targets.residuals[i], anchor_set.box(i))
-        matched = gt_boxes[targets.matched_gt[i]]
-        worst_assign = max(
-            worst_assign,
-            float(np.abs(decoded.to_array() - matched.to_array()).max()),
-        )
+    decoded = rpn.decode_residuals(targets.residuals[pos], anchor_set.boxes[pos])
+    matched = np.array([gt_boxes[g].to_array() for g in targets.matched_gt[pos]])
+    worst_assign = float(np.abs(decoded - matched).max())
     assert worst_assign < 1e-6, f"assign-then-decode error {worst_assign:.2e}"
     report(6, f"1e4 round trips <= {err:.1e}; assign-then-decode <= "
               f"{worst_assign:.1e} over {pos.size} positives")

@@ -349,3 +349,58 @@ class TestInputErrors:
                        "--out", str(tmp_path / "d"), "--params", str(params)])
         assert rc == 1
         assert f"{params}: pkw dims" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, dims, out", [
+        ("refine_shared", (10, 256, 256), "identity"),
+        ("refine_confidence", (64, 1), "sigmoid"),
+        ("refine_regression", (256, 7), "sigmoid"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["run", "--out", "{tmp}/d"],
+        ["train-heads", "--which", "refine", "--iters", "1", "--out", "{tmp}/p"],
+    ], ids=["run", "train-heads"])
+    def test_mismatched_refine_section_names_file_and_section(
+            self, cfg_path, scene_dir, tmp_path, capsys, section, dims, out,
+            command):
+        params = tmp_path / "refine.params"
+        with open(params, "wb") as fh:
+            nn.save_params(nn.init_params(dims, seed=0, out_activation=out), fh,
+                           name=section)
+        rc = cli.main([command[0], "--config", cfg_path, "--scenes",
+                       str(scene_dir), "--params", str(params),
+                       *(a.format(tmp=tmp_path) for a in command[1:])])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"error: {params}: {section} dims {dims}" in err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("header, field", [
+        (b"PVMLP1 name=pkw out=sigmoid dims=100000000,100000000\n", "dims"),
+        (b"PVMLP1 name=pkw out=sigmoid dims=0,1\n", "dims"),
+    ])
+    def test_param_header_beyond_file_exits_1(self, cfg_path, scene_dir,
+                                              tmp_path, capsys, header, field):
+        params = tmp_path / "big.params"
+        params.write_bytes(header + bytes(16))
+        rc = cli.main(["run", "--config", cfg_path, "--scenes", str(scene_dir),
+                       "--out", str(tmp_path / "d"), "--params", str(params)])
+        assert rc == 1
+        assert f"error: {params}: section 'pkw': {field}=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count, message", [
+        ("points=1000000000000", "points=1000000000000 needs 16000000000000 bytes"),
+        ("points=-3", "points=-3 is negative"),
+    ])
+    def test_scene_header_beyond_file_exits_1(self, desk7, tmp_path, capsys,
+                                              count, message):
+        cfg_file, scene = desk7
+        path = tmp_path / "scene_7.pvscn"
+        synth.save_scene(scene, path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        fields = [count.encode() if f.startswith(b"points=") else f
+                  for f in header.split()]
+        path.write_bytes(b" ".join(fields) + b"\n" + body[:40])
+        rc = cli.main(["run", "--config", cfg_file, "--scenes", str(path),
+                       "--out", str(tmp_path / "d"), "--seed", "7"])
+        assert rc == 1
+        assert f"error: {path}: {message}" in capsys.readouterr().err

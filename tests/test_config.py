@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -222,37 +223,41 @@ def test_every_field_is_varied():
     assert [f.name for f in dataclasses.fields(Config) if f.name not in varied] == []
 
 
-def _names(node) -> set[str]:
-    """Identifiers a syntax tree names: variables, attributes, imported
-    names, and string constants (for lookups by name, as bench/tracer.py
-    makes)."""
-    out = set()
+def _names(node) -> Counter:
+    """Identifiers a syntax tree names, with their counts: variables,
+    attributes, imported names, and string constants (for lookups by name,
+    as bench/tracer.py makes)."""
+    out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            out[n.id] += 1
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            out[n.attr] += 1
         elif isinstance(n, ast.alias):
-            out.add(n.name.rsplit(".", 1)[-1])
+            out[n.name.rsplit(".", 1)[-1]] += 1
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            out.add(n.value)
+            out[n.value] += 1
     return out
 
 
 def test_every_definition_is_used():
-    """Every top-level function and class in src/pvlite is named somewhere
-    in src/pvlite outside its own body, in bench/ or in
+    """Every top-level function and class in src/pvlite, and every method
+    and property of those classes other than dunder methods, is named
+    somewhere in src/pvlite outside its own body, in bench/ or in
     tests/test_acceptance.py. A definition only the unit tests name is code
     no command, benchmark or acceptance criterion runs."""
-    named = set()
+    named = Counter()
     for path in [*(TESTS.parent / "bench").rglob("*.py"), TESTS / "test_acceptance.py"]:
-        named |= _names(ast.parse(path.read_text(encoding="utf-8")))
+        named += _names(ast.parse(path.read_text(encoding="utf-8")))
     defined = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named += _names(tree)
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append(f"{path.stem}.{node.name}")
-                named |= _names(node) - {node.name}
-            else:
-                named |= _names(node)
-    assert [d for d in defined if d.split(".")[1] not in named] == []
+                defined.append((f"{path.stem}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{path.stem}.{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+    assert [qual for qual, node in defined
+            if named[node.name] <= _names(node)[node.name]] == []

@@ -17,7 +17,7 @@ def loss_over_params(template, x, target):
     def f(vec):
         p = nn.params_from_vector(template, vec)
         layers = nn.mlp_layers(p, x)
-        diff = layers[-1][0] - target
+        diff = layers[-1] - target
         val = 0.5 * float((diff * diff).sum())
         w_g, b_g, _ = nn.mlp_backward(p, x, layers, diff)
         grad = nn.params_to_vector(
@@ -31,11 +31,12 @@ def loss_over_params(template, x, target):
 class TestForward:
     def test_zero_net(self):
         p = zero_params((3, 4, 2))
-        np.testing.assert_array_equal(nn.mlp_forward(p, np.ones(3)), np.zeros(2))
+        np.testing.assert_array_equal(nn.mlp_forward(p, np.ones((1, 3))),
+                                      np.zeros((1, 2)))
 
     def test_identity_linear_layer(self):
         p = nn.MlpParams((4, 4), [np.eye(4)], [np.zeros(4)])
-        x = np.array([1.0, -2.0, 3.0, 0.5])
+        x = np.array([[1.0, -2.0, 3.0, 0.5]])
         np.testing.assert_array_equal(nn.mlp_forward(p, x), x)
 
     def test_matches_straightline_evaluation(self):
@@ -54,25 +55,31 @@ class TestForward:
         h = np.maximum(x @ p.weights[0].T + p.biases[0], 0.0)
         np.testing.assert_allclose(layers[0], h, atol=1e-9)
         np.testing.assert_array_equal(layers[-1], nn.mlp_forward(p, x))
-        single = nn.mlp_layers(p, x[0])
+        single = nn.mlp_layers(p, x[:1])
         assert [a.shape for a in single] == [(1, 7), (1, 3)]
-        np.testing.assert_array_equal(single[-1][0], nn.mlp_forward(p, x[0]))
+        np.testing.assert_array_equal(single[-1], nn.mlp_forward(p, x[:1]))
 
     def test_sigmoid_output(self):
         p = zero_params((3, 1), out_activation="sigmoid")
-        assert nn.mlp_forward(p, np.zeros(3))[0] == pytest.approx(0.5)
+        assert nn.mlp_forward(p, np.zeros((1, 3)))[0, 0] == pytest.approx(0.5)
 
     def test_width_mismatch_raises(self):
         p = nn.init_params((3, 2), seed=0)
         with pytest.raises(nn.ShapeError):
-            nn.mlp_forward(p, np.zeros(4))
+            nn.mlp_forward(p, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 3)])
+    def test_input_must_be_rows(self, shape):
+        p = nn.init_params((3, 2), seed=0)
+        with pytest.raises(nn.ShapeError):
+            nn.mlp_forward(p, np.zeros(shape))
 
     def test_positive_homogeneity_bias_free(self):
         dims = (4, 6, 6, 2)
         p = nn.init_params(dims, seed=3)
         p = nn.MlpParams(dims, p.weights, [np.zeros(d) for d in dims[1:]])
         rng = np.random.default_rng(4)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         for a in (0.5, 2.0, 7.25):
             np.testing.assert_allclose(
                 nn.mlp_forward(p, a * x), a * nn.mlp_forward(p, x), atol=1e-9
@@ -82,14 +89,14 @@ class TestForward:
 class TestBackward:
     def test_dead_network_zero_input_grad(self):
         p = zero_params((3, 4, 2))
-        x = np.ones(3)
-        _, _, gx = nn.mlp_backward(p, x, nn.mlp_layers(p, x), np.ones(2))
-        np.testing.assert_array_equal(gx, np.zeros(3))
+        x = np.ones((1, 3))
+        _, _, gx = nn.mlp_backward(p, x, nn.mlp_layers(p, x), np.ones((1, 2)))
+        np.testing.assert_array_equal(gx, np.zeros((1, 3)))
 
     def test_identity_layer_passes_upstream(self):
         p = nn.MlpParams((3, 3), [np.eye(3)], [np.zeros(3)])
-        up = np.array([1.0, -2.0, 0.5])
-        x = np.zeros(3)
+        up = np.array([[1.0, -2.0, 0.5]])
+        x = np.zeros((1, 3))
         _, _, gx = nn.mlp_backward(p, x, nn.mlp_layers(p, x), up)
         np.testing.assert_array_equal(gx, up)
 
@@ -97,8 +104,8 @@ class TestBackward:
     def test_matches_finite_differences(self, out_act):
         template = nn.init_params((4, 6, 5, 2), seed=7, out_activation=out_act)
         rng = np.random.default_rng(8)
-        x = rng.normal(size=4)
-        target = rng.normal(size=2) * 0.2 + 0.4
+        x = rng.normal(size=(1, 4))
+        target = rng.normal(size=(1, 2)) * 0.2 + 0.4
         f = loss_over_params(template, x, target)
         err = nn.grad_check(f, nn.params_to_vector(template))
         assert err < 1e-4
@@ -124,9 +131,9 @@ class TestBackward:
         x0 = rng.normal(size=5)
 
         def f(x):
-            layers = nn.mlp_layers(p, x)
-            _, _, gx = nn.mlp_backward(p, x, layers, np.ones(1))
-            return float(layers[-1][0, 0]), gx
+            layers = nn.mlp_layers(p, x[None])
+            _, _, gx = nn.mlp_backward(p, x[None], layers, np.ones((1, 1)))
+            return float(layers[-1][0, 0]), gx[0]
 
         assert nn.grad_check(f, x0) < 1e-4
 
@@ -216,6 +223,17 @@ class TestParamFiles:
         nn.save_params(p, buf)
         data = buf.getvalue()[:-8]
         with pytest.raises(nn.ParamFileError):
+            nn.load_params(io.BytesIO(data))
+
+    @pytest.mark.parametrize("dims, message", [
+        ("100000000,100000000", "needs 80000000800000000 bytes, 16 left"),
+        ("0,3", "must all be positive"),
+        ("4,-2", "must all be positive"),
+    ])
+    def test_header_dims_checked_against_file(self, dims, message):
+        data = f"PVMLP1 name=big out=identity dims={dims}\n".encode() + bytes(16)
+        with pytest.raises(nn.ParamFileError,
+                           match=f"section 'big': dims={dims} {message}"):
             nn.load_params(io.BytesIO(data))
 
     def test_bad_magic_raises(self):

@@ -156,6 +156,19 @@ class TestParamSections:
             pipeline.apply_param_sections(pipeline.build_model(CFG, seed=3),
                                           {"pkw": bad})
 
+    @pytest.mark.parametrize("section, dims, out", [
+        ("refine_shared", (10, 256, 256), "identity"),
+        ("refine_confidence", (64, 1), "sigmoid"),
+        ("refine_regression", (256, 7), "sigmoid"),
+        ("pkw", None, "identity"),
+    ])
+    def test_section_must_match_head(self, model, section, dims, out):
+        target = pipeline.build_model(CFG, seed=3)
+        dims = dims or target.pkw.layer_dims
+        with pytest.raises(nn.ShapeError, match=f"{section} dims"):
+            pipeline.apply_param_sections(
+                target, {section: nn.init_params(dims, seed=0, out_activation=out)})
+
     def test_unknown_section_rejected(self, model):
         with pytest.raises(nn.ParamFileError):
             pipeline.apply_param_sections(

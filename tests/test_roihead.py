@@ -24,16 +24,20 @@ def pool_mlp(grid_width, out=16, seed=5):
     return nn.init_params((216 * grid_width, out, out), seed=seed)
 
 
+def rows(*boxes):
+    return np.array([b.to_array() for b in boxes]).reshape(-1, 7)
+
+
 class TestRoiGridPool:
     def test_no_keypoints_pooled_is_mlp_of_zero(self):
         roi = Box3D(0, 0, 0, 4, 2, 1.5, 0.2)
         gm = grid_mlps(6)
         pm = pool_mlp(8)
-        [g] = roihead.roi_grid_pool([roi], np.empty((0, 9)),
-                                    (0.8, 1.6), 32, gm, pm, seeds=[0])
-        assert not g.grid_features.any()
+        grid_features, roi_features = roihead.roi_grid_pool(
+            rows(roi), np.empty((0, 9)), (0.8, 1.6), 32, gm, pm, seeds=[0])
+        assert not grid_features.any()
         np.testing.assert_allclose(
-            g.roi_feature, nn.mlp_forward(pm, np.zeros(216 * 8)), atol=1e-12
+            roi_features, nn.mlp_forward(pm, np.zeros((1, 216 * 8))), atol=1e-12
         )
 
     def test_single_keypoint_reaches_near_grid_points(self):
@@ -42,17 +46,17 @@ class TestRoiGridPool:
         feats = np.array([[1.0, 2.0]])
         gm = grid_mlps(2, seed=3)
         pm = pool_mlp(8, seed=4)
-        [g] = roihead.roi_grid_pool([roi], np.hstack([feats, kp]), (0.8, 1.6),
-                                    32, gm, pm, seeds=[0])
+        [g], _ = roihead.roi_grid_pool(rows(roi), np.hstack([feats, kp]),
+                                       (0.8, 1.6), 32, gm, pm, seeds=[0])
         # Every grid point of a unit box is within 0.8 m of the center.
         grid = geom.roi_grid_points(roi)
         d = np.linalg.norm(grid, axis=1)
         assert (d < 0.8).all()
-        assert (g.grid_features != 0).any(axis=1).all()
+        assert (g != 0).any(axis=1).all()
         # Each grid point aggregates exactly that keypoint.
         for i in range(216):
-            expect_a = nn.mlp_forward(gm[0], np.concatenate([feats[0], -grid[i]]))
-            np.testing.assert_allclose(g.grid_features[i, :4], expect_a, atol=1e-12)
+            expect_a = nn.mlp_forward(gm[0], np.concatenate([feats[0], -grid[i]])[None])
+            np.testing.assert_allclose(g[i, :4], expect_a[0], atol=1e-12)
 
     def test_keypoint_beyond_boundary_contributes(self):
         # Keypoint 0.5 m outside a face still reaches boundary grid points.
@@ -61,12 +65,12 @@ class TestRoiGridPool:
         feats = np.ones((1, 3))
         gm = grid_mlps(3, seed=6)
         pm = pool_mlp(8, seed=7)
-        [g] = roihead.roi_grid_pool([roi], np.hstack([feats, kp]), (0.8, 1.6),
-                                    32, gm, pm, seeds=[0])
+        [g], _ = roihead.roi_grid_pool(rows(roi), np.hstack([feats, kp]),
+                                       (0.8, 1.6), 32, gm, pm, seeds=[0])
         grid = geom.roi_grid_points(roi)
         near = np.linalg.norm(grid - kp[0], axis=1) < 0.8
         assert near.any()
-        assert (g.grid_features[near] != 0).any(axis=1).all()
+        assert (g[near] != 0).any(axis=1).all()
         assert not geom.points_in_box(kp, roi).any()
 
     def test_translation_invariance(self):
@@ -78,15 +82,15 @@ class TestRoiGridPool:
         feats = rng.normal(size=(40, 4))
         gm = grid_mlps(4, seed=31)
         pm = pool_mlp(8, seed=32)
-        [a] = roihead.roi_grid_pool([roi], np.hstack([feats, kp]), (0.8, 1.6),
-                                    16, gm, pm, seeds=[1])
+        a = roihead.roi_grid_pool(rows(roi), np.hstack([feats, kp]), (0.8, 1.6),
+                                  16, gm, pm, seeds=[1])
         shift = np.array([7.0, -3.5, 1.25])
         roi2 = Box3D(roi.cx + shift[0], roi.cy + shift[1], roi.cz + shift[2],
                      roi.l, roi.w, roi.h, roi.theta)
-        [b] = roihead.roi_grid_pool([roi2], np.hstack([feats, kp + shift]),
-                                    (0.8, 1.6), 16, gm, pm, seeds=[1])
-        np.testing.assert_allclose(b.grid_features, a.grid_features, atol=1e-9)
-        np.testing.assert_allclose(b.roi_feature, a.roi_feature, atol=1e-9)
+        b = roihead.roi_grid_pool(rows(roi2), np.hstack([feats, kp + shift]),
+                                  (0.8, 1.6), 16, gm, pm, seeds=[1])
+        np.testing.assert_allclose(b[0], a[0], atol=1e-9)
+        np.testing.assert_allclose(b[1], a[1], atol=1e-9)
 
     def test_grid_feature_width(self):
         roi = random_box(np.random.default_rng(8))
@@ -95,35 +99,34 @@ class TestRoiGridPool:
         feats = rng.normal(size=(30, 5))
         gm = grid_mlps(5, out=7, seed=10)
         pm = nn.init_params((216 * 14, 16, 16), seed=11)
-        [g] = roihead.roi_grid_pool([roi], np.hstack([feats, kp]), (0.8, 1.6),
-                                    8, gm, pm, seeds=[0])
-        assert g.grid_features.shape == (216, 14)
-        assert g.roi_feature.shape == (16,)
+        grid_features, roi_features = roihead.roi_grid_pool(
+            rows(roi), np.hstack([feats, kp]), (0.8, 1.6), 8, gm, pm, seeds=[0])
+        assert grid_features.shape == (1, 216, 14)
+        assert roi_features.shape == (1, 16)
 
     def test_batch_equals_single_roi_calls(self):
-        # More RoIs than one block, with a small cap so that subsampling
-        # runs; the last RoI is far from every keypoint.
+        # 35 RoIs in one call, with a small cap so that subsampling runs;
+        # the last RoI is far from every keypoint.
         rng = np.random.default_rng(33)
         kp = rng.uniform(-4, 4, size=(300, 3))
         feats = rng.normal(size=(300, 4))
         gm = grid_mlps(4, seed=34)
         pm = pool_mlp(8, seed=35)
-        n = 2 * roihead.ROI_BLOCK + 3
+        n = 35
         rois = [random_box(rng, center_span=3.0) for _ in range(n - 1)]
         rois.append(Box3D(100.0, 100.0, 0.0, 2.0, 2.0, 2.0, 0.3))
         seeds = [int(s) for s in rng.integers(0, 10_000, size=n)]
-        rows = np.hstack([feats, kp])
-        batch = roihead.roi_grid_pool(rois, rows, (0.8, 1.6), 8, gm, pm,
-                                      seeds=seeds)
-        assert len(batch) == n
-        for roi, seed, got in zip(rois, seeds, batch):
-            [want] = roihead.roi_grid_pool([roi], rows, (0.8, 1.6), 8,
-                                           gm, pm, seeds=[seed])
-            assert got.roi == roi
-            np.testing.assert_array_equal(got.grid_points, want.grid_points)
-            np.testing.assert_array_equal(got.grid_features, want.grid_features)
-            np.testing.assert_array_equal(got.roi_feature, want.roi_feature)
-        assert not batch[-1].grid_features.any()
+        points = np.hstack([feats, kp])
+        grid_features, roi_features = roihead.roi_grid_pool(
+            rows(*rois), points, (0.8, 1.6), 8, gm, pm, seeds=seeds)
+        assert grid_features.shape == (n, 216, 8)
+        assert roi_features.shape == (n, 16)
+        for i, (roi, seed) in enumerate(zip(rois, seeds)):
+            want = roihead.roi_grid_pool(rows(roi), points, (0.8, 1.6), 8,
+                                         gm, pm, seeds=[seed])
+            np.testing.assert_array_equal(grid_features[i], want[0][0])
+            np.testing.assert_array_equal(roi_features[i], want[1][0])
+        assert not grid_features[-1].any()
 
     def test_radius_streams_follow_seed(self):
         # Grid point j at radius index r subsamples from the stream
@@ -133,27 +136,30 @@ class TestRoiGridPool:
         feats = rng.normal(size=(200, 4))
         gm = grid_mlps(4, seed=37)
         roi = Box3D(0.2, -0.1, 0.0, 3.0, 2.0, 1.5, 0.4)
-        rows = np.hstack([feats, kp])
-        [g] = roihead.roi_grid_pool([roi], rows, (0.8, 1.6), 8, gm,
-                                    pool_mlp(8, seed=38), seeds=[40])
+        points = np.hstack([feats, kp])
+        [g], _ = roihead.roi_grid_pool(rows(roi), points, (0.8, 1.6), 8, gm,
+                                       pool_mlp(8, seed=38), seeds=[40])
+        grid = geom.roi_grid_points(roi)
         want = [vsa._aggregate_branch(
-                    g.grid_points,
-                    radius_query_bruteforce(g.grid_points, kp, radius, 8, 40 + r),
-                    rows, gm[r])
+                    grid, radius_query_bruteforce(grid, kp, radius, 8, 40 + r),
+                    points, gm[r])
                 for r, radius in enumerate((0.8, 1.6))]
-        np.testing.assert_array_equal(g.grid_features, np.concatenate(want, axis=1))
+        np.testing.assert_array_equal(g, np.concatenate(want, axis=1))
 
     def test_empty_roi_list(self):
         gm = grid_mlps(4)
         pm = pool_mlp(8)
         kp = np.zeros((5, 3))
-        assert roihead.roi_grid_pool([], np.hstack([np.ones((5, 4)), kp]),
-                                     (0.8, 1.6), 8, gm, pm, seeds=[]) == []
+        grid_features, roi_features = roihead.roi_grid_pool(
+            np.empty((0, 7)), np.hstack([np.ones((5, 4)), kp]), (0.8, 1.6), 8,
+            gm, pm, seeds=[])
+        assert grid_features.shape == (0, 216, 8)
+        assert roi_features.shape == (0, 16)
 
     def test_one_seed_per_roi(self):
         roi = Box3D(0, 0, 0, 1, 1, 1, 0.0)
         with pytest.raises(ValueError):
-            roihead.roi_grid_pool([roi, roi], np.ones((1, 7)),
+            roihead.roi_grid_pool(rows(roi, roi), np.ones((1, 7)),
                                   (0.8, 1.6), 8, grid_mlps(4), pool_mlp(8),
                                   seeds=[0])
 
@@ -279,8 +285,8 @@ class TestSampleProposals:
         assert geom.iou_3d(prop, gt) > 0.55
         sampled, targets = roihead.sample_proposals(prop.to_array()[None], [gt],
                                                     seed=3, n_sample=2)
-        back = rpn.decode_residual(targets.residuals[0], prop)
-        np.testing.assert_allclose(back.to_array(), gt.to_array(), atol=1e-9)
+        back = rpn.decode_residuals(targets.residuals[:1], rows(prop))
+        np.testing.assert_allclose(back[0], gt.to_array(), atol=1e-9)
 
     def test_sampled_rows_are_input_rows_positives_first(self):
         gts = [Box3D(i * 10.0, 0, 0, 4, 2, 1.5, 0.0) for i in range(8)]
@@ -301,8 +307,8 @@ class TestSampleProposals:
         monkeypatch.setattr(geom, "box_from_array",
                             lambda r: built.append(float(r[0])) or real(r))
         roihead.sample_proposals(props, gts, seed=2, n_sample=8)
-        # The one row on the gt: once for its IoU, once for its residual.
-        assert built == [0.0, 0.0]
+        # The one row on the gt, once for its IoU; residuals take rows.
+        assert built == [0.0]
 
 
 class TestRefine:
@@ -321,23 +327,39 @@ class TestRefine:
             regression=zero_params((5, 7)),
         )
         roi = random_box(np.random.default_rng(22))
-        conf, res, refined = roihead.refine(np.ones(6), roi, head)
-        assert conf == pytest.approx(0.5)
-        np.testing.assert_array_equal(res, np.zeros(7))
-        np.testing.assert_allclose(refined.to_array(), roi.to_array(), atol=1e-12)
+        conf, res, refined = roihead.refine(np.ones((1, 6)), rows(roi), head)
+        assert conf[0] == pytest.approx(0.5)
+        np.testing.assert_array_equal(res, np.zeros((1, 7)))
+        np.testing.assert_allclose(refined[0], roi.to_array(), atol=1e-12)
 
     def test_matches_recomposition(self):
         head = self._head()
         rng = np.random.default_rng(23)
-        feat = rng.normal(size=12)
+        feat = rng.normal(size=(1, 12))
         roi = random_box(rng)
-        conf, res, refined = roihead.refine(feat, roi, head)
+        conf, res, refined = roihead.refine(feat, rows(roi), head)
         trunk = nn.mlp_forward(head.shared, feat)
-        assert conf == pytest.approx(float(nn.mlp_forward(head.confidence, trunk)[0]))
+        assert conf[0] == pytest.approx(float(nn.mlp_forward(head.confidence, trunk)[0, 0]))
         np.testing.assert_allclose(res, nn.mlp_forward(head.regression, trunk))
-        np.testing.assert_allclose(
-            refined.to_array(), rpn.decode_residual(res, roi).to_array()
-        )
+        np.testing.assert_allclose(refined, rpn.decode_residuals(res, rows(roi)))
+
+    def test_rows_equal_single_row_calls(self):
+        head = self._head(seed=40)
+        rng = np.random.default_rng(41)
+        feats = rng.normal(size=(9, 12))
+        rois = rows(*(random_box(rng) for _ in range(9)))
+        conf, res, refined = roihead.refine(feats, rois, head)
+        assert conf.shape == (9,) and res.shape == refined.shape == (9, 7)
+        for i in range(9):
+            one = roihead.refine(feats[i : i + 1], rois[i : i + 1], head)
+            np.testing.assert_array_equal(conf[i : i + 1], one[0])
+            np.testing.assert_array_equal(res[i : i + 1], one[1])
+            np.testing.assert_array_equal(refined[i : i + 1], one[2])
+
+    def test_no_rois(self):
+        conf, res, refined = roihead.refine(np.empty((0, 12)), np.empty((0, 7)),
+                                            self._head())
+        assert conf.shape == (0,) and res.shape == refined.shape == (0, 7)
 
     def test_branch_contracts_enforced(self):
         with pytest.raises(nn.ShapeError):
@@ -433,10 +455,17 @@ class TestRcnnLoss:
         )
 
 
+def select(dets, nms_iou):
+    """final_select over Detection objects, returning the kept objects."""
+    boxes = rows(*(d.box for d in dets))
+    keep = roihead.final_select(boxes, np.array([d.score for d in dets]), nms_iou)
+    return [dets[i] for i in keep]
+
+
 class TestFinalSelect:
     def test_single_kept(self):
         d = Detection(random_box(np.random.default_rng(29)), 0.8)
-        assert roihead.final_select([d]) == [d]
+        assert roihead.final_select(rows(d.box), np.array([0.8])) == [0]
 
     def test_near_duplicates_collapse(self):
         b = Box3D(3, 1, 0, 4, 2, 1.5, 0.1)
@@ -444,7 +473,7 @@ class TestFinalSelect:
             Detection(b, 0.9),
             Detection(Box3D(3.01, 1.0, 0, 4, 2, 1.5, 0.1), 0.7),
         ]
-        kept = roihead.final_select(dets, nms_iou=0.01)
+        kept = select(dets, nms_iou=0.01)
         assert [d.score for d in kept] == [0.9]
 
     def test_disjoint_pass_through(self):
@@ -452,7 +481,7 @@ class TestFinalSelect:
             Detection(Box3D(i * 20.0, 0, 0, 4, 2, 1.5, 0.0), 0.5 + 0.05 * i)
             for i in range(4)
         ]
-        kept = roihead.final_select(dets, nms_iou=0.01)
+        kept = select(dets, nms_iou=0.01)
         assert len(kept) == 4
         for i in range(4):
             for j in range(i + 1, 4):
@@ -462,10 +491,10 @@ class TestFinalSelect:
         rng = np.random.default_rng(31)
         dets = [Detection(random_box(rng, center_span=4.0), float(s))
                 for s in rng.choice([0.3, 0.6, 0.9], size=40)]
-        kept = roihead.final_select(dets, nms_iou=0.2)
+        kept = select(dets, nms_iou=0.2)
         expect = nms_reference(dets, 0.2)
         assert len(kept) == len(expect) > 1
         assert all(k is dets[i] for k, i in zip(kept, expect))
 
     def test_empty(self):
-        assert roihead.final_select([]) == []
+        assert roihead.final_select(np.empty((0, 7)), np.empty(0)) == []

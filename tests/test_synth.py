@@ -89,6 +89,25 @@ class TestSceneFiles:
         with pytest.raises(synth.SceneFileError):
             synth.load_scene(bad)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("points", "1000000000000", "needs 16000000000000 bytes"),
+        ("points", "-3", "is negative"),
+        ("boxes", "7", "needs 224 bytes"),
+        ("boxes", "-1", "is negative"),
+    ])
+    def test_header_count_checked_against_file(self, scene, tmp_path, field,
+                                               value, message):
+        path = tmp_path / "scene.pvscn"
+        synth.save_scene(scene, path)
+        header, body = path.read_bytes().split(b"\n", 1)
+        fields = [f"{field}={value}".encode() if f.startswith(f"{field}=".encode())
+                  else f for f in header.split()]
+        n_points = scene.num_points if field == "boxes" else 0
+        path.write_bytes(b" ".join(fields) + b"\n" + body[: n_points * 16 + 8])
+        with pytest.raises(synth.SceneFileError) as err:
+            synth.load_scene(path)
+        assert str(err.value).startswith(f"{path}: {field}={value} {message}")
+
     def test_version_mismatch_raises(self, scene, tmp_path):
         path = tmp_path / "scene.pvscn"
         synth.save_scene(scene, path)

@@ -280,8 +280,8 @@ class TestSetAbstraction:
         pos = np.array([[1.0, 2.0, 3.0]])
         center = np.array([0.5, 2.0, 2.0])
         out = vsa.set_abstraction(center, feat, pos, mlp)
-        expect = nn.mlp_forward(mlp, np.concatenate([feat[0], pos[0] - center]))
-        np.testing.assert_array_equal(out, expect)
+        expect = nn.mlp_forward(mlp, np.concatenate([feat[0], pos[0] - center])[None])
+        np.testing.assert_array_equal(out, expect[0])
 
     def test_permutation_invariant_bitwise(self):
         rng = np.random.default_rng(60)
