@@ -166,7 +166,7 @@ def check_mlp_gradients(env):
         layers = nn.mlp_layers(p, x)
         y = layers[-1]
         val = 0.5 * float((y * y).sum())
-        w_g, b_g, _ = nn.mlp_backward(p, x, layers, y)
+        w_g, b_g, _ = nn.mlp_backward(p, x, layers, y, input_grad=False)
         return val, nn.params_to_vector(nn.MlpParams(p.layer_dims, w_g, b_g,
                                                      p.out_activation))
 
@@ -225,6 +225,23 @@ def check_fps_oracle(env):
         if not np.array_equal(got, np.array(sel)):
             return False, f"fps deviates from greedy oracle at seed {seed}"
     return True, "matches the brute-force greedy oracle on 20 clouds"
+
+
+def check_cap_draws(env):
+    # The draw follows numpy's internals, which another numpy may change.
+    rng = np.random.default_rng(1011)
+    keys = rng.integers(0, 2**64, size=(600, 2), dtype=np.uint64)
+    keys >>= rng.integers(0, 64, size=(600, 2)).astype(np.uint64)
+    keys[:3] = [[0, 2**32 - 1], [2**32, 2**63 - 1], [2**64 - 1, 7]]
+    # Near 2**31 Lemire's method rejects about half of its draws.
+    found = np.concatenate([[33] * 100, rng.integers(33, 3000, size=300),
+                            2**31 + rng.integers(-4000, 4000, size=100),
+                            2**32 - rng.integers(0, 40, size=100)])
+    for key, n, got in zip(keys.tolist(), found.tolist(), vsa.cap_draws(keys, found, 32)):
+        want = np.random.default_rng(key).choice(n, 32, replace=False)
+        if set(got.tolist()) != set(want.tolist()):
+            return False, f"draw differs from default_rng({key}).choice({n}, 32)"
+    return True, f"equal to default_rng(key).choice on 600 rows, numpy {np.__version__}"
 
 
 def check_set_abstraction(env):
@@ -298,6 +315,7 @@ CHECKS = [
     ("rpn.codec_roundtrip", check_codec_roundtrip),
     ("losses.gradients_vs_fd", check_loss_gradients),
     ("vsa.fps_vs_oracle", check_fps_oracle),
+    ("vsa.cap_draws_vs_numpy", check_cap_draws),
     ("vsa.set_abstraction_invariance", check_set_abstraction),
     ("roihead.confidence_mapping", check_confidence_mapping),
     ("evalkit.ap_hand_cases", check_ap_hand_cases),

@@ -242,14 +242,17 @@ def _strategy_list(text: str) -> list[str]:
     return text.split(",")
 
 
-def _at_least_one(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_from(lo: int):
+    """An argparse type: an int in [lo, 2**63), the range of a seed."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not lo <= value < config.SEED_LIMIT:
+            raise argparse.ArgumentTypeError(f"must be in [{lo}, 2**63), got {value}")
+        return value
+    return parse
 
 
 def _learning_rate(text: str) -> float:
@@ -272,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, scenes=True):
         p.add_argument("--config", help="key=value config file (default: "
                                         "built-in KITTI-scale profile)")
-        p.add_argument("--seed", type=int, help="master seed override")
+        p.add_argument("--seed", type=_int_from(0), help="master seed override")
         if scenes:
             p.add_argument("--scenes", required=True,
                            help="scene file or directory of .pvscn files")
@@ -280,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic scenes")
     add_common(p, scenes=False)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--count", type=_at_least_one, default=1)
+    p.add_argument("--count", type=_int_from(1), default=1)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("run", help="run the full pipeline on scenes")
@@ -293,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-heads", help="SGD on one trainable head")
     add_common(p)
     p.add_argument("--which", choices=("pkw", "refine"), required=True)
-    p.add_argument("--iters", type=_at_least_one, default=500)
+    p.add_argument("--iters", type=_int_from(1), default=500)
     p.add_argument("--lr", type=_learning_rate, default=1.0)
     p.add_argument("--out", required=True, help="parameter output file")
     p.add_argument("--params", action="append",

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 
 ENV_PREFIX = "PVL_"
+SEED_LIMIT = 2**63
 
 # Set-abstraction radii (meters) and neighbour caps: backbone levels, raw, RoI grid
 VSA_RADII = ((0.4, 0.8), (0.8, 1.2), (1.2, 2.4), (2.4, 4.8))
@@ -48,7 +49,12 @@ SYNTH_RANGE_DECAY = 40.0
 
 
 class ConfigError(ValueError):
-    """Raised on malformed or inconsistent configuration."""
+    """Raised on malformed or inconsistent configuration; key is the field
+    at fault when it is one field that load() can trace to a line or variable."""
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -103,8 +109,8 @@ def _flat(value) -> list:
 
 
 def validate(cfg: Config) -> None:
-    def fail(msg):
-        raise ConfigError(msg)
+    def fail(msg, key=None):
+        raise ConfigError(msg, key)
 
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
@@ -136,6 +142,8 @@ def validate(cfg: Config) -> None:
             fail(f"{name} must be non-negative")
     if not cfg.range_min[2] <= cfg.synth_ground_z < cfg.range_max[2]:
         fail("synth_ground_z must lie inside the z range")
+    if not 0 <= cfg.seed < SEED_LIMIT:  # keeps every derived stream key below 2**64
+        fail(f"seed must be in [0, 2**63), got {cfg.seed}", "seed")
 
 
 def default_config() -> Config:
@@ -235,10 +243,12 @@ def load(path=None, env: dict | None = None) -> Config:
     """
     defaults = {f.name: f.default for f in dataclasses.fields(Config)}
     values: dict = {}
+    source: dict = {}  # key -> the file:line or variable that set it last
 
     def take(key: str, raw: str, where: str) -> None:
         if key in defaults:
             values[key] = _parse_value(key, defaults[key], raw, where)
+            source[key] = where
         elif key in FIXED_KEYS:
             fixed = FIXED_KEYS[key]
             # An int tuple parses as floats, which compare equal to the ints.
@@ -262,4 +272,7 @@ def load(path=None, env: dict | None = None) -> Config:
         var = ENV_PREFIX + key.upper()
         if var in env:
             take(key, env[var], var)
-    return Config(**values)
+    try:
+        return Config(**values)
+    except ConfigError as exc:  # name where a single field at fault was set
+        raise ConfigError(f"{source[exc.key]}: {exc}") if exc.key in source else exc

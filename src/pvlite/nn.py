@@ -130,7 +130,7 @@ def mlp_forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def mlp_backward(p: MlpParams, x: np.ndarray, layers: list[np.ndarray],
-                 upstream_grad: np.ndarray):
+                 upstream_grad: np.ndarray, input_grad: bool = True):
     """Reverse-mode gradients for all parameters and the input.
 
     Args:
@@ -139,10 +139,12 @@ def mlp_backward(p: MlpParams, x: np.ndarray, layers: list[np.ndarray],
         layers: mlp_layers(p, x) from the caller's forward pass; no forward
             pass runs here.
         upstream_grad: dLoss/dOutput, (B, out_width).
+        input_grad: False skips the input gradient's product (a caller
+            that discards it); the parameter gradients are the same bits.
 
     Returns:
         (weight_grads, bias_grads, input_grad) with shapes mirroring
-        p.weights, p.biases and x.
+        p.weights, p.biases and x; input_grad is None when not asked for.
 
     Raises:
         ShapeError: x, layers or upstream_grad do not have the shapes that
@@ -176,8 +178,9 @@ def mlp_backward(p: MlpParams, x: np.ndarray, layers: list[np.ndarray],
             delta = delta * (a_out > 0.0)
         w_grads[i] = delta.T @ acts[i]
         b_grads[i] = delta.sum(axis=0)
-        delta = delta @ p.weights[i]
-    return w_grads, b_grads, delta
+        if i or input_grad:
+            delta = delta @ p.weights[i]
+    return w_grads, b_grads, delta if input_grad else None
 
 
 def grad_check(f, point: np.ndarray, eps: float = 1e-3, floor: float = 1e-8) -> float:

@@ -307,7 +307,8 @@ def train_pkw(
         scores = layers[-1][:, 0]
         losses.append(vsa.seg_loss(scores, batch.labels))
         up = rpn.focal_loss_grad(scores, batch.labels)[:, None]
-        w_g, b_g, _ = nn.mlp_backward(params, batch.features, layers, up)
+        w_g, b_g, _ = nn.mlp_backward(params, batch.features, layers, up,
+                                      input_grad=False)
         _sgd_step(params, w_g, b_g, lr)
     scores = nn.mlp_forward(params, batch.features)[:, 0]
     acc = float(((scores > 0.5).astype(int) == batch.labels).mean())
@@ -390,7 +391,7 @@ def train_refine(head: RefineHead, batch: RefineBatch, iters: int, lr: float):
         rw, rb, d_trunk_res = nn.mlp_backward(h.regression, trunk, regression,
                                               up_res)
         sw, sb, _ = nn.mlp_backward(h.shared, batch.features, shared,
-                                    d_trunk_conf + d_trunk_res)
+                                    d_trunk_conf + d_trunk_res, input_grad=False)
         _sgd_step(h.confidence, cw, cb, lr)
         _sgd_step(h.regression, rw, rb, lr)
         _sgd_step(h.shared, sw, sb, lr)

@@ -50,8 +50,8 @@ def roi_grid_pool(
     keypoints = np.asarray(keypoints, dtype=float)
     grids = [geom.roi_grid_points(geom.box_from_array(row), GRID_RESOLUTION)
              for row in rows]
-    keys = np.stack(np.meshgrid(seeds, np.arange(GRID_POINTS), indexing="ij"),
-                    axis=-1).reshape(-1, 2)
+    keys = np.stack([np.repeat(np.asarray(seeds, dtype=np.uint64), GRID_POINTS),
+                     np.tile(np.arange(GRID_POINTS, dtype=np.uint64), n_rois)], axis=1)
     neigh = radius_query(np.reshape(grids, (-1, 3)), keypoints[:, -3:], radii,
                          cap, seed=keys)
     cols = np.cumsum([0] + [mlp.out_width for mlp in branch_mlps])

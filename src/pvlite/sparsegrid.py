@@ -9,6 +9,8 @@ active output set; there are no bias terms or normalization layers.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,17 @@ class SparseTensor:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "features", feats)
 
+    @classmethod
+    def trusted(cls, *fields) -> "SparseTensor":
+        """A tensor of fields already in final form (float arrays, coords
+        unique, sorted and in bounds, one feature row each), taken without a
+        copy, sort or check. Only for results of this module's own kernels."""
+        t = object.__new__(cls)
+        t.__dict__.update(zip((f.name for f in dataclasses.fields(cls)), fields))
+        for arr in (t.voxel_size, t.origin, t.coords, t.features):
+            arr.flags.writeable = False
+        return t
+
     @property
     def num_voxels(self) -> int:
         return self.coords.shape[0]
@@ -64,13 +77,6 @@ class SparseTensor:
     @property
     def feature_width(self) -> int:
         return self.features.shape[1]
-
-    def with_features(self, features: np.ndarray) -> "SparseTensor":
-        """Same active set with replaced features (rows aligned with coords)."""
-        return SparseTensor(
-            self.level_index, self.voxel_size, self.origin, self.grid_shape,
-            self.coords, features,
-        )
 
 
 def _pack(coords: np.ndarray, shape) -> np.ndarray:
@@ -141,19 +147,47 @@ def voxelize(points, range_min, range_max, voxel_size) -> SparseTensor:
     return SparseTensor(1, vs, lo, shape, coords, feats)
 
 
-def _lookup(sorted_keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Row indices of queries in sorted_keys, or -1 where absent."""
-    if sorted_keys.size == 0 or queries.size == 0:
-        return np.full(queries.shape, -1, dtype=np.int64)
-    pos = np.searchsorted(sorted_keys, queries)
-    pos_c = np.minimum(pos, sorted_keys.size - 1)
-    found = sorted_keys[pos_c] == queries
-    return np.where(found, pos_c, -1)
+# Tap n of a 3x3x3 kernel reads the input at out * stride + _DELTAS[n];
+# taps n and 26 - n have opposite deltas.
+_DELTAS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
 
 
-_OFFSETS = np.stack(
-    np.meshgrid(np.arange(3), np.arange(3), np.arange(3), indexing="ij"), axis=-1
-).reshape(-1, 3)
+def _rulebook(inp: SparseTensor, stride: int, mode: str, out_shape):
+    """Output coordinates and, per tap, the (out rows, in rows) it pairs,
+    both ascending.
+
+    Submanifold: the input keys shifted by the 13 taps before the centre
+    are looked up at once; tap 26 - n is tap n with its pairs swapped.
+    Strided: every input lists the outputs whose window holds it (at most
+    3 per axis) and the tap it falls under.
+    """
+    coords, n_in = inp.coords, inp.num_voxels
+    if mode == "submanifold":
+        keys = _pack(coords, inp.grid_shape)
+        near = coords[:, None] + _DELTAS[:13]
+        tap, row = np.nonzero(((near >= 0) & (near < inp.grid_shape)).all(axis=2).T)
+        want = _pack(near[row, tap], inp.grid_shape)
+        pos = np.minimum(np.searchsorted(keys, want), n_in - 1)
+        hit = keys[pos] == want
+        bounds = np.searchsorted(tap[hit], np.arange(1, 13))
+        pairs = list(zip(np.split(row[hit], bounds), np.split(pos[hit], bounds)))
+        centre = np.arange(n_in)
+        return coords, pairs + [(centre, centre)] + [(i, o) for o, i in pairs[::-1]]
+    # Output o takes input c under tap n when o * stride + delta = c.
+    num = coords[:, :, None] - np.arange(-1, 2)  # (N, axis, delta + 1)
+    fits = (num % stride == 0) & (num >= 0) & (num // stride < np.reshape(out_shape, (3, 1)))
+    num //= stride
+    fits = fits[:, 0, :, None, None] & fits[:, 1, None, :, None] & fits[:, 2, None, None, :]
+    # Tap-major, inputs ascending: within a tap the outputs ascend with them.
+    tap, row = np.nonzero(fits.reshape(n_in, 27).T)
+    off = _DELTAS[tap] + 1
+    out_keys = np.ravel_multi_index(
+        [num[row, a, off[:, a]] for a in range(3)], out_shape)
+    keys = np.unique(out_keys)
+    bounds = np.searchsorted(tap, np.arange(1, 27))
+    out_coords = np.stack(np.unravel_index(keys, out_shape), axis=1).astype(np.int64)
+    return out_coords, list(zip(np.split(np.searchsorted(keys, out_keys), bounds),
+                                np.split(row, bounds)))
 
 
 def sparse_conv(
@@ -190,54 +224,26 @@ def sparse_conv(
         raise GridConfigError("submanifold convolution requires stride 1")
 
     c_out = w.shape[4]
-    in_shape = np.array(inp.grid_shape)
-    if stride == 1:
-        out_shape = tuple(int(s) for s in in_shape)
-    else:
-        out_shape = tuple(int(-(-s // 2)) for s in in_shape)
+    out_shape = tuple(-(-s // stride) for s in inp.grid_shape)
     out_level = inp.level_index + (1 if stride == 2 else 0)
     out_vsize = inp.voxel_size * stride
     if inp.num_voxels == 0:
         return SparseTensor(out_level, out_vsize, inp.origin, out_shape,
                             np.empty((0, 3), np.int64), np.empty((0, c_out)))
 
-    coords = inp.coords
-    if mode == "submanifold":
-        out_coords = coords
-    else:
-        cands = []
-        for off in _OFFSETS:
-            oc = coords - (off - 1)
-            if stride == 2:
-                div = (oc % 2 == 0).all(axis=1)
-                oc = oc[div] // 2
-            ok = ((oc >= 0) & (oc < np.array(out_shape))).all(axis=1)
-            cands.append(oc[ok])
-        all_c = np.concatenate(cands, axis=0)
-        keys = np.unique(_pack(all_c, out_shape))
-        out_coords = np.stack(np.unravel_index(keys, out_shape), axis=1).astype(np.int64)
-
-    in_keys = _pack(coords, inp.grid_shape)
+    out_coords, pairs = _rulebook(inp, stride, mode, out_shape)
     out_feats = np.zeros((out_coords.shape[0], c_out))
-    for n, off in enumerate(_OFFSETS):
-        in_c = out_coords * stride + (off - 1)
-        ok = ((in_c >= 0) & (in_c < in_shape)).all(axis=1)
-        if not ok.any():
-            continue
-        rows = _lookup(in_keys, _pack(in_c[ok], inp.grid_shape))
-        hit = rows >= 0
-        if not hit.any():
-            continue
-        out_rows = np.flatnonzero(ok)[hit]
-        tap = w.reshape(27, w.shape[3], c_out)[n]
-        out_feats[out_rows] += inp.features[rows[hit]] @ tap
-    return SparseTensor(out_level, out_vsize, inp.origin, out_shape,
-                        out_coords, out_feats)
+    for tap, (out_rows, in_rows) in zip(w.reshape(27, w.shape[3], c_out), pairs):
+        if out_rows.size:
+            out_feats[out_rows] += inp.features[in_rows] @ tap
+    return SparseTensor.trusted(out_level, out_vsize, inp.origin, out_shape,
+                                out_coords, out_feats)
 
 
 def relu_features(t: SparseTensor) -> SparseTensor:
     """max(0, x) applied to every feature entry."""
-    return t.with_features(np.maximum(t.features, 0.0))
+    return SparseTensor.trusted(t.level_index, t.voxel_size, t.origin, t.grid_shape,
+                                t.coords, np.maximum(t.features, 0.0))
 
 
 @dataclass(frozen=True)

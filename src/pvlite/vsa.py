@@ -9,6 +9,7 @@ rescales each keypoint row by a learned foreground score.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,113 @@ def fps(points: np.ndarray, n: int) -> np.ndarray:
     return sel[reps]
 
 
+# The set np.random.default_rng([k0, k1]).choice(found, cap, replace=False)
+# returns, rebuilt for many rows at once from numpy's internals: SeedSequence
+# pool mixing, PCG64 seeding and XSL-RR output, 32-bit Lemire draws and Floyd's
+# sample (its final shuffle only reorders the set). `pvlite check` compares it
+# with the installed numpy (vsa.cap_draws_vs_numpy).
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_U32 = np.uint64(32)
+
+
+def _hash_steps(const: int, mult: int):
+    """SeedSequence's hash of uint32 words: xor with a constant, multiply by
+    the next one, fold the high half down; the constant advances per call."""
+    def step(words: np.ndarray) -> np.ndarray:
+        nonlocal const
+        xor, const = const, const * mult & _M32
+        words = (words ^ np.uint32(xor)) * np.uint32(const)
+        return words ^ (words >> np.uint32(16))
+    return step
+
+
+def _mul128(ah, al, bh, bl):
+    """(ah, al) * (bh, bl) mod 2**128 on uint64 halves."""
+    a0, a1, b0, b1 = al & _M32, al >> _U32, bl & _M32, bl >> _U32
+    mid = (a0 * b0 >> _U32) + (a0 * b1 & _M32) + (a1 * b0 & _M32)
+    carry = a1 * b1 + (a0 * b1 >> _U32) + (a1 * b0 >> _U32) + (mid >> _U32)
+    return carry + al * bh + ah * bl, al * bl
+
+
+def _pcg_draws(keys: np.ndarray, n: int) -> np.ndarray:
+    """The first 2n uint32 draws (as uint64) of default_rng(row) per (R, 2) row."""
+    words = np.stack([keys[:, 0] & _M32, keys[:, 0] >> _U32,
+                      keys[:, 1] & _M32, keys[:, 1] >> _U32]).astype(np.uint32)
+    present = (words != 0) | [[True], [False], [True], [False]]  # 0 is one word
+    entropy = np.zeros_like(words)  # the words of both keys, then zeros
+    entropy[np.cumsum(present, axis=0)[present] - 1, np.nonzero(present)[1]] = words[present]
+    mixin = _hash_steps(0x43B0D7E5, 0x931E8875)
+    pool = [mixin(w) for w in entropy]
+    for src, dst in itertools.permutations(range(4), 2):
+        mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * mixin(pool[src])
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = _hash_steps(0x8B51F9DD, 0x58F38DED)
+    w = [out(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    s_hi, s_lo, q_hi, q_lo = (w[2 * i] | w[2 * i + 1] << _U32 for i in range(4))
+    inc_hi = (q_hi << np.uint64(1)) | (q_lo >> np.uint64(63))
+    inc_lo = (q_lo << np.uint64(1)) | np.uint64(1)
+    # Seeding steps twice, so draw k reads state M**(k+1) * s + (1 + ... + M**(k+1)) * inc.
+    power = list(itertools.accumulate([_PCG_MULT] * (n + 1), lambda a, b: a * b & _M128))
+    total = list(itertools.accumulate(power, lambda a, b: a + b & _M128, initial=1))
+    jump = np.array([power[1:], total[2:]], dtype=object)
+    (a_hi, c_hi), (a_lo, c_lo) = (jump >> 64).astype(np.uint64), (jump & _M64).astype(np.uint64)
+    h1, l1 = _mul128(s_hi[:, None], s_lo[:, None], a_hi, a_lo)
+    h2, l2 = _mul128(inc_hi[:, None], inc_lo[:, None], c_hi, c_lo)
+    lo = l1 + l2
+    hi = h1 + h2 + (lo < l1)
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))  # XSL-RR
+    return np.stack([x & _M32, x >> _U32], axis=2).reshape(keys.shape[0], 2 * n)
+
+
+def _lemire_row(key: np.ndarray, spans: list[int]) -> list[int]:
+    """One row's bounded draws one at a time, past Lemire's rejections."""
+    n = len(spans)
+    while True:
+        n, vals = 2 * n, []
+        stream = iter(_pcg_draws(key[None], n)[0].tolist())
+        for span in spans:
+            u = next((u for u in stream if u * span & _M32 >= (1 << 32) % span), None)
+            if u is None:  # the stream ran out: again with a longer one
+                break
+            vals.append(u * span >> 32)
+        else:
+            return vals
+
+
+def cap_draws(keys, found, cap: int) -> np.ndarray:
+    """(R, cap) int64 positions whose row i is, as a set, what
+    np.random.default_rng(keys[i]).choice(found[i], cap, replace=False)
+    returns, for keys an (R, 2) int array (uint64 above 2**63 - 1) in
+    [0, 2**64) and each found[i] > cap. Rows numpy draws by its tail shuffle
+    (found > 10000 and cap > found // 50) or with 64-bit draws (found > 2**32)
+    call default_rng. A negative key raises ValueError."""
+    keys = np.asarray(keys).reshape(-1, 2)
+    if keys.size and keys.min() < 0:
+        raise ValueError("expected non-negative integer")
+    keys, found = keys.astype(np.uint64), np.asarray(found, dtype=np.uint64)
+    picked = np.empty((found.size, cap), dtype=np.int64)
+    slow = (found > 1 << 32) | (found > 10000) & (cap > found // 50)
+    for i in np.flatnonzero(slow):
+        rng = np.random.default_rng(keys[i].tolist())
+        picked[i] = rng.choice(int(found[i]), size=cap, replace=False)
+    keys, found = keys[~slow], found[~slow]
+    if not found.size:
+        return picked
+    span = found[:, None] - np.uint64(cap) + np.arange(1, cap + 1, dtype=np.uint64)
+    u = _pcg_draws(keys, (cap + 1) // 2)[:, :cap] * span  # Lemire: the high half
+    vals = u >> _U32
+    for i in np.flatnonzero(((u & _M32) < np.uint64(1 << 32) % span).any(axis=1)):
+        vals[i] = _lemire_row(keys[i], span[i].tolist())
+    floyd = np.empty_like(vals)
+    for t in range(cap):  # a value drawn before gives way to the step's bound
+        hit = (floyd[:, :t] == vals[:, t, None]).any(axis=1)
+        floyd[:, t] = np.where(hit, span[:, t] - np.uint64(1), vals[:, t])
+    picked[~slow] = floyd
+    return picked
+
+
 # Most (query, point) pairs and query-cell keys radius_query holds at once.
 QUERY_CHUNK_PAIRS = 60_000
 
@@ -96,10 +204,13 @@ def radius_query(
     q = np.asarray(queries, dtype=float).reshape(-1, 3)
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     m, n = q.shape[0], p.shape[0]
-    per_query = np.ndim(seed) > 0
-    if per_query and np.shape(seed) != (m, 2):
-        raise ValueError(f"per-query seeds must have shape ({m}, 2), "
-                         f"got {np.shape(seed)}")
+    seed = np.asarray(seed)
+    if seed.ndim == 0:  # query i keys its streams [seed + r, i]
+        seed = np.stack([np.full(m, seed), np.arange(m, dtype=seed.dtype)], axis=1)
+    if seed.shape != (m, 2):
+        raise ValueError(f"per-query seeds must have shape ({m}, 2), got {seed.shape}")
+    if seed.size and seed.min() >= 0:  # keys seed + r exact up to 2**64 - 1
+        seed = seed.astype(np.uint64)
     ok_p, ok_q = (np.flatnonzero(np.isfinite(a).all(axis=1)) for a in (p, q))
     if ok_p.size == 0 or ok_q.size == 0:
         return [np.empty(0, dtype=np.int64) for _ in range(radii.size * m)]
@@ -149,20 +260,23 @@ def radius_query(
             d *= d
             d2 = d[0] + d[1]
             d2 += d[2]
-            for r, radius in enumerate(radii):
-                keep = d2 < radius * radius
-                part = np.sort(qidx[keep] * n + pidx[keep])  # query * n + point
-                first = np.searchsorted(part, qb[s:e] * n)
-                found = np.diff(np.append(first, part.size))
-                kept = np.ones(part.size, dtype=bool)  # False where a cap drops a pair
-                for j in np.flatnonzero(found > cap):
-                    qi = qb[s + j]
-                    key = np.add(seed[qi], (r, 0)) if per_query else (seed + r, qi)
-                    rng = np.random.default_rng([int(k) for k in key])
-                    kept[first[j] : first[j] + found[j]] = False
-                    kept[first[j] + rng.choice(found[j], size=cap, replace=False)] = True
-                flats[r].append(part[kept] % n)
-                lens[r, qb[s:e]] = np.minimum(found, cap)
+            keep = [np.flatnonzero(d2 < radius * radius) for radius in radii]
+            part = np.concatenate(  # (radius * m + query) * n + point, ascending
+                [np.sort((r * m + qidx[k]) * n + pidx[k]) for r, k in enumerate(keep)])
+            lists = (np.arange(radii.size)[:, None] * m + qb[s:e]).ravel()
+            first = np.searchsorted(part, lists * n)
+            found = np.diff(np.append(first, part.size))
+            over = np.flatnonzero(found > cap)  # every capped list of the chunk: one draw
+            rad, qi = np.divmod(lists[over], m)
+            keys = seed[qi]
+            keys[:, 0] += rad.astype(seed.dtype)
+            kept = np.repeat(found <= cap, found)  # False where a cap drops a pair
+            kept[(first[over, None] + cap_draws(keys, found[over], cap)).ravel()] = True
+            sizes = np.minimum(found, cap).reshape(radii.size, -1)
+            lens[:, qb[s:e]] = sizes
+            ends = np.cumsum(sizes.sum(axis=1))[:-1]
+            for r, flat in enumerate(np.split(part[kept] % n, ends)):
+                flats[r].append(flat)
             s = e
     out = []
     for flat, size in zip(flats, lens):  # views of one array per radius

@@ -117,6 +117,51 @@ def dense_conv3d(
     return out
 
 
+def rulebook_lookup(inp, stride: int, mode: str):
+    """The sparse-conv rulebook built one tap at a time: the output set
+    (every in-bounds site whose window holds an input, in strided mode), then
+    for each of the 27 taps a binary-search look-up of each output's input
+    coordinate. Returns (out_coords, [(out_rows, in_rows)] * 27)."""
+    offsets = np.stack(np.meshgrid(*[np.arange(3)] * 3, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    in_shape = np.array(inp.grid_shape)
+    out_shape = in_shape if stride == 1 else -(-in_shape // 2)
+    coords = inp.coords
+    if mode == "submanifold":
+        out_coords = coords
+    else:
+        cands = []
+        for off in offsets:
+            oc = coords - (off - 1)
+            if stride == 2:
+                oc = oc[(oc % 2 == 0).all(axis=1)] // 2
+            cands.append(oc[((oc >= 0) & (oc < out_shape)).all(axis=1)])
+        keys = np.unique(np.ravel_multi_index(np.concatenate(cands).T, out_shape))
+        out_coords = np.stack(np.unravel_index(keys, out_shape), axis=1)
+    in_keys = np.ravel_multi_index(coords.T, in_shape)
+    pairs = []
+    for off in offsets:
+        in_c = out_coords * stride + (off - 1)
+        ok = np.flatnonzero(((in_c >= 0) & (in_c < in_shape)).all(axis=1))
+        want = np.ravel_multi_index(in_c[ok].T, in_shape)
+        pos = np.minimum(np.searchsorted(in_keys, want), max(in_keys.size - 1, 0))
+        hit = in_keys[pos] == want
+        pairs.append((ok[hit], pos[hit]))
+    return out_coords, pairs
+
+
+def sparse_conv_lookup(inp, weights, stride: int, mode: str):
+    """(coords, features) of sparse_conv from rulebook_lookup, with the same
+    per-tap products in the same order."""
+    out_coords, pairs = rulebook_lookup(inp, stride, mode)
+    taps = weights.reshape(27, weights.shape[3], weights.shape[4])
+    out = np.zeros((out_coords.shape[0], weights.shape[4]))
+    for tap, (out_rows, in_rows) in zip(taps, pairs):
+        if out_rows.size:
+            out[out_rows] += inp.features[in_rows] @ tap
+    return out_coords, out
+
+
 def sparse_to_dense(t) -> np.ndarray:
     """Expand a SparseTensor into its dense zero-filled grid."""
     dense = np.zeros((*t.grid_shape, t.feature_width))

@@ -292,15 +292,37 @@ class TestInputErrors:
                               ("--lr", "-0.1"))),
         ["synth", "--out", "{tmp}/d", "--count", "-2"],
         ["synth", "--out", "{tmp}/d", "--count", "0"],
+        ["synth", "--out", "{tmp}/d", "--seed", "-3"],
+        ["run", "--scenes", "{scenes}", "--out", "{tmp}/d", "--seed", "-1"],
+        ["synth", "--out", "{tmp}/d", "--seed", str(2**63)],
     ], ids=["bench --strategies bogus", "run without --scenes",
             "train-heads --iters 0", "train-heads --iters -3",
             "train-heads --lr nan", "train-heads --lr inf", "train-heads --lr 0",
-            "train-heads --lr -0.1", "synth --count -2", "synth --count 0"])
+            "train-heads --lr -0.1", "synth --count -2", "synth --count 0",
+            "synth --seed -3", "run --seed -1", "synth --seed 2**63"])
     def test_usage_error_exits_2(self, scene_dir, tmp_path, capsys, args):
         with pytest.raises(SystemExit) as exit_info:
             cli.main([a.format(scenes=scene_dir, tmp=tmp_path) for a in args])
         assert exit_info.value.code == 2
         assert "usage: pvlite" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("value", ["-3", str(2**63)])
+    def test_seed_out_of_range_names_line_or_variable(self, scene_dir, tmp_path,
+                                                      capsys, monkeypatch, value):
+        bad = tmp_path / "seed.cfg"
+        bad.write_text(f"num_keypoints=96\nseed={value}\n")
+        for command in (["synth", "--config", str(bad), "--out", str(tmp_path / "d")],
+                        ["run", "--config", str(bad), "--scenes", str(scene_dir),
+                         "--out", str(tmp_path / "d")]):
+            assert cli.main(command) == 1
+            err = capsys.readouterr().err
+            assert f"error: {bad}:2: seed must be in [0, 2**63), got {value}" in err
+            assert "Traceback" not in err
+        monkeypatch.setenv("PVL_SEED", value)
+        assert cli.main(["synth", "--out", str(tmp_path / "d")]) == 1
+        assert f"error: PVL_SEED: seed must be in [0, 2**63), got {value}" in \
+            capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
     def test_bad_config_value_exits_1(self, scene_dir, tmp_path, capsys):

@@ -54,6 +54,21 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Config(class_names=("car", "ped"))
 
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**70])
+    def test_seed_outside_range_rejected(self, seed):
+        with pytest.raises(ConfigError, match=r"^seed must be in \[0, 2\*\*63\)"):
+            Config(seed=seed)
+        assert Config(seed=2**63 - 1).seed == 2**63 - 1
+
+    def test_seed_error_names_line_and_variable(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text("num_keypoints=100\nseed=-3\n")
+        with pytest.raises(ConfigError, match=f"^{path}:2: seed must be in"):
+            config.load(path, env={})
+        with pytest.raises(ConfigError, match="^PVL_SEED: seed must be in"):
+            config.load(path, env={"PVL_SEED": "-4"})
+        assert config.load(path, env={"PVL_SEED": "4"}).seed == 4
+
     def test_classes_property(self):
         cfg = config.default_config()
         (car,) = cfg.classes

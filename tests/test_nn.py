@@ -137,6 +137,19 @@ class TestBackward:
 
         assert nn.grad_check(f, x0) < 1e-4
 
+    @pytest.mark.parametrize("dims", [(7, 1), (7, 9, 1), (12, 16, 8, 3)])
+    def test_skipping_input_gradient_keeps_parameter_gradients(self, dims):
+        p = nn.init_params(dims, seed=13, out_activation="sigmoid")
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(40, dims[0]))
+        up = rng.normal(size=(40, dims[-1]))
+        layers = nn.mlp_layers(p, x)
+        w_full, b_full, gx = nn.mlp_backward(p, x, layers, up)
+        w_skip, b_skip, none = nn.mlp_backward(p, x, layers, up, input_grad=False)
+        assert gx.shape == x.shape and none is None
+        for a, b in zip(w_full + b_full, w_skip + b_skip):
+            assert np.array_equal(a, b)
+
 
 class TestGradCheck:
     def test_square_function(self):

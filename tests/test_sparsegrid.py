@@ -1,12 +1,14 @@
 """Voxelization and sparse convolution against a dense zero-padded oracle,
 backbone shapes, BEV collapse and bilinear sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pvlite import sparsegrid as sg
 
-from helpers import dense_conv3d, sparse_to_dense
+from helpers import dense_conv3d, rulebook_lookup, sparse_conv_lookup, sparse_to_dense
 
 RANGE_MIN = (0.0, 0.0, 0.0)
 RANGE_MAX = (1.6, 1.6, 1.6)
@@ -141,7 +143,7 @@ class TestSparseConv:
         t = random_sparse(rng, width=4)
         w = rng.normal(size=(3, 3, 3, 4, 4))
         out1 = sg.sparse_conv(t, w, stride=1, mode="submanifold")
-        out2 = sg.sparse_conv(t.with_features(2.5 * t.features), w,
+        out2 = sg.sparse_conv(dataclasses.replace(t, features=2.5 * t.features), w,
                               stride=1, mode="submanifold")
         np.testing.assert_allclose(out2.features, 2.5 * out1.features, atol=1e-9)
 
@@ -157,6 +159,80 @@ class TestSparseConv:
         w = rng.normal(size=(3, 3, 3, 4, 4))
         with pytest.raises(sg.GridConfigError):
             sg.sparse_conv(t, w, stride=2, mode="submanifold")
+
+
+def faced_sparse(rng, shape, density, width=3):
+    """Random voxels plus a few on each of the six faces of the grid."""
+    total = int(np.prod(shape))
+    flat = rng.choice(total, size=max(1, int(total * density)), replace=False)
+    coords = [np.stack(np.unravel_index(flat, shape), axis=1)]
+    for axis in range(3):
+        for side in (0, shape[axis] - 1):
+            face = rng.integers(0, shape, size=(3, 3))
+            face[:, axis] = side
+            coords.append(face)
+    coords = np.unique(np.concatenate(coords), axis=0)
+    return sg.SparseTensor(1, VOXEL, RANGE_MIN, shape, coords,
+                           rng.normal(size=(len(coords), width)))
+
+
+CONV_KINDS = [("submanifold", 1), ("strided", 1), ("strided", 2)]
+ODD_SHAPES = [(5, 7, 9), (7, 3, 5), (1, 4, 3), (2, 2, 2), (9, 1, 6), (1, 1, 1), (11, 8, 13)]
+
+
+class TestRulebook:
+    @pytest.mark.parametrize("mode,stride", CONV_KINDS)
+    def test_taps_equal_lookup_rulebook(self, mode, stride):
+        for seed, shape in enumerate(ODD_SHAPES):
+            rng = np.random.default_rng(seed)
+            out_shape = tuple(-(-n // stride) for n in shape)
+            for density in (0.02, 0.3, 1.0):
+                t = faced_sparse(rng, shape, density)
+                coords, pairs = sg._rulebook(t, stride, mode, out_shape)
+                want_coords, want_pairs = rulebook_lookup(t, stride, mode)
+                assert np.array_equal(coords, want_coords)
+                assert len(pairs) == 27
+                for (out_rows, in_rows), (want_out, want_in) in zip(pairs, want_pairs):
+                    assert np.array_equal(out_rows, want_out)
+                    assert np.array_equal(in_rows, want_in)
+                w = rng.normal(size=(3, 3, 3, 3, 4))
+                out = sg.sparse_conv(t, w, stride=stride, mode=mode)
+                want_coords, want_feats = sparse_conv_lookup(t, w, stride, mode)
+                assert np.array_equal(out.coords, want_coords)
+                assert np.array_equal(out.features, want_feats)  # bitwise
+
+    @pytest.mark.parametrize("mode,stride", CONV_KINDS)
+    def test_empty_tensor_equals_lookup(self, mode, stride):
+        t = sg.SparseTensor(1, VOXEL, RANGE_MIN, (5, 7, 9),
+                            np.empty((0, 3), np.int64), np.empty((0, 3)))
+        out = sg.sparse_conv(t, np.ones((3, 3, 3, 3, 2)), stride=stride, mode=mode)
+        want_coords, want_feats = sparse_conv_lookup(t, np.ones((3, 3, 3, 3, 2)),
+                                                     stride, mode)
+        assert out.coords.shape == (0, 3) and out.features.shape == (0, 2)
+        assert np.array_equal(out.coords, want_coords.reshape(0, 3))
+        assert np.array_equal(out.features, want_feats)
+
+    @pytest.mark.parametrize("mode,stride", CONV_KINDS)
+    def test_outputs_sorted_unique_in_bounds(self, mode, stride):
+        # sparse_conv and relu_features build their tensors without the
+        # constructor's sort and checks; what they build must pass them.
+        for seed, shape in enumerate(ODD_SHAPES):
+            rng = np.random.default_rng(100 + seed)
+            t = faced_sparse(rng, shape, 0.2)
+            out = sg.relu_features(sg.sparse_conv(t, rng.normal(size=(3, 3, 3, 3, 2)),
+                                                  stride=stride, mode=mode))
+            keys = np.ravel_multi_index(out.coords.T, out.grid_shape)
+            assert (np.diff(keys) > 0).all()
+            assert out.coords.min() >= 0
+            assert (out.coords < np.array(out.grid_shape)).all()
+            assert out.features.shape == (out.num_voxels, 2)
+            assert out.coords.dtype == np.int64 and out.features.dtype == float
+            assert not (out.coords.flags.writeable or out.features.flags.writeable
+                        or out.voxel_size.flags.writeable)
+            checked = sg.SparseTensor(out.level_index, out.voxel_size, out.origin,
+                                      out.grid_shape, out.coords, out.features)
+            assert np.array_equal(checked.coords, out.coords)
+            assert np.array_equal(checked.features, out.features)
 
 
 class TestBackbone:

@@ -265,6 +265,71 @@ class TestRadiusQuery:
             vsa.radius_query(np.zeros((1, 3)), np.zeros((1, 3)), (0.5, 0.0), 4, 0)
 
 
+SPECIAL_KEYS = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1)
+
+
+def _draw_cases(rng, cap, rows):
+    """(keys, found) rows for cap_draws: special and random keys; populations
+    of cap + 1, small, above 10000, near 2**31 (where about half of Lemire's
+    draws are rejected), up to 2**32 and beyond it."""
+    keys = (rng.integers(0, 2**64, size=(rows, 2), dtype=np.uint64)
+            >> rng.integers(0, 64, size=(rows, 2)).astype(np.uint64))
+    special = rng.random((rows, 2)) < 0.4
+    keys[special] = np.array(SPECIAL_KEYS, dtype=np.uint64)[
+        rng.integers(0, len(SPECIAL_KEYS), size=special.sum())]
+    found = np.array([(cap + 1, int(rng.integers(cap + 1, cap + 40)),
+                       int(rng.integers(cap + 1, 5000)), int(rng.integers(10001, 60000)),
+                       int(rng.integers(2**31 - 5000, 2**31 + 5000)),
+                       int(rng.integers(2**32 - 50, 2**32 + 1)),
+                       int(rng.integers(2**32 + 1, 2**33)))[k]
+                      for k in rng.choice(7, size=rows, p=(.2, .2, .2, .15, .1, .1, .05))])
+    return keys, found
+
+
+class TestCapDraws:
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 8, 16, 31, 32, 33, 250])
+    def test_sets_equal_numpy_choice(self, cap):
+        # 10 caps x 1,100 rows; cap 250 sends rows of 10001..12500 points
+        # down numpy's tail shuffle, which cap_draws leaves to numpy.
+        rng = np.random.default_rng(cap)
+        keys, found = _draw_cases(rng, cap, 1100)
+        if cap == 250:
+            found[:100] = rng.integers(10001, 50 * cap, size=100)
+        got = vsa.cap_draws(keys, found, cap)
+        assert got.shape == (1100, cap) and got.dtype == np.int64
+        for key, n, row in zip(keys.tolist(), found.tolist(), got):
+            want = np.random.default_rng(key).choice(n, size=cap, replace=False)
+            assert np.array_equal(np.sort(row), np.sort(want)), (key, n)
+
+    def test_signed_keys_and_lists(self):
+        keys = [[5, 0], [0, 7], [2**63 - 1, 2**32]]
+        got = vsa.cap_draws(keys, [40, 33, 1000], 32)
+        for key, n, row in zip(keys, [40, 33, 1000], got):
+            want = np.random.default_rng(key).choice(n, size=32, replace=False)
+            assert np.array_equal(np.sort(row), np.sort(want))
+        assert vsa.cap_draws(np.empty((0, 2), np.int64), [], 16).shape == (0, 16)
+
+    def test_negative_key_raises(self):
+        with pytest.raises(ValueError):
+            vsa.cap_draws(np.array([[3, 0], [-1, 4]]), [10, 10], 4)
+        p = np.random.default_rng(59).normal(scale=0.1, size=(50, 3))
+        with pytest.raises(ValueError):
+            vsa.radius_query(np.zeros((1, 3)), p, 1.0, 8, seed=-1)
+        with pytest.raises(ValueError):
+            vsa.radius_query(np.zeros((1, 3)), p, 1.0, 8, seed=np.array([[-2, 0]]))
+
+    def test_seeds_near_the_top_draw_their_own_streams(self):
+        rng = np.random.default_rng(60)
+        p = rng.normal(scale=0.3, size=(300, 3))
+        q = rng.normal(scale=0.2, size=(20, 3))
+        for seed in (2**63 - 1, 2**64 - 2):
+            pair = vsa.radius_query(q, p, (0.5, 1.0), 8, seed=seed)
+            for r, rad in enumerate((0.5, 1.0)):
+                keys = np.array([[seed + r, i] for i in range(20)], dtype=np.uint64)
+                assert_same_neighbours(pair[r * 20 : (r + 1) * 20],
+                                       radius_query_bruteforce(q, p, rad, 8, keys))
+
+
 class TestSetAbstraction:
     def _mlp(self, in_width, out_width=6, seed=0):
         return nn.init_params((in_width, 8, out_width), seed=seed)
