@@ -52,7 +52,7 @@ def _mc_bev_iou(a, b, side, seed):
         )
 
     inter = (inside(a) & inside(b)).mean() * (hi - lo).prod()
-    union = a.bev_area + b.bev_area - inter
+    union = a.l * a.w + b.l * b.w - inter
     return float(inter / union) if union > 0 else 0.0
 
 
@@ -62,7 +62,8 @@ def check_bev_iou_mc(env):
     worst = 0.0
     for i in range(12):
         a, b = _near_pair(rng)
-        worst = max(worst, abs(bev_iou(a, b) - _mc_bev_iou(a, b, 400, seed=i)))
+        exact = bev_iou(a.to_array(), b.to_array())
+        worst = max(worst, abs(exact - _mc_bev_iou(a, b, 400, seed=i)))
     return worst <= 2e-3, f"max |exact - sampled| = {worst:.2e} (tol 2e-3)"
 
 
@@ -70,7 +71,7 @@ def check_bev_iou_symmetry(env):
     bev_iou = env["bev_iou"]
     rng = np.random.default_rng(1001)
     for _ in range(50):
-        a, b = _near_pair(rng)
+        a, b = (box.to_array() for box in _near_pair(rng))
         ab, ba = bev_iou(a, b), bev_iou(b, a)
         if not (0.0 <= ab <= 1.0) or abs(ab - ba) > 1e-12:
             return False, f"asymmetry {ab} vs {ba}"
@@ -100,7 +101,7 @@ def check_roi_grid_points(env):
         pts = geom.roi_grid_points(b)
         if not geom.points_in_box(pts, b).all():
             return False, "grid point escaped its box"
-        if np.abs(pts.mean(axis=0) - b.center).max() > 1e-9:
+        if np.abs(pts.mean(axis=0) - b.to_array()[:3]).max() > 1e-9:
             return False, "grid centroid off the box center"
     return True, "216 points inside with centered mean on 5 boxes"
 
@@ -329,7 +330,7 @@ def run_checks(inject_fault: str | None = None):
         raise ValueError(f"unknown fault {inject_fault!r}; options: {FAULTS}")
     env = {"bev_iou": geom.bev_iou}
     if inject_fault == "bev-iou":
-        env["bev_iou"] = lambda a, b: min(1.0, geom.bev_iou(a, b) + 0.004)
+        env["bev_iou"] = lambda a, b: np.minimum(1.0, geom.bev_iou(a, b) + 0.004)
     results = []
     for name, fn in CHECKS:
         try:

@@ -115,33 +115,32 @@ def validate(cfg: Config) -> None:
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
         if not all(math.isfinite(x) for x in _flat(value) if isinstance(x, float)):
-            fail(f"{f.name} must be finite, got {_fmt(value)}")
+            fail(f"{f.name} must be finite, got {_fmt(value)}", f.name)
     for name in ("voxel_size", "range_min", "range_max"):
         if len(getattr(cfg, name)) != 3:
             fail(f"{name} must hold three values (x, y, z), "
-                 f"got {_fmt(getattr(cfg, name))}")
+                 f"got {_fmt(getattr(cfg, name))}", name)
     for lo, hi, vs in zip(cfg.range_min, cfg.range_max, cfg.voxel_size):
         if vs <= 0:
-            fail(f"voxel size must be positive, got {vs}")
+            fail(f"voxel size must be positive, got {vs}", "voxel_size")
         if hi <= lo:
             fail(f"range [{lo}, {hi}] is empty")
         n = (hi - lo) / vs
         if abs(n - round(n)) > 1e-6:
             fail(f"range [{lo}, {hi}] is not a whole number of {vs} m voxels")
-    if cfg.num_keypoints < 1:
-        fail("num_keypoints must be >= 1")
     if not (len(cfg.class_names) == len(cfg.class_sizes) == len(cfg.class_z) >= 1):
         fail("class_names, class_sizes and class_z must align and be non-empty")
     for size in cfg.class_sizes:
         if len(size) != 3 or any(d <= 0 for d in size):
-            fail(f"class size {size} must be three positive dims")
-    if cfg.top_proposals < 1 or cfg.roi_samples < 1:
-        fail("top_proposals and roi_samples must be >= 1")
+            fail(f"class size {size} must be three positive dims", "class_sizes")
+    for name in ("num_keypoints", "top_proposals", "roi_samples"):
+        if getattr(cfg, name) < 1:
+            fail(f"{name} must be >= 1", name)
     for name in ("synth_ground_points", "synth_objects", "synth_points_per_object"):
         if getattr(cfg, name) < 0:
-            fail(f"{name} must be non-negative")
+            fail(f"{name} must be non-negative", name)
     if not cfg.range_min[2] <= cfg.synth_ground_z < cfg.range_max[2]:
-        fail("synth_ground_z must lie inside the z range")
+        fail("synth_ground_z must lie inside the z range", "synth_ground_z")
     if not 0 <= cfg.seed < SEED_LIMIT:  # keeps every derived stream key below 2**64
         fail(f"seed must be in [0, 2**63), got {cfg.seed}", "seed")
 

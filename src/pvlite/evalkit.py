@@ -44,21 +44,19 @@ def match_detections(
     if iou_kind not in ("bev", "3d"):
         raise ValueError(f"iou_kind must be 'bev' or '3d', got {iou_kind!r}")
     iou_fn = geom.bev_iou if iou_kind == "bev" else geom.iou_3d
-    n = len(dets)
-    flags = np.zeros(n, dtype=bool)
-    taken = [False] * len(gts)
-    order = sorted(range(n), key=lambda i: (-dets[i].score, i))
-    for i in order:
-        best, best_g = 0.0, -1
-        for g, gt in enumerate(gts):
-            if taken[g]:
-                continue
-            iou = iou_fn(dets[i].box, gt)
-            if iou > best:
-                best, best_g = iou, g
-        if best_g >= 0 and best >= iou_thresh:
+    flags = np.zeros(len(dets), dtype=bool)
+    if not dets or not gts:
+        return flags
+    det_rows = np.array([d.box.to_array() for d in dets]).reshape(-1, 1, 7)
+    gt_rows = np.array([gt.to_array() for gt in gts]).reshape(1, -1, 7)
+    iou = iou_fn(det_rows, gt_rows)  # (N, G)
+    free = np.ones(len(gts), dtype=bool)
+    for i in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
+        cand = np.where(free, iou[i], 0.0)
+        g = int(np.argmax(cand))
+        if cand[g] > 0.0 and cand[g] >= iou_thresh:
             flags[i] = True
-            taken[best_g] = True
+            free[g] = False
     return flags
 
 

@@ -17,6 +17,9 @@ TWO_PI = 2.0 * math.pi
 # Collinearity tolerance for convex polygon clipping, in meters.
 CLIP_TOL = 1e-9
 
+# Ranked rows NMS visits per overlap-mask block.
+NMS_BLOCK = 128
+
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to [-pi, pi)."""
@@ -60,22 +63,6 @@ class Box3D:
             )
         object.__setattr__(self, "theta", wrap_angle(self.theta))
 
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([self.cx, self.cy, self.cz])
-
-    @property
-    def bev_area(self) -> float:
-        return self.l * self.w
-
-    @property
-    def z_min(self) -> float:
-        return self.cz - 0.5 * self.h
-
-    @property
-    def z_max(self) -> float:
-        return self.cz + 0.5 * self.h
-
     def corners_bev(self) -> np.ndarray:
         """Ground-plane footprint corners, counter-clockwise, shape (4, 2)."""
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -106,83 +93,115 @@ class Detection:
             raise ValueError(f"Detection score must be in [0, 1], got {self.score!r}")
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    """Shoelace area of a simple polygon given as (K, 2) vertices."""
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    s = float(x[:-1] @ y[1:] - x[1:] @ y[:-1]) + float(x[-1] * y[0] - x[0] * y[-1])
-    return 0.5 * abs(s)
+def _shoelace(x: np.ndarray, y: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Areas of padded polygons, the first count[p] vertices of row p, summed
+    in vertex order so that equal polygons give equal areas at any padding."""
+    k = np.arange(x.shape[1])
+    nxt = np.where(k + 1 < count[:, None], k + 1, 0)
+    terms = x * np.take_along_axis(y, nxt, 1) - np.take_along_axis(x, nxt, 1) * y
+    total = np.zeros(x.shape[0])
+    for col in np.where(k < count[:, None], terms, 0.0).T:
+        total += col
+    return 0.5 * np.abs(total)
 
 
-def _clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex subject polygon by a convex
-    CCW clip polygon. Vertices within CLIP_TOL of an edge count as inside."""
-    output = [subject[i] for i in range(len(subject))]
-    nclip = len(clip)
-    for e in range(nclip):
-        if len(output) < 3:
-            return np.empty((0, 2))
-        a = clip[e]
-        b = clip[(e + 1) % nclip]
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        pts = output
-        output = []
-        sides = [ex * (p[1] - a[1]) - ey * (p[0] - a[0]) for p in pts]
-        for i in range(len(pts)):
-            cur, prev = pts[i], pts[i - 1]
-            s_cur, s_prev = sides[i], sides[i - 1]
-            cur_in, prev_in = s_cur >= -CLIP_TOL, s_prev >= -CLIP_TOL
-            if cur_in != prev_in:
-                t = s_prev / (s_prev - s_cur)
-                output.append(prev + t * (cur - prev))
-            if cur_in:
-                output.append(cur)
-    if len(output) < 3:
-        return np.empty((0, 2))
-    return np.array(output)
+def _footprint_overlap(a: np.ndarray, b: np.ndarray):
+    """(intersection, area of a, area of b) of the footprints of row pairs.
 
-
-def _bev_overlap(a: Box3D, b: Box3D):
-    """(intersection area, footprint area of a, footprint area of b).
-
-    On overlap all three come from the shoelace formula on corner polygons
-    so that identical boxes yield intersection == area exactly. When the
-    bounding circles are disjoint the footprint areas are the closed-form
-    products (callers short-circuit on a zero intersection).
+    Sutherland-Hodgman on every pair at once, in a frame centred on a so that
+    far-off coordinates lose no digits: a's corners, held as padded vertex
+    rows plus a count, are clipped by each edge of b's in turn. A vertex
+    within CLIP_TOL of an edge counts as inside, and a polygon left with
+    fewer than 3 vertices is empty. All three areas come from the same
+    shoelace sum, so identical boxes give intersection == area.
     """
-    r = 0.5 * math.hypot(a.l, a.w) + 0.5 * math.hypot(b.l, b.w)
-    if (a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2 > r * r:
-        return 0.0, a.bev_area, b.bev_area
-    ca = a.corners_bev()
-    cb = b.corners_bev()
-    area_a = _polygon_area(ca)
-    area_b = _polygon_area(cb)
-    inter = _polygon_area(_clip_convex(ca, cb))
+    rows = np.concatenate([a, b])
+    theta = wrap_angles(rows[:, 6])[:, None]
+    c, s = np.cos(theta), np.sin(theta)
+    # Counter-clockwise corners in half lengths and half widths, as corners_bev.
+    lx, ly = 0.5 * rows[:, 3:4] * [1, -1, -1, 1], 0.5 * rows[:, 4:5] * [1, 1, -1, -1]
+    shift = np.concatenate([np.zeros((len(a), 2)), b[:, :2] - a[:, :2]])
+    x, y = lx * c + ly * -s + shift[:, :1], lx * s + ly * c + shift[:, 1:]
+    area = _shoelace(x, y, np.full(len(rows), 4))
+    (px, bx), (py, by) = np.split(x, 2), np.split(y, 2)
+    count = np.full(len(a), 4)
+    for e in range(4):
+        x0, y0 = bx[:, e, None], by[:, e, None]
+        ex, ey = bx[:, (e + 1) % 4, None] - x0, by[:, (e + 1) % 4, None] - y0
+        k = np.arange(px.shape[1])
+        valid = k < count[:, None]
+        prev = np.where(k > 0, k - 1, count[:, None] - 1)
+        side = ex * (py - y0) - ey * (px - x0)
+        s_prev = np.take_along_axis(side, prev, 1)
+        qx, qy = np.take_along_axis(px, prev, 1), np.take_along_axis(py, prev, 1)
+        inside = side >= -CLIP_TOL
+        cross = valid & (inside != (s_prev >= -CLIP_TOL))
+        t = s_prev / np.where(cross, s_prev - side, 1.0)
+        # Each vertex emits the edge crossing into it, then itself if inside.
+        flat = (len(px), 2 * px.shape[1])
+        emit = np.stack([cross, valid & inside], axis=2).reshape(flat)
+        vx = np.stack([qx + t * (px - qx), px], axis=2).reshape(flat)
+        vy = np.stack([qy + t * (py - qy), py], axis=2).reshape(flat)
+        count = emit.sum(axis=1)
+        pair, slot = np.nonzero(emit)
+        col = np.cumsum(emit, axis=1)[pair, slot] - 1
+        px, py = np.zeros((2, len(px), count.max(initial=0)))
+        px[pair, col], py[pair, col] = vx[pair, slot], vy[pair, slot]
+        count[count < 3] = 0
+    area_a, area_b = np.split(area, 2)
     # Clipping noise can overshoot the smaller footprint by ~ulp.
-    return min(inter, area_a, area_b), area_a, area_b
+    inter = np.minimum(_shoelace(px, py, count), np.minimum(area_a, area_b))
+    return inter, area_a, area_b
 
 
-def bev_iou(a: Box3D, b: Box3D) -> float:
-    """Rotated IoU of the ground-plane footprints, by convex polygon clipping."""
-    inter, area_a, area_b = _bev_overlap(a, b)
-    if inter == 0.0:
-        return 0.0
-    union = area_a + area_b - inter
-    return min(max(inter / union, 0.0), 1.0)
+def circles_meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the box-row pairs whose bounding circles (radius
+    0.5 * hypot(l, w) about the centre) meet, the only pairs whose footprints
+    can overlap; a and b broadcast, so a[:, None] and b[None] give a table."""
+    reach = 0.5 * np.hypot(a[..., 3], a[..., 4]) + 0.5 * np.hypot(b[..., 3], b[..., 4])
+    return (a[..., 0] - b[..., 0]) ** 2 + (a[..., 1] - b[..., 1]) ** 2 <= reach * reach
 
 
-def iou_3d(a: Box3D, b: Box3D) -> float:
-    """3D IoU: BEV intersection area times vertical overlap, over volume union."""
-    dz = min(a.z_max, b.z_max) - max(a.z_min, b.z_min)
-    if dz <= 0.0:
-        return 0.0
-    inter2d, area_a, area_b = _bev_overlap(a, b)
-    if inter2d == 0.0:
-        return 0.0
-    inter = inter2d * dz
-    union = area_a * a.h + area_b * b.h - inter
-    return min(max(inter / union, 0.0), 1.0)
+def _iou(a, b, vertical: bool) -> np.ndarray:
+    """IoU of paired box rows; a and b broadcast over their leading axes.
+
+    A pair whose bounding circles are apart, or whose z extents do not
+    overlap in 3D, is 0 without clipping; a pair of equal rows is exactly 1.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    if shape[-1:] != (7,):
+        raise ValueError(f"IoU needs (..., 7) box rows, got {a.shape} and {b.shape}")
+    a, b = (np.broadcast_to(v, shape).reshape(-1, 7) for v in (a, b))
+    live = circles_meet(a, b)
+    if vertical:
+        dz = (np.minimum(a[:, 2] + 0.5 * a[:, 5], b[:, 2] + 0.5 * b[:, 5])
+              - np.maximum(a[:, 2] - 0.5 * a[:, 5], b[:, 2] - 0.5 * b[:, 5]))
+        live &= dz > 0.0
+    idx = np.flatnonzero(live)
+    inter, area_a, area_b = _footprint_overlap(a[idx], b[idx])
+    if vertical:
+        inter, area_a, area_b = inter * dz[idx], area_a * a[idx, 5], area_b * b[idx, 5]
+    out = np.zeros(a.shape[0])
+    out[idx] = np.clip(inter / np.where(inter > 0.0, area_a + area_b - inter, 1.0), 0.0, 1.0)
+    out[(a == b).all(axis=1)] = 1.0
+    return out.reshape(shape[:-1])
+
+
+def bev_iou(a, b) -> np.ndarray:
+    """Rotated IoU of the ground-plane footprints of paired (P, 7) box rows
+    (cx, cy, cz, l, w, h, theta), by convex polygon clipping; (P,) values.
+
+    Row i of a pairs with row i of b; the two broadcast, so one row against
+    many, or (N, 1, 7) against (1, G, 7) for an (N, G) table, also works.
+    """
+    return _iou(a, b, vertical=False)
+
+
+def iou_3d(a, b) -> np.ndarray:
+    """3D IoU of paired box rows: footprint intersection times vertical
+    overlap, over the volume union. Pairs and broadcasts like bev_iou."""
+    return _iou(a, b, vertical=True)
 
 
 def points_in_box(points: np.ndarray, box: Box3D) -> np.ndarray:
@@ -231,16 +250,13 @@ def nms(
             to truncating the full result.
 
     Rows are visited in descending score order, ties broken by ascending
-    index. A Box3D is built only for each visited row, so ranking N rows
-    to keep a few costs one sort and no per-row objects. Box3D's checks
-    therefore run on visited rows only: a caller that must reject any bad
-    row validates the arrays first, as rpn.extract_proposals does.
-
-    Each visited row is tested against all kept rows at once with the
-    bounding-circle prefilter (cx_i - cx_k)^2 + (cy_i - cy_k)^2 >
-    (r_i + r_k)^2, with r = 0.5 * hypot(l, w); the IoU is computed only for
-    the kept rows that pass it, in kept order, up to the first suppression.
-    Returns kept indices in visit order.
+    index, NMS_BLOCK ranked rows at a time. For each block one iou_3d call
+    covers the pairs whose bounding circles meet: block rows against the
+    kept rows and against the earlier rows of the block. A greedy pass over
+    that overlap mask keeps a row iff it overlaps no kept row. A visited row
+    that Box3D rejects raises Box3D's ValueError; rows never visited are not
+    checked, so a caller that must reject any bad row validates the arrays
+    first, as rpn.decode_anchors does. Returns kept indices in visit order.
     """
     rows = np.asarray(boxes, dtype=float)
     s = np.asarray(scores, dtype=float)
@@ -254,24 +270,31 @@ def nms(
     if max_keep is not None and max_keep < 0:
         raise ValueError(f"max_keep must be >= 0, got {max_keep}")
     limit = n if max_keep is None else min(max_keep, n)
+    order = np.argsort(-s, kind="stable")
     kept: list[int] = []
-    kept_boxes: list[Box3D] = []
-    # Bounding-circle prefilter data of the kept rows, in kept order.
-    kcx, kcy, krad = np.empty(limit), np.empty(limit), np.empty(limit)
-    for i in np.argsort(-s, kind="stable").tolist():
-        m = len(kept)
-        if m == limit:
+    for start in range(0, n, NMS_BLOCK):
+        if len(kept) == limit:
             break
-        box = box_from_array(rows[i])
-        rad = 0.5 * math.hypot(box.l, box.w)
-        apart = ((box.cx - kcx[:m]) ** 2 + (box.cy - kcy[:m]) ** 2
-                 > (rad + krad[:m]) ** 2)
-        if any(iou_3d(box, kept_boxes[k]) > iou_threshold
-               for k in np.flatnonzero(~apart).tolist()):
-            continue
-        kept.append(i)
-        kept_boxes.append(box)
-        kcx[m], kcy[m], krad[m] = box.cx, box.cy, rad
+        block = order[start:start + NMS_BLOCK]
+        bad = ~np.isfinite(rows[block]).all(axis=1) | (rows[block, 3:6] <= 0.0).any(axis=1)
+        stop = int(np.argmax(bad)) if bad.any() else len(block)
+        # Columns: the kept rows, then the block's rows before its first bad one.
+        m = len(kept)
+        cand = rows[np.concatenate([np.array(kept, dtype=np.int64), block[:stop]])]
+        near = circles_meet(cand[m:, None], cand[None])
+        near &= np.arange(len(cand)) < m + np.arange(stop)[:, None]
+        pj, pk = np.nonzero(near)
+        over = np.zeros(near.shape, dtype=bool)
+        over[pj, pk] = iou_3d(cand[m + pj], cand[pk]) > iou_threshold
+        alive = np.arange(len(cand)) < m
+        for r in range(stop):
+            if len(kept) == limit:
+                break
+            if not (over[r] & alive).any():
+                alive[m + r] = True
+                kept.append(int(block[r]))
+        if stop < len(block) and len(kept) < limit:
+            box_from_array(rows[block[stop]])  # raises Box3D's ValueError
     return kept
 
 

@@ -409,13 +409,11 @@ def matched_iou_stats(head: RefineHead, batch: RefineBatch):
         return float("nan"), float("nan")
     res = nn.mlp_forward(head.regression,
                          nn.mlp_forward(head.shared, batch.features))
-    rois = [batch.rois[i] for i in pos]
-    gts = [batch.matched_boxes[i] for i in pos]
-    rows = rpn.decode_residuals(res[pos], np.array([b.to_array() for b in rois]))
-    raw = [geom.iou_3d(roi, gt) for roi, gt in zip(rois, gts)]
-    refined = [geom.iou_3d(geom.box_from_array(row), gt)
-               for row, gt in zip(rows, gts)]
-    return float(np.mean(raw)), float(np.mean(refined))
+    rois = np.array([batch.rois[i].to_array() for i in pos])
+    gts = np.array([batch.matched_boxes[i].to_array() for i in pos])
+    refined = rpn.decode_residuals(res[pos], rois)
+    return (float(np.mean(geom.iou_3d(rois, gts))),
+            float(np.mean(geom.iou_3d(refined, gts))))
 
 
 # ---------------------------------------------------------------------------

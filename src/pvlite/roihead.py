@@ -134,27 +134,20 @@ def sample_proposals(
     encoded against the proposal row, all in one call. Confidence targets
     follow the piecewise linear IoU mapping for every sampled RoI. When one
     side has fewer than n_sample/2 candidates the other side fills the
-    remainder. A Box3D is built only for a row whose bounding circle meets
-    a gt box's, where the IoU is computed.
+    remainder. One iou_3d call covers every (proposal, gt) pair whose
+    bounding circles meet; each proposal takes the first gt of highest IoU.
 
     Returns:
         (sampled (S, 7) rows, RefineTargets); empty when there are no
         proposals.
     """
     rows = np.asarray(proposals, dtype=float).reshape(-1, 7)
-    n_prop = rows.shape[0]
-    best_iou = np.zeros(n_prop)
-    best_gt = np.full(n_prop, -1, dtype=np.int64)
-    reach = 0.5 * np.hypot(rows[:, 3], rows[:, 4])
-    for g, box in enumerate(gt):
-        r = reach + 0.5 * np.hypot(box.l, box.w)
-        near = ((rows[:, 0] - box.cx) ** 2
-                + (rows[:, 1] - box.cy) ** 2) <= r * r
-        for i in np.flatnonzero(near):
-            iou = geom.iou_3d(geom.box_from_array(rows[i]), box)
-            if iou > best_iou[i]:
-                best_iou[i] = iou
-                best_gt[i] = g
+    gt_rows = np.array([box.to_array() for box in gt]).reshape(-1, 7)
+    pi, pg = np.nonzero(geom.circles_meet(rows[:, None], gt_rows[None]))
+    iou = np.zeros((len(rows), len(gt_rows) + 1))  # column 0: no overlap
+    iou[pi, pg + 1] = geom.iou_3d(rows[pi], gt_rows[pg])
+    best_iou = iou.max(axis=1)
+    best_gt = np.argmax(iou, axis=1) - 1
 
     pos_idx = np.flatnonzero(best_iou >= pos_iou)
     neg_idx = np.flatnonzero(best_iou < pos_iou)
@@ -171,7 +164,6 @@ def sample_proposals(
     positive = best_iou[chosen] >= pos_iou
     matched = best_gt[chosen]
     residuals = np.zeros((len(chosen), 7))
-    gt_rows = np.array([box.to_array() for box in gt]).reshape(-1, 7)
     residuals[positive] = rpn.encode_residuals(gt_rows[matched[positive]],
                                                rows[chosen[positive]])
     return rows[chosen], RefineTargets(y, residuals, positive, matched)

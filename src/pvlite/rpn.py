@@ -62,9 +62,6 @@ class AnchorSet:
     def __len__(self) -> int:
         return self.boxes.shape[0]
 
-    def box(self, idx: int) -> Box3D:
-        return geom.box_from_array(self.boxes[idx])
-
 
 def generate_anchors(classes: tuple[ClassSpec, ...], grid: BevGrid) -> AnchorSet:
     """Anchors at BEV cell centers with class mean sizes and yaws {0, pi/2}."""
@@ -141,17 +138,6 @@ class RpnTargets:
     matched_gt: np.ndarray  # (A,) gt index, -1 where unmatched
 
 
-def _pairwise_bev_iou(anchors: np.ndarray, gt: Box3D) -> np.ndarray:
-    """BEV IoU of every anchor row against one gt box, with a prefilter."""
-    a = anchors
-    iou = np.zeros(a.shape[0])
-    reach = 0.5 * np.hypot(a[:, 3], a[:, 4]) + 0.5 * math.hypot(gt.l, gt.w)
-    near = (a[:, 0] - gt.cx) ** 2 + (a[:, 1] - gt.cy) ** 2 <= reach**2
-    for i in np.flatnonzero(near):
-        iou[i] = geom.bev_iou(geom.box_from_array(a[i]), gt)
-    return iou
-
-
 def assign_targets(
     anchors: AnchorSet,
     gt_boxes: list[Box3D],
@@ -178,7 +164,7 @@ def assign_targets(
     best_iou = np.zeros(n)
     best_gt = np.full(n, -1, dtype=np.int64)
     for g, (box, cls) in enumerate(zip(gt_boxes, gt_classes)):
-        iou = _pairwise_bev_iou(anchors.boxes, box)
+        iou = geom.bev_iou(anchors.boxes, box.to_array())
         iou[anchors.class_ids != cls] = 0.0
         better = iou > best_iou
         best_iou[better] = iou[better]

@@ -165,7 +165,9 @@ def gen_scene(cfg: Config, seed: int) -> SceneSample:
             cy = rng.uniform(lo[1] + margin, hi[1] - margin)
             cz = cfg.synth_ground_z + 0.5 * dims[2]
             cand = _f32_box(cx, cy, cz, dims[0], dims[1], dims[2], yaw)
-            if all(geom.bev_iou(cand, b) == 0.0 for b in boxes):
+            placed = np.array([b.to_array() for b in boxes]).reshape(-1, 7)
+            near = placed[geom.circles_meet(placed, cand.to_array())]
+            if not (len(near) and geom.bev_iou(near, cand.to_array()).any()):
                 box = cand
                 break
         if box is None:

@@ -1,21 +1,88 @@
 """Independent oracles shared by the test suite.
 
 Each oracle recomputes a result by a different algorithm than the library
-path it checks (sampling for areas, dense convolution for sparse, full
-recomputation for incremental FPS, a list-of-Detection loop for NMS,
-separate feature and offset gathers for set abstraction), plus an
-all-zero MLP and a writer of malformed scene files.
+path it checks (sampling for areas, one Python polygon clip per box pair
+for rotated IoU, dense convolution for sparse, full recomputation for
+incremental FPS, a list-of-Detection loop for NMS, separate feature and
+offset gathers for set abstraction), plus an all-zero MLP and a writer of
+malformed scene files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 
-from pvlite import geom, nn
-from pvlite.geom import Box3D, Detection
+from pvlite import nn
+from pvlite.geom import CLIP_TOL, Box3D, Detection
+
+
+def _polygon_area(poly: np.ndarray) -> float:
+    """Shoelace area of a simple polygon given as (K, 2) vertices."""
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    s = float(x[:-1] @ y[1:] - x[1:] @ y[:-1]) + float(x[-1] * y[0] - x[0] * y[-1])
+    return 0.5 * abs(s)
+
+
+def _clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman clip of a convex subject polygon by a convex
+    CCW clip polygon. Vertices within CLIP_TOL of an edge count as inside."""
+    output = [subject[i] for i in range(len(subject))]
+    nclip = len(clip)
+    for e in range(nclip):
+        if len(output) < 3:
+            return np.empty((0, 2))
+        a = clip[e]
+        b = clip[(e + 1) % nclip]
+        ex, ey = b[0] - a[0], b[1] - a[1]
+        pts = output
+        output = []
+        sides = [ex * (p[1] - a[1]) - ey * (p[0] - a[0]) for p in pts]
+        for i in range(len(pts)):
+            cur, prev = pts[i], pts[i - 1]
+            s_cur, s_prev = sides[i], sides[i - 1]
+            cur_in, prev_in = s_cur >= -CLIP_TOL, s_prev >= -CLIP_TOL
+            if cur_in != prev_in:
+                t = s_prev / (s_prev - s_cur)
+                output.append(prev + t * (cur - prev))
+            if cur_in:
+                output.append(cur)
+    if len(output) < 3:
+        return np.empty((0, 2))
+    return np.array(output)
+
+
+def iou_pair(a: Box3D, b: Box3D, vertical: bool = True) -> float:
+    """Rotated IoU of one box pair (3D, or of the footprints when vertical is
+    False), one Python Sutherland-Hodgman clip at a time.
+
+    The pair is moved into a frame centred on a first. Footprints whose
+    bounding circles are apart, or boxes whose z extents do not overlap in
+    3D, give 0; otherwise all areas come from the shoelace formula on the
+    corner polygons.
+    """
+    dz = (min(a.cz + 0.5 * a.h, b.cz + 0.5 * b.h)
+          - max(a.cz - 0.5 * a.h, b.cz - 0.5 * b.h))
+    if vertical and dz <= 0.0:
+        return 0.0
+    r = 0.5 * math.hypot(a.l, a.w) + 0.5 * math.hypot(b.l, b.w)
+    if (a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2 > r * r:
+        return 0.0
+    ca = dataclasses.replace(a, cx=0.0, cy=0.0).corners_bev()
+    cb = dataclasses.replace(b, cx=b.cx - a.cx, cy=b.cy - a.cy).corners_bev()
+    area_a, area_b = _polygon_area(ca), _polygon_area(cb)
+    # Clipping noise can overshoot the smaller footprint by ~ulp.
+    inter = min(_polygon_area(_clip_convex(ca, cb)), area_a, area_b)
+    if inter == 0.0:
+        return 0.0
+    if vertical:
+        inter, area_a, area_b = inter * dz, area_a * a.h, area_b * b.h
+    return min(max(inter / (area_a + area_b - inter), 0.0), 1.0)
 
 
 def mc_bev_iou(a: Box3D, b: Box3D, n_samples: int = 1_000_000, seed: int = 0) -> float:
@@ -47,7 +114,7 @@ def mc_bev_iou(a: Box3D, b: Box3D, n_samples: int = 1_000_000, seed: int = 0) ->
 
     frac = (inside(a) & inside(b)).mean()
     inter = frac * span[0] * span[1]
-    union = a.bev_area + b.bev_area - inter
+    union = a.l * a.w + b.l * b.w - inter
     return float(inter / union) if union > 0 else 0.0
 
 
@@ -56,8 +123,8 @@ def mc_volume_iou(a: Box3D, b: Box3D, n_samples: int = 200_000, seed: int = 0) -
     def bounds(box):
         c2 = box.corners_bev()
         return (
-            np.array([c2[:, 0].min(), c2[:, 1].min(), box.z_min]),
-            np.array([c2[:, 0].max(), c2[:, 1].max(), box.z_max]),
+            np.array([c2[:, 0].min(), c2[:, 1].min(), box.cz - 0.5 * box.h]),
+            np.array([c2[:, 0].max(), c2[:, 1].max(), box.cz + 0.5 * box.h]),
         )
 
     lo_a, hi_a = bounds(a)
@@ -258,9 +325,8 @@ def nms_reference(
 
     Visits detections by descending score (ties by ascending index) and
     suppresses one iff its IoU with an already-kept detection exceeds the
-    threshold, skipping the IoU when the bounding circles are apart. The
-    IoU is looked up on geom at call time, so a test can count its calls.
-    Returns kept indices in visit order, truncated to max_keep.
+    threshold by iou_pair, skipping the IoU when the bounding circles are
+    apart. Returns kept indices in visit order, truncated to max_keep.
     """
     if max_keep is not None and max_keep <= 0:
         return []
@@ -276,7 +342,7 @@ def nms_reference(
         for k in kept:
             if (cx[i] - cx[k]) ** 2 + (cy[i] - cy[k]) ** 2 > (rad[i] + rad[k]) ** 2:
                 continue
-            if geom.iou_3d(boxes[i], boxes[k]) > iou_threshold:
+            if iou_pair(boxes[i], boxes[k]) > iou_threshold:
                 suppressed = True
                 break
         if not suppressed:

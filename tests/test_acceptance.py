@@ -60,7 +60,7 @@ def test_01_bev_iou_matches_monte_carlo():
     worst = 0.0
     for i in range(200):
         a, b = overlapping_box_pair(rng)
-        exact = geom.bev_iou(a, b)
+        exact = float(geom.bev_iou(a.to_array(), b.to_array()))
         sampled = mc_bev_iou(a, b, n_samples=1_000_000, seed=5000 + i)
         worst = max(worst, abs(exact - sampled))
     elapsed = time.perf_counter() - t0

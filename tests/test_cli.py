@@ -69,7 +69,7 @@ class TestSynth:
                        str(tmp_path / "x"), "--count", "1"])
         field = line.split("=")[0]
         assert rc == 1
-        assert capsys.readouterr().err.startswith(f"error: {field} must be finite")
+        assert capsys.readouterr().err.startswith(f"error: {bad}:1: {field} must be finite")
         assert not (tmp_path / "x").exists()
 
 
@@ -325,13 +325,19 @@ class TestInputErrors:
             capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
-    def test_bad_config_value_exits_1(self, scene_dir, tmp_path, capsys):
+    def test_bad_config_value_exits_1(self, scene_dir, tmp_path, capsys,
+                                      monkeypatch):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("num_keypoints=0\n")
+        bad.write_text("# comment\n\nnum_keypoints=0\n")
         rc = cli.main(["run", "--config", str(bad), "--scenes", str(scene_dir),
                        "--out", str(tmp_path / "d")])
         assert rc == 1
-        assert "num_keypoints must be >= 1" in capsys.readouterr().err
+        assert f"error: {bad}:3: num_keypoints must be >= 1" in capsys.readouterr().err
+        monkeypatch.setenv("PVL_ROI_SAMPLES", "0")
+        rc = cli.main(["run", "--scenes", str(scene_dir), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert "error: PVL_ROI_SAMPLES: roi_samples must be >= 1" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("line, field", [("voxel_size=0.1,0.1", "voxel_size"),
                                              ("range_min=0.0,-40.0", "range_min")])

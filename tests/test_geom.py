@@ -1,5 +1,6 @@
-"""Geometry kernels: rotated IoU against a sampling oracle, containment,
-NMS determinism, and RoI grid point placement."""
+"""Geometry kernels: rotated IoU against a sampling oracle and a per-pair
+clipping oracle, containment, NMS against a list-based oracle, and RoI grid
+point placement."""
 
 import math
 
@@ -10,12 +11,21 @@ from pvlite import geom
 from pvlite.geom import Box3D, Detection
 
 from helpers import (
-    mc_bev_iou, mc_volume_iou, nms_reference, overlapping_box_pair, random_box,
+    iou_pair, mc_bev_iou, mc_volume_iou, nms_reference, overlapping_box_pair,
+    random_box,
 )
 
 
 def box(cx=0.0, cy=0.0, cz=0.0, l=2.0, w=2.0, h=2.0, theta=0.0):
     return Box3D(cx, cy, cz, l, w, h, theta)
+
+
+def bev(a, b) -> float:
+    return float(geom.bev_iou(a.to_array(), b.to_array()))
+
+
+def iou3(a, b) -> float:
+    return float(geom.iou_3d(a.to_array(), b.to_array()))
 
 
 def rows(dets):
@@ -78,26 +88,26 @@ class TestBevIou:
     def test_identity(self):
         for seed in range(5):
             b = random_box(np.random.default_rng(seed))
-            assert geom.bev_iou(b, b) == 1.0
+            assert bev(b, b) == 1.0
 
     def test_disjoint(self):
         a = box(cx=0.0)
         b = box(cx=100.0)
-        assert geom.bev_iou(a, b) == 0.0
+        assert bev(a, b) == 0.0
 
     def test_unit_overlap_case(self):
         # Two 2x2 squares offset by 1 in x: inter 2, union 6.
         a = box(l=2, w=2)
         b = box(cx=1.0, l=2, w=2)
         expected = 2.0 / 6.0
-        assert geom.bev_iou(a, b) == pytest.approx(expected, abs=1e-12)
+        assert bev(a, b) == pytest.approx(expected, abs=1e-12)
         assert mc_bev_iou(a, b, 200_000, seed=3) == pytest.approx(expected, abs=2e-3)
 
     def test_matches_sampling_oracle(self):
         rng = np.random.default_rng(42)
         for i in range(40):
             a, b = overlapping_box_pair(rng)
-            exact = geom.bev_iou(a, b)
+            exact = bev(a, b)
             approx = mc_bev_iou(a, b, 250_000, seed=100 + i)
             assert abs(exact - approx) <= 2e-3
 
@@ -105,8 +115,8 @@ class TestBevIou:
         rng = np.random.default_rng(7)
         for _ in range(100):
             a, b = overlapping_box_pair(rng)
-            ab = geom.bev_iou(a, b)
-            ba = geom.bev_iou(b, a)
+            ab = bev(a, b)
+            ba = bev(b, a)
             assert 0.0 <= ab <= 1.0
             assert ab == pytest.approx(ba, abs=1e-12)
             if ab == 1.0:
@@ -118,30 +128,30 @@ class TestBevIou:
         a = box(l=1, w=1)
         b = box(l=1, w=1, theta=math.pi / 4)
         inter = 2 * (math.sqrt(2) - 1)
-        assert geom.bev_iou(a, b) == pytest.approx(inter / (2 - inter), abs=1e-12)
+        assert bev(a, b) == pytest.approx(inter / (2 - inter), abs=1e-12)
 
 
 class TestIou3d:
     def test_identity(self):
         b = box()
-        assert geom.iou_3d(b, b) == 1.0
+        assert iou3(b, b) == 1.0
 
     def test_disjoint_vertical(self):
         a = box(cz=0.0, h=2.0)
         b = box(cz=5.0, h=2.0)
-        assert geom.iou_3d(a, b) == 0.0
+        assert iou3(a, b) == 0.0
 
     def test_half_vertical_overlap(self):
         # Same footprint, h=2 each, overlap 1: inter = V/2, IoU = 1/3.
         a = box(cz=0.0, h=2.0)
         b = box(cz=1.0, h=2.0)
-        assert geom.iou_3d(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert iou3(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_matches_volume_oracle(self):
         rng = np.random.default_rng(11)
         for i in range(15):
             a, b = overlapping_box_pair(rng)
-            assert geom.iou_3d(a, b) == pytest.approx(
+            assert iou3(a, b) == pytest.approx(
                 mc_volume_iou(a, b, 400_000, seed=i), abs=5e-3
             )
 
@@ -149,7 +159,102 @@ class TestIou3d:
         rng = np.random.default_rng(13)
         for _ in range(50):
             a, b = overlapping_box_pair(rng)
-            assert geom.iou_3d(a, b) == pytest.approx(geom.iou_3d(b, a), abs=1e-12)
+            assert iou3(a, b) == pytest.approx(iou3(b, a), abs=1e-12)
+
+
+def _random_rows(rng, n, span=3.0):
+    """n random box rows: centres within span, the sizes of random_box."""
+    return np.stack([
+        rng.uniform(-span, span, n), rng.uniform(-span, span, n),
+        rng.uniform(-2.0, 2.0, n), rng.uniform(0.5, 6.0, n),
+        rng.uniform(0.5, 4.0, n), rng.uniform(0.5, 3.0, n),
+        rng.uniform(-math.pi, math.pi, n),
+    ], axis=1)
+
+
+def _kernel_cases(seed: int = 77):
+    """Named (a, b) row arrays of box pairs, 3,100 pairs in all."""
+    rng = np.random.default_rng(seed)
+    a = _random_rows(rng, 1500)
+    near = _random_rows(rng, 1500)
+    near[:, :3] = a[:, :3] + rng.uniform(-2.5, 2.5, (1500, 3))
+    cases = {"random": (a, near)}
+    a = _random_rows(rng, 200)
+    cases["identical"] = (a, a.copy())
+    far = a.copy()
+    far[:, 0] += 20.0
+    cases["disjoint"] = (a, far)
+    # Same yaw, b shifted by exactly the half lengths along a's heading.
+    a = _random_rows(rng, 200)
+    b = _random_rows(rng, 200)
+    b[:, 6] = a[:, 6]
+    step = 0.5 * (a[:, 3] + b[:, 3])
+    b[:, 0] = a[:, 0] + step * np.cos(a[:, 6])
+    b[:, 1] = a[:, 1] + step * np.sin(a[:, 6])
+    cases["edge_touching"] = (a, b)
+    # Same yaw, width and centre line: two edges on the same lines.
+    b = a.copy()
+    b[:, 3] = rng.uniform(0.5, 6.0, 200)
+    shift = rng.uniform(-3.0, 3.0, 200)
+    b[:, 0] += shift * np.cos(a[:, 6])
+    b[:, 1] += shift * np.sin(a[:, 6])
+    cases["collinear_edges"] = (a, b)
+    inner = a.copy()
+    inner[:, 3:6] *= rng.uniform(0.1, 0.9, (200, 3))
+    inner[:, 6] += rng.uniform(-0.05, 0.05, 200)
+    cases["nested"] = (a, inner)
+    thin = _random_rows(rng, 200, span=1.0)
+    thin[:, 4] = rng.uniform(0.01, 0.05, 200)
+    cases["thin"] = (thin, _random_rows(rng, 200, span=1.0))
+    a, b = cases["random"][0][:200].copy(), cases["random"][1][:200].copy()
+    a[:, :2] += 1e6
+    b[:, :2] += 1e6
+    cases["centres_1e6"] = (a, b)
+    a, b = cases["random"][0][200:400].copy(), cases["random"][1][200:400].copy()
+    scale = 2.46e6 / 6.0
+    a[:, :6] *= scale
+    b[:, :6] *= scale
+    cases["sizes_2.46e6"] = (a, b)
+    return cases
+
+
+class TestIouKernel:
+    """The row kernel against the per-pair clipping oracle in helpers."""
+
+    @pytest.mark.parametrize("vertical", [False, True])
+    def test_matches_per_pair_oracle(self, vertical):
+        fn = geom.iou_3d if vertical else geom.bev_iou
+        for name, (a, b) in _kernel_cases().items():
+            got = fn(a, b)
+            want = [iou_pair(geom.box_from_array(x), geom.box_from_array(y),
+                             vertical) for x, y in zip(a, b)]
+            assert got.shape == (len(a),)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+            assert (0.0 <= got).all() and (got <= 1.0).all(), name
+
+    @pytest.mark.parametrize("fn", [geom.bev_iou, geom.iou_3d])
+    def test_identity_exact_disjoint_zero_symmetric(self, fn):
+        cases = _kernel_cases(seed=78)
+        for name, (a, b) in cases.items():
+            np.testing.assert_array_equal(fn(a, a), 1.0, err_msg=name)
+            np.testing.assert_allclose(fn(a, b), fn(b, a), rtol=0, atol=1e-12,
+                                       err_msg=name)
+        a, far = cases["disjoint"]
+        np.testing.assert_array_equal(fn(a, far), 0.0)
+
+    def test_broadcasts_to_a_table(self):
+        rng = np.random.default_rng(79)
+        a, b = _random_rows(rng, 5), _random_rows(rng, 4)
+        table = geom.iou_3d(a[:, None], b[None])
+        assert table.shape == (5, 4)
+        for i in range(5):
+            np.testing.assert_array_equal(table[i], geom.iou_3d(a[i], b))
+            assert geom.iou_3d(a[i], b[0]).shape == ()
+        assert geom.bev_iou(np.empty((0, 7)), np.empty((0, 7))).shape == (0,)
+
+    def test_rejects_rows_without_seven_fields(self):
+        with pytest.raises(ValueError, match="7"):
+            geom.iou_3d(np.zeros((3, 6)), np.zeros((3, 6)))
 
 
 class TestPointsInBox:
@@ -251,16 +356,20 @@ class TestNms:
         with pytest.raises(ValueError):
             geom.nms(boxes, np.array([0.9, np.nan]), 0.5)
 
-    def test_builds_boxes_only_for_visited_rows(self, monkeypatch):
+    def test_unvisited_invalid_row_does_not_raise(self):
         # Row 2 is invalid but ranks last; max_keep stops before it.
         boxes = np.array([box(cx=0.0).to_array(), box(cx=9.0).to_array(),
                           [0, 0, 0, -1.0, 1, 1, 0]])
-        built = []
-        real = geom.box_from_array
-        monkeypatch.setattr(geom, "box_from_array",
-                            lambda r: built.append(r[0]) or real(r))
         assert geom.nms(boxes, np.array([0.9, 0.8, 0.1]), 0.5, max_keep=2) == [0, 1]
-        assert built == [0.0, 9.0]
+
+    @pytest.mark.parametrize("bad, message", [
+        ([0, 0, 0, -1.0, 1, 1, 0], "dimensions must be positive"),
+        ([0, float("nan"), 0, 1, 1, 1, 0], "Box3D.cy must be finite"),
+    ])
+    def test_visited_invalid_row_raises(self, bad, message):
+        boxes = np.array([box(cx=0.0).to_array(), box(cx=9.0).to_array(), bad])
+        with pytest.raises(ValueError, match=message):
+            geom.nms(boxes, np.array([0.9, 0.8, 0.1]), 0.5, max_keep=3)
 
 
 def _tied_boxes(rng, n):
@@ -275,19 +384,16 @@ def _tied_boxes(rng, n):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_nms_matches_reference(seed, monkeypatch):
+    # Tied scores and duplicates; block sizes that split the 60 rows at
+    # many places as well as the default that holds them all.
     rng = np.random.default_rng(100 + seed)
     dets = _tied_boxes(rng, 60)
     threshold = float(rng.uniform(0.05, 0.6))
-    real = geom.iou_3d
-    pairs = []
-    monkeypatch.setattr(geom, "iou_3d", lambda a, b: pairs.append((a, b)) or real(a, b))
-    for max_keep in (None, 0, 1, 3, 10, 100):
-        pairs.clear()
-        expect = nms_reference(dets, threshold, max_keep)
-        ref_pairs = list(pairs)
-        pairs.clear()
-        assert geom.nms(*rows(dets), threshold, max_keep) == expect
-        assert pairs == ref_pairs
+    for block in (1, 7, geom.NMS_BLOCK):
+        monkeypatch.setattr(geom, "NMS_BLOCK", block)
+        for max_keep in (None, 0, 1, 3, 10, 100):
+            expect = nms_reference(dets, threshold, max_keep)
+            assert geom.nms(*rows(dets), threshold, max_keep) == expect
 
 
 class TestRoiGridPoints:
@@ -297,7 +403,7 @@ class TestRoiGridPoints:
             b = random_box(rng)
             pts = geom.roi_grid_points(b)
             assert pts.shape == (216, 3)
-            np.testing.assert_allclose(pts.mean(axis=0), b.center, atol=1e-9)
+            np.testing.assert_allclose(pts.mean(axis=0), b.to_array()[:3], atol=1e-9)
 
     def test_unit_cube_first_point(self):
         pts = geom.roi_grid_points(box(l=1, w=1, h=1))
@@ -317,11 +423,12 @@ class TestRoiGridPoints:
         p0 = geom.roi_grid_points(b0)
         p1 = geom.roi_grid_points(b1)
         c, s = math.cos(angle), math.sin(angle)
-        rel = p0 - b0.center
+        centre = b0.to_array()[:3]
+        rel = p0 - centre
         rot = np.stack(
             [c * rel[:, 0] - s * rel[:, 1], s * rel[:, 0] + c * rel[:, 1], rel[:, 2]],
             axis=1,
-        ) + b0.center
+        ) + centre
         np.testing.assert_allclose(p1, rot, atol=1e-12)
 
     def test_lexicographic_order(self):

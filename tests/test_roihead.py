@@ -250,7 +250,7 @@ class TestSampleProposals:
         # overlap h solves h / (4 - h) = 0.55 -> h = 2*0.55*2/1.55.
         dz = 2.0 - 2 * 0.55 * 2.0 / 1.55
         prop = Box3D(0, 0, dz, 4, 2, 2.0, 0.0)
-        assert geom.iou_3d(prop, gt) == pytest.approx(0.55, abs=1e-12)
+        assert geom.iou_3d(prop.to_array(), gt.to_array()) == pytest.approx(0.55, abs=1e-12)
         sampled, targets = roihead.sample_proposals(prop.to_array()[None], [gt],
                                                     seed=0, n_sample=2)
         assert targets.positive[0]
@@ -282,7 +282,7 @@ class TestSampleProposals:
     def test_residuals_decode_to_gt(self):
         gt = Box3D(5, 3, -0.5, 4.2, 1.8, 1.5, 0.3)
         prop = Box3D(5.3, 2.9, -0.45, 4.0, 1.7, 1.6, 0.25)
-        assert geom.iou_3d(prop, gt) > 0.55
+        assert geom.iou_3d(prop.to_array(), gt.to_array()) > 0.55
         sampled, targets = roihead.sample_proposals(prop.to_array()[None], [gt],
                                                     seed=3, n_sample=2)
         back = rpn.decode_residuals(targets.residuals[:1], rows(prop))
@@ -299,16 +299,16 @@ class TestSampleProposals:
         np.testing.assert_array_equal(targets.positive, [True] * 4 + [False] * 4)
         np.testing.assert_array_equal(targets.matched_gt[:4], index[:4])
 
-    def test_builds_boxes_only_for_rows_near_gt(self, monkeypatch):
+    def test_one_iou_call_for_rows_near_gt(self, monkeypatch):
         gts = [Box3D(0, 0, 0, 4, 2, 1.5, 0.0)]
         props = self._props_on(gts, extra_far=10)
-        built = []
-        real = geom.box_from_array
-        monkeypatch.setattr(geom, "box_from_array",
-                            lambda r: built.append(float(r[0])) or real(r))
+        pairs = []
+        real = geom.iou_3d
+        monkeypatch.setattr(geom, "iou_3d",
+                            lambda a, b: pairs.append(a[:, 0].tolist()) or real(a, b))
         roihead.sample_proposals(props, gts, seed=2, n_sample=8)
-        # The one row on the gt, once for its IoU; residuals take rows.
-        assert built == [0.0]
+        # One call, holding only the row on the gt.
+        assert pairs == [[0.0]]
 
 
 class TestRefine:
@@ -485,7 +485,8 @@ class TestFinalSelect:
         assert len(kept) == 4
         for i in range(4):
             for j in range(i + 1, 4):
-                assert geom.iou_3d(kept[i].box, kept[j].box) <= 0.01
+                assert geom.iou_3d(kept[i].box.to_array(),
+                                   kept[j].box.to_array()) <= 0.01
 
     def test_matches_reference_and_returns_originals(self):
         rng = np.random.default_rng(31)

@@ -49,7 +49,7 @@ class TestGenScene:
         boxes = scene.gt_boxes
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
-                assert geom.bev_iou(boxes[i], boxes[j]) == 0.0
+                assert geom.bev_iou(boxes[i].to_array(), boxes[j].to_array()) == 0.0
 
     def test_object_count(self, scene):
         assert len(scene.gt_boxes) == CFG.synth_objects
