@@ -8,10 +8,11 @@ suite's failure reporting can be exercised end to end.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import evalkit, geom, nn, roihead, rpn, sparsegrid, synth, vsa
+from . import evalkit, geom, nn, pipeline, roihead, rpn, sparsegrid, synth, vsa
 from .config import desk_config
 from .geom import Box3D
 
@@ -141,6 +142,22 @@ def _dense_conv(grid, w, stride):
                             kz : kz + stride * (oz - 1) + 1 : stride]
                 out += sl @ w[kx, ky, kz]
     return out
+
+
+def check_bev_dense(env):
+    dense = np.random.default_rng(1012).normal(size=(7, 6, 3, 4)).clip(1.0) - 1.0
+    coords = np.argwhere(dense.any(axis=3))  # 10 of the 42 cells stay empty
+    t = sparsegrid.SparseTensor(4, (0.5,) * 3, (-1.0, 0.5, 0.0), (7, 6, 3), coords,
+                                dense[tuple(coords.T)])
+    cells = dense.reshape(42, 12)  # the dense map; cell (i, j) is row 6 * i + j
+    bev, head = sparsegrid.bev_collapse(t), nn.init_params((12, 8, 16), seed=1013)
+    _, reg = pipeline.rpn_head_outputs(SimpleNamespace(rpn_head=head), bev, 1)
+    err = np.abs(reg - nn.mlp_forward(head, cells)[:, 2:].reshape(-1, 7)).max()
+    centers = t.origin[:2] + 0.5 * np.argwhere(np.ones((7, 6))) + 0.25
+    ok = (np.array_equal(bev.rows[bev.index.ravel()], cells) and err < 1e-12
+          and np.array_equal(sparsegrid.bilinear_sample(bev, centers), cells)
+          and not sparsegrid.bilinear_sample(bev, centers + 9.0).any())
+    return ok, f"cells and samples equal, RPN head within {err:.1e} of the dense map"
 
 
 def check_voxelize_permutation(env):
@@ -311,6 +328,7 @@ CHECKS = [
     ("geom.nms_permutation", check_nms_permutation),
     ("geom.roi_grid_points", check_roi_grid_points),
     ("sparse.conv_vs_dense", check_sparse_conv_dense),
+    ("sparse.bev_vs_dense", check_bev_dense),
     ("sparse.voxelize_permutation", check_voxelize_permutation),
     ("nn.gradients_vs_fd", check_mlp_gradients),
     ("rpn.codec_roundtrip", check_codec_roundtrip),

@@ -147,9 +147,13 @@ def apply_param_sections(model: ModelParams, sections: dict[str, nn.MlpParams]) 
 
 
 def rpn_head_outputs(model: ModelParams, bev: BevMap, num_classes: int):
-    """Per-anchor classification probabilities and residual predictions."""
-    cells = bev.values.reshape(-1, bev.channels)
-    out = nn.mlp_forward(model.rpn_head, cells)
+    """Per-anchor classification probabilities and residual predictions.
+
+    The head runs on the occupied rows and each cell takes its row's output:
+    a dense pass's bits wherever BLAS rounds a row alike at both row counts
+    (OpenBLAS 0.3.31 does at these widths for any count above one).
+    """
+    out = nn.mlp_forward(model.rpn_head, bev.rows)[bev.index.ravel()]
     per_cell = 2 * num_classes
     logits = out[:, :per_cell]
     res = out[:, per_cell:].reshape(-1, per_cell, 7)

@@ -308,45 +308,47 @@ def voxel_centers(t: SparseTensor) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BevMap:
-    """Dense bird's-eye-view feature grid collapsed from a voxel level.
-
-    values[i, j] holds the stacked per-z-bin features of BEV cell (i, j);
-    cell (i, j) covers origin + [i, i+1) * cell_size in x and likewise in y.
+    """Bird's-eye-view feature grid collapsed from a voxel level, kept as
+    occupied rows: rows[index[i, j]] holds the stacked per-z-bin features of
+    cell (i, j), and every empty cell points at the all-zero last row. Cell
+    (i, j) covers origin + [i, i+1) * cell_size in x and likewise in y.
     """
 
-    values: np.ndarray  # (nx, ny, channels)
+    rows: np.ndarray  # (occupied + 1, channels), last row zeros
+    index: np.ndarray  # (nx, ny) integer row of each cell
     origin: np.ndarray  # (2,) meters
     cell_size: np.ndarray  # (2,) meters
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        org = np.asarray(self.origin, dtype=float).copy()
-        cs = np.asarray(self.cell_size, dtype=float).copy()
-        if vals.ndim != 3:
-            raise GridConfigError(f"values must be (nx, ny, C), got {vals.shape}")
-        if not np.isfinite(vals).all():
-            raise ValueError("non-finite BEV values")
-        for arr in (vals, org, cs):
+        rows, index = np.asarray(self.rows, dtype=float), np.asarray(self.index)
+        if rows.ndim != 2 or not np.isfinite(rows).all():
+            raise GridConfigError(f"rows must be 2-D and finite, got shape {rows.shape}")
+        if not len(rows) or rows[-1].any():
+            raise GridConfigError("rows must end in an all-zero row")
+        if index.ndim != 2 or index.dtype.kind not in "iu" or (
+                index.size and not 0 <= index.min() <= index.max() < len(rows)):
+            raise GridConfigError(f"index must be a 2-D integer map into the {len(rows)} rows")
+        for name, arr in (("rows", rows), ("index", index),
+                          ("origin", np.array(self.origin, dtype=float)),
+                          ("cell_size", np.array(self.cell_size, dtype=float))):
             arr.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "origin", org)
-        object.__setattr__(self, "cell_size", cs)
+            object.__setattr__(self, name, arr)
 
     @property
     def nx(self) -> int:
-        return self.values.shape[0]
+        return self.index.shape[0]
 
     @property
     def ny(self) -> int:
-        return self.values.shape[1]
+        return self.index.shape[1]
 
     @property
     def channels(self) -> int:
-        return self.values.shape[2]
+        return self.rows.shape[1]
 
 
 def bev_collapse(t8: SparseTensor) -> BevMap:
-    """Stack a voxel level along Z into a dense BEV map.
+    """Stack a voxel level along Z into a BEV map of its occupied cells.
 
     Channel block b (width = feature width) of cell (i, j) holds the feature
     of voxel (i, j, b), or zeros where that voxel is empty.
@@ -357,12 +359,13 @@ def bev_collapse(t8: SparseTensor) -> BevMap:
             f"got level {t8.level_index}"
         )
     nx, ny, nz = t8.grid_shape
-    width = t8.feature_width
-    dense = np.zeros((nx, ny, nz, width))
-    if t8.num_voxels:
-        c = t8.coords
-        dense[c[:, 0], c[:, 1], c[:, 2]] = t8.features
-    return BevMap(dense.reshape(nx, ny, nz * width), t8.origin[:2], t8.voxel_size[:2])
+    c = t8.coords
+    cells, inv = np.unique(c[:, 0] * ny + c[:, 1], return_inverse=True)
+    rows = np.zeros((len(cells) + 1, nz * t8.feature_width))
+    rows.reshape(len(rows), nz, -1)[inv, c[:, 2]] = t8.features
+    index = np.full(nx * ny, len(cells))
+    index[cells] = np.arange(len(cells))
+    return BevMap(rows, index.reshape(nx, ny), t8.origin[:2], t8.voxel_size[:2])
 
 
 def bilinear_sample(bev: BevMap, xy: np.ndarray) -> np.ndarray:
@@ -395,5 +398,5 @@ def bilinear_sample(bev: BevMap, xy: np.ndarray) -> np.ndarray:
         wgt = (tu if di else 1.0 - tu) * (tv if dj else 1.0 - tv)
         ok = (ii >= 0) & (ii < bev.nx) & (jj >= 0) & (jj < bev.ny)
         if ok.any():
-            out[ok] += wgt[ok, None] * bev.values[ii[ok], jj[ok]]
+            out[ok] += wgt[ok, None] * bev.rows[bev.index[ii[ok], jj[ok]]]
     return out[0] if single else out

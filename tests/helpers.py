@@ -2,10 +2,11 @@
 
 Each oracle recomputes a result by a different algorithm than the library
 path it checks (sampling for areas, one Python polygon clip per box pair
-for rotated IoU, dense convolution for sparse, full recomputation for
-incremental FPS, a list-of-Detection loop for NMS, separate feature and
-offset gathers for set abstraction), plus an all-zero MLP and a writer of
-malformed scene files.
+for rotated IoU, dense convolution for sparse, a dense BEV array for the
+occupied-rows map, full recomputation for incremental FPS, a
+list-of-Detection loop for NMS, separate feature and offset gathers for
+set abstraction), plus an all-zero MLP and a writer of malformed scene
+files.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from pvlite import nn
 from pvlite.geom import CLIP_TOL, Box3D, Detection
+from pvlite.sparsegrid import BevMap
 
 
 def _polygon_area(poly: np.ndarray) -> float:
@@ -236,6 +238,52 @@ def sparse_to_dense(t) -> np.ndarray:
         c = t.coords
         dense[c[:, 0], c[:, 1], c[:, 2]] = t.features
     return dense
+
+
+def dense_bev(t8) -> np.ndarray:
+    """The dense (nx, ny, nz * width) BEV array of a level-4 tensor: channel
+    block k of cell (i, j) holds voxel (i, j, k)'s feature, zeros elsewhere."""
+    nx, ny, nz = t8.grid_shape
+    return sparse_to_dense(t8).reshape(nx, ny, nz * t8.feature_width)
+
+
+def bev_from_dense(values, origin, cell_size) -> BevMap:
+    """The occupied-rows BevMap of a dense (nx, ny, C) array; a cell is
+    occupied when any of its values is nonzero."""
+    values = np.asarray(values, dtype=float)
+    occupied = values.any(axis=2)
+    index = np.full(occupied.shape, occupied.sum())
+    index[occupied] = np.arange(occupied.sum())
+    rows = np.vstack([values[occupied], np.zeros((1, values.shape[2]))])
+    return BevMap(rows, index, origin, cell_size)
+
+
+def bev_to_dense(bev: BevMap) -> np.ndarray:
+    """The dense (nx, ny, channels) array a BevMap stands for."""
+    return bev.rows[bev.index]
+
+
+def bilinear_sample_dense(values, origin, cell_size, xy) -> np.ndarray:
+    """Zero-padded bilinear interpolation of a dense (nx, ny, C) array at
+    (M, 2) metric positions, reading the four surrounding cells of the
+    array directly."""
+    q = np.asarray(xy, dtype=float).reshape(-1, 2)
+    nx, ny, channels = values.shape
+    u = (q[:, 0] - origin[0]) / cell_size[0] - 0.5
+    v = (q[:, 1] - origin[1]) / cell_size[1] - 0.5
+    i0 = np.floor(u).astype(np.int64)
+    j0 = np.floor(v).astype(np.int64)
+    tu = u - i0
+    tv = v - j0
+    out = np.zeros((q.shape[0], channels))
+    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        ii = i0 + di
+        jj = j0 + dj
+        wgt = (tu if di else 1.0 - tu) * (tv if dj else 1.0 - tv)
+        ok = (ii >= 0) & (ii < nx) & (jj >= 0) & (jj < ny)
+        if ok.any():
+            out[ok] += wgt[ok, None] * values[ii[ok], jj[ok]]
+    return out
 
 
 def fps_bruteforce(points: np.ndarray, n: int, start_index: int = 0) -> np.ndarray:

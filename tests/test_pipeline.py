@@ -7,11 +7,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pvlite import nn, pipeline, rpn, synth
-from pvlite.config import desk_config
+from pvlite import nn, pipeline, rpn, synth, vsa
+from pvlite.config import default_config, desk_config
 from pvlite.roihead import RefineTargets
-from pvlite.sparsegrid import bev_collapse, run_backbone, voxelize
+from pvlite.sparsegrid import (
+    bev_collapse, bilinear_sample, in_range, run_backbone, voxelize,
+)
 from pvlite.synth import SceneSample
+
+from helpers import bilinear_sample_dense, dense_bev
 
 CFG = desk_config().replace(
     num_keypoints=128,
@@ -268,6 +272,52 @@ class TestTrainingProposals:
             pipeline.training_proposals(model, CFG, anchors, bev)
         with pytest.raises(ValueError, match=match):
             rpn.extract_proposals(cls, reg, anchors, top_k=CFG.top_proposals)
+
+
+@pytest.fixture(scope="module", params=[("kitti", 7), ("desk", 11)],
+                ids=["kitti", "desk"])
+def golden_level4(request):
+    """Model, level-4 tensor and keypoint positions of the kitti golden scene
+    and of the first desk golden scene (model seed 7)."""
+    profile, scene_seed = request.param
+    cfg = default_config() if profile == "kitti" else desk_config()
+    model = pipeline.build_model(cfg, 7)
+    pts = synth.gen_scene(cfg, seed=scene_seed).points_f64()
+    level1 = voxelize(pts, cfg.range_min, cfg.range_max, cfg.voxel_size)
+    kept = np.flatnonzero(in_range(pts[:, :3], cfg.range_min, cfg.range_max))
+    positions = pts[kept[vsa.fps(pts[kept, :3], cfg.num_keypoints)], :3]
+    return cfg, model, run_backbone(level1, model.backbone)[3], positions
+
+
+class TestSparseBevEqualsDense:
+    """The occupied-rows map reads bit for bit as the dense BEV array."""
+
+    def test_rpn_head_equals_mlp_over_dense_cells(self, golden_level4):
+        cfg, model, t8, _ = golden_level4
+        bev = bev_collapse(t8)
+        assert 100 < len(bev.rows) < bev.nx * bev.ny  # some cells empty
+        cls, reg = pipeline.rpn_head_outputs(model, bev, len(cfg.classes))
+        out = nn.mlp_forward(model.rpn_head, dense_bev(t8).reshape(-1, bev.channels))
+        per_cell = 2 * len(cfg.classes)
+        np.testing.assert_array_equal(cls, nn.sigmoid(out[:, :per_cell]).reshape(-1))
+        np.testing.assert_array_equal(reg, out[:, per_cell:].reshape(-1, 7))
+
+    def test_bilinear_sample_equals_dense_interpolation(self, golden_level4):
+        _, _, t8, positions = golden_level4
+        bev = bev_collapse(t8)
+        dense = dense_bev(t8)
+        xy = positions[:, :2]
+        lo, cell = bev.origin, bev.cell_size
+        hi = lo + cell * (bev.nx, bev.ny)
+        # Outside the map: half a cell past the low-x and the high-y edge
+        # (blends of inside and outside cells), and wholly past the far corner.
+        rim_x = np.column_stack([np.full(len(xy), lo[0] - 0.3 * cell[0]), xy[:, 1]])
+        rim_y = np.column_stack([xy[:, 0], np.full(len(xy), hi[1] + 0.3 * cell[1])])
+        far = xy + (hi - lo)
+        for q in (xy, rim_x, rim_y, far):
+            np.testing.assert_array_equal(bilinear_sample(bev, q),
+                                          bilinear_sample_dense(dense, lo, cell, q))
+        assert bilinear_sample(bev, rim_x).any() and not bilinear_sample(bev, far).any()
 
 
 class TestTrainPkw:

@@ -2,13 +2,17 @@
 backbone shapes, BEV collapse and bilinear sampling."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pvlite import sparsegrid as sg
 
-from helpers import dense_conv3d, rulebook_lookup, sparse_conv_lookup, sparse_to_dense
+from helpers import (
+    bev_from_dense, bev_to_dense, dense_bev, dense_conv3d,
+    rulebook_lookup, sparse_conv_lookup, sparse_to_dense,
+)
 
 RANGE_MIN = (0.0, 0.0, 0.0)
 RANGE_MAX = (1.6, 1.6, 1.6)
@@ -310,18 +314,19 @@ class TestBevCollapse:
 
     def test_empty(self):
         t = self._tensor(np.empty((0, 3), np.int64), np.empty((0, 2)), 2)
-        bev = sg.bev_collapse(t)
-        assert bev.values.shape == (4, 6, 10)
-        assert not bev.values.any()
+        values = bev_to_dense(sg.bev_collapse(t))
+        assert values.shape == (4, 6, 10)
+        assert not values.any()
 
     def test_single_voxel_block(self):
         feats = np.array([[1.0, 2.0, 3.0]])
         t = self._tensor(np.array([[1, 2, 3]]), feats, 3)
         bev = sg.bev_collapse(t)
         assert bev.channels == 15
-        block = bev.values[1, 2, 9:12]
+        values = bev_to_dense(bev)
+        block = values[1, 2, 9:12]
         np.testing.assert_array_equal(block, feats[0])
-        zeroed = bev.values.copy()
+        zeroed = values.copy()
         zeroed[1, 2, 9:12] = 0
         assert not zeroed.any()
 
@@ -337,13 +342,76 @@ class TestBevCollapse:
         with pytest.raises(sg.GridConfigError):
             sg.bev_collapse(t)
 
+    def test_matches_dense_oracle(self):
+        t = random_sparse(np.random.default_rng(21), shape=(9, 7, 4), width=3,
+                          density=0.2, level=4)
+        bev = sg.bev_collapse(t)
+        np.testing.assert_array_equal(bev_to_dense(bev), dense_bev(t))
+        assert bev.rows.shape == (np.unique(t.coords[:, :2], axis=0).shape[0] + 1, 12)
+
+    def test_kitti_size_map_allocates_only_occupied_rows(self):
+        coords = np.array([[0, 0, 0], [90, 100, 2], [175, 199, 4]])
+        t = sg.SparseTensor(4, (0.4, 0.4, 0.8), (0.0, -40.0, -3.0), (176, 200, 5),
+                            coords, np.ones((3, 64)))
+        tracemalloc.start()
+        try:
+            bev = sg.bev_collapse(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (bev.nx, bev.ny, bev.channels) == (176, 200, 320)
+        assert bev.rows.shape == (4, 320)
+        assert peak < 1_000_000  # the dense map alone would be 90 MB
+
+
+class TestBevMapValidation:
+    ROWS = np.vstack([np.ones((2, 3)), np.zeros((1, 3))])
+    INDEX = np.array([[0, 2], [1, 2]])
+
+    def _map(self, rows=ROWS, index=INDEX):
+        return sg.BevMap(rows, index, (0.0, 0.0), (1.0, 1.0))
+
+    def test_valid_map(self):
+        bev = self._map()
+        assert (bev.nx, bev.ny, bev.channels) == (2, 2, 3)
+
+    def test_rows_must_be_2d(self):
+        with pytest.raises(sg.GridConfigError, match="^rows"):
+            self._map(rows=self.ROWS.reshape(3, 3, 1))
+
+    def test_rows_must_be_finite(self):
+        rows = self.ROWS.copy()
+        rows[0, 1] = np.nan
+        with pytest.raises(ValueError, match="^rows"):
+            self._map(rows=rows)
+
+    @pytest.mark.parametrize("rows", [ROWS + 1.0, ROWS[:0]], ids=["nonzero", "none"])
+    def test_rows_must_end_in_zero_row(self, rows):
+        with pytest.raises(sg.GridConfigError, match="^rows"):
+            self._map(rows=rows)
+
+    def test_index_must_be_2d(self):
+        with pytest.raises(sg.GridConfigError, match="^index"):
+            self._map(index=self.INDEX.ravel())
+
+    def test_index_must_be_integer(self):
+        with pytest.raises(sg.GridConfigError, match="^index"):
+            self._map(index=self.INDEX.astype(float))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_index_must_point_into_rows(self, bad):
+        index = self.INDEX.copy()
+        index[1, 0] = bad
+        with pytest.raises(sg.GridConfigError, match="^index"):
+            self._map(index=index)
+
 
 class TestBilinearSample:
     def _map(self):
         vals = np.zeros((4, 4, 2))
         vals[1, 1] = [1.0, 10.0]
         vals[2, 1] = [3.0, 30.0]
-        return sg.BevMap(vals, (0.0, 0.0), (1.0, 1.0))
+        return bev_from_dense(vals, (0.0, 0.0), (1.0, 1.0))
 
     def test_cell_center_exact(self):
         bev = self._map()
@@ -362,8 +430,8 @@ class TestBilinearSample:
 
     def test_continuity_across_boundaries(self):
         rng = np.random.default_rng(9)
-        bev = sg.BevMap(rng.normal(size=(5, 5, 3)), (0.0, 0.0), (0.5, 0.5))
-        scale = np.abs(bev.values).max()
+        bev = bev_from_dense(rng.normal(size=(5, 5, 3)), (0.0, 0.0), (0.5, 0.5))
+        scale = np.abs(bev_to_dense(bev)).max()
         for b in np.arange(0.5, 2.5, 0.5):
             lo = sg.bilinear_sample(bev, (b - 1e-6, 1.1))
             hi = sg.bilinear_sample(bev, (b + 1e-6, 1.1))

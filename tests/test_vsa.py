@@ -10,10 +10,11 @@ import pytest
 from pvlite import nn, rpn, vsa
 from pvlite.config import RAW_CAP, RAW_RADII, VSA_CAPS, VSA_RADII
 from pvlite.geom import Box3D
-from pvlite.sparsegrid import BevMap, SparseTensor
+from pvlite.sparsegrid import SparseTensor
 
 from helpers import (
-    aggregate_branch_two_gathers, fps_bruteforce, radius_query_bruteforce,
+    aggregate_branch_two_gathers, bev_from_dense, fps_bruteforce,
+    radius_query_bruteforce,
 )
 
 
@@ -506,7 +507,7 @@ class TestExtendedVsa:
         tensors = _tiny_levels(rng)
         mlps = _mlps_for(tensors)
         raw_mlps = [nn.init_params((1 + 3, 8, 4), seed=30 + r) for r in range(2)]
-        bev = BevMap(rng.normal(size=(4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
+        bev = bev_from_dense(rng.normal(size=(4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
         kp = rng.uniform(0.2, 2.8, size=(7, 3))
         raw_pts = np.concatenate([rng.uniform(0, 3, size=(40, 3)),
                                   rng.uniform(0, 1, size=(40, 1))], axis=1)
@@ -522,7 +523,7 @@ class TestExtendedVsa:
         tensors = _tiny_levels(rng)
         mlps = _mlps_for(tensors)
         raw_mlps = [nn.init_params((1 + 3, 8, 4), seed=40 + r) for r in range(2)]
-        bev = BevMap(np.zeros((4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
+        bev = bev_from_dense(np.zeros((4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
         kp = np.array([[1.0, 1.0, 1.0]])
         far_raw = np.array([[50.0, 50.0, 50.0, 0.5]])
         f_pv = vsa.vsa_multi_level(kp, tensors, VSA_RADII, VSA_CAPS, mlps)
@@ -536,7 +537,7 @@ class TestExtendedVsa:
         tensors = _tiny_levels(rng)
         mlps = _mlps_for(tensors)
         raw_mlps = [nn.init_params((1 + 3, 8, 4), seed=50 + r) for r in range(2)]
-        bev = BevMap(rng.normal(size=(4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
+        bev = bev_from_dense(rng.normal(size=(4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
         kp = np.array([[100.0, 100.0, 0.0]])
         raw_pts = np.array([[100.0, 100.0, 0.0, 0.3]])
         f_pv = vsa.vsa_multi_level(kp, tensors, VSA_RADII, VSA_CAPS, mlps)
