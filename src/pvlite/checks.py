@@ -19,9 +19,9 @@ from .geom import Box3D
 FAULTS = ("bev-iou",)
 
 
-def _random_box(rng, span=3.0):
+def _random_box(rng):
     return Box3D(
-        float(rng.uniform(-span, span)), float(rng.uniform(-span, span)),
+        float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)),
         float(rng.uniform(-1, 1)), float(rng.uniform(0.8, 5.0)),
         float(rng.uniform(0.8, 3.0)), float(rng.uniform(0.8, 2.5)),
         float(rng.uniform(-math.pi, math.pi)),

@@ -119,11 +119,11 @@ def cmd_train_heads(args) -> int:
     if args.which == "pkw":
         with _processing(args.scenes):
             batch = pipeline.build_pkw_batch(cfg, model, scenes, seed=cfg.seed)
-        if batch.features.shape[0] == 0:
-            print("no keypoints; nothing to train", file=sys.stderr)
-            return 2
-        trained, losses, acc = pipeline.train_pkw(model.pkw, batch,
-                                                  args.iters, args.lr)
+            if batch.features.shape[0] == 0:
+                print("no keypoints; nothing to train", file=sys.stderr)
+                return 2
+            trained, losses, acc = pipeline.train_pkw(model.pkw, batch,
+                                                      args.iters, args.lr)
         with open(out, "wb") as fh:
             nn.save_params(trained, fh, name="pkw")
         print(f"pkw: {args.iters} iters, loss {losses[0]:.4f} -> "
@@ -133,11 +133,11 @@ def cmd_train_heads(args) -> int:
         with _processing(args.scenes):
             batch = pipeline.build_refine_batch(cfg, model, scenes, anchors,
                                                 seed=cfg.seed)
-        if batch.features.shape[0] == 0:
-            print("no sampled RoIs; nothing to train", file=sys.stderr)
-            return 2
-        trained, losses = pipeline.train_refine(model.refine, batch,
-                                                args.iters, args.lr)
+            if batch.features.shape[0] == 0:
+                print("no sampled RoIs; nothing to train", file=sys.stderr)
+                return 2
+            trained, losses = pipeline.train_refine(model.refine, batch,
+                                                    args.iters, args.lr)
         raw, refined = pipeline.matched_iou_stats(trained, batch)
         with open(out, "wb") as fh:
             nn.save_params(trained.shared, fh, name="refine_shared")

@@ -22,6 +22,7 @@ RAW_RADII = (0.4, 0.8)
 RAW_CAP = 16
 GRID_RADII = (0.8, 1.6)
 GRID_CAP = 32
+GRID_RESOLUTION = 6  # RoI grid points per box axis
 
 # Network widths
 BACKBONE_WIDTHS = (16, 32, 64, 64)
@@ -37,6 +38,8 @@ REFINE_HIDDEN = 256
 PROPOSAL_NMS_IOU = 0.7
 FINAL_NMS_IOU = 0.01
 ROI_POS_IOU = 0.55
+
+FOCAL_ALPHA, FOCAL_GAMMA = 0.25, 2.0  # focal loss weighting (arXiv 1708.02002)
 
 # Synthetic scenes (meters; the size std is of log-size, the yaw jitter radians)
 SYNTH_GROUND_NOISE = 0.02

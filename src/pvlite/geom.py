@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import GRID_RESOLUTION
+
 TWO_PI = 2.0 * math.pi
 
 # Collinearity tolerance for convex polygon clipping, in meters.
@@ -242,7 +244,7 @@ def nms(
     """Greedy non-maximum suppression over box rows by 3D IoU.
 
     Args:
-        boxes: (N, 7) rows of (cx, cy, cz, l, w, h, theta).
+        boxes: (N, 7) valid rows of (cx, cy, cz, l, w, h, theta).
         scores: (N,) finite scores.
         iou_threshold: a row is suppressed iff its IoU with an already-kept
             row exceeds this.
@@ -253,10 +255,8 @@ def nms(
     index, NMS_BLOCK ranked rows at a time. For each block one iou_3d call
     covers the pairs whose bounding circles meet: block rows against the
     kept rows and against the earlier rows of the block. A greedy pass over
-    that overlap mask keeps a row iff it overlaps no kept row. A visited row
-    that Box3D rejects raises Box3D's ValueError; rows never visited are not
-    checked, so a caller that must reject any bad row validates the arrays
-    first, as rpn.decode_anchors does. Returns kept indices in visit order.
+    that overlap mask keeps a row iff it overlaps no kept row. Returns kept
+    indices in visit order.
     """
     rows = np.asarray(boxes, dtype=float)
     s = np.asarray(scores, dtype=float)
@@ -276,36 +276,32 @@ def nms(
         if len(kept) == limit:
             break
         block = order[start:start + NMS_BLOCK]
-        bad = ~np.isfinite(rows[block]).all(axis=1) | (rows[block, 3:6] <= 0.0).any(axis=1)
-        stop = int(np.argmax(bad)) if bad.any() else len(block)
-        # Columns: the kept rows, then the block's rows before its first bad one.
+        # Columns: the kept rows, then the block's rows.
         m = len(kept)
-        cand = rows[np.concatenate([np.array(kept, dtype=np.int64), block[:stop]])]
+        cand = rows[np.concatenate([np.array(kept, dtype=np.int64), block])]
         near = circles_meet(cand[m:, None], cand[None])
-        near &= np.arange(len(cand)) < m + np.arange(stop)[:, None]
+        near &= np.arange(len(cand)) < m + np.arange(len(block))[:, None]
         pj, pk = np.nonzero(near)
         over = np.zeros(near.shape, dtype=bool)
         over[pj, pk] = iou_3d(cand[m + pj], cand[pk]) > iou_threshold
         alive = np.arange(len(cand)) < m
-        for r in range(stop):
+        for r in range(len(block)):
             if len(kept) == limit:
                 break
             if not (over[r] & alive).any():
                 alive[m + r] = True
                 kept.append(int(block[r]))
-        if stop < len(block) and len(kept) < limit:
-            box_from_array(rows[block[stop]])  # raises Box3D's ValueError
     return kept
 
 
-def roi_grid_points(box: Box3D, resolution: int = 6) -> np.ndarray:
-    """Uniform grid of cell-center points inside a box.
+def roi_grid_points(box: Box3D) -> np.ndarray:
+    """(GRID_RESOLUTION**3, 3) uniform grid of cell-center points in a box.
 
-    Local offsets per axis are ((i + 0.5) / resolution - 0.5) * dim, rotated
-    by the box yaw and translated to the center. Points are ordered
-    lexicographically by (i, j, k). Shape (resolution**3, 3).
+    Local offsets per axis are ((i + 0.5) / GRID_RESOLUTION - 0.5) * dim,
+    rotated by the box yaw and translated to the center. Points are ordered
+    lexicographically by (i, j, k).
     """
-    u = (np.arange(resolution) + 0.5) / resolution - 0.5
+    u = (np.arange(GRID_RESOLUTION) + 0.5) / GRID_RESOLUTION - 0.5
     gi, gj, gk = np.meshgrid(u * box.l, u * box.w, u * box.h, indexing="ij")
     local = np.stack([gi.ravel(), gj.ravel(), gk.ravel()], axis=1)
     c, s = math.cos(box.theta), math.sin(box.theta)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 OUT_ACTIVATIONS = ("identity", "sigmoid")
+GRAD_CHECK_EPS = 1e-3  # grad_check's finite-difference step
+GRAD_CHECK_FLOOR = 1e-8  # grad_check's floor of the relative-error denominator
 
 
 class ShapeError(ValueError):
@@ -183,17 +185,16 @@ def mlp_backward(p: MlpParams, x: np.ndarray, layers: list[np.ndarray],
     return w_grads, b_grads, delta if input_grad else None
 
 
-def grad_check(f, point: np.ndarray, eps: float = 1e-3, floor: float = 1e-8) -> float:
+def grad_check(f, point: np.ndarray) -> float:
     """Compare an analytic gradient against central finite differences.
 
     Args:
         f: callable mapping a flat vector to (scalar value, gradient vector).
         point: flat evaluation point.
-        eps: finite-difference step.
-        floor: absolute floor for the relative-error denominator.
 
     Returns:
-        The max over coordinates of |analytic - fd| / max(|analytic|, |fd|, floor).
+        The max over coordinates of |analytic - fd| / max(|analytic|, |fd|,
+        GRAD_CHECK_FLOOR), fd taken at step GRAD_CHECK_EPS.
     """
     x = np.asarray(point, dtype=float).copy()
     val, grad = f(x)
@@ -203,15 +204,15 @@ def grad_check(f, point: np.ndarray, eps: float = 1e-3, floor: float = 1e-8) -> 
     worst = 0.0
     for i in range(x.size):
         orig = x[i]
-        x[i] = orig + eps
+        x[i] = orig + GRAD_CHECK_EPS
         fp, _ = f(x)
-        x[i] = orig - eps
+        x[i] = orig - GRAD_CHECK_EPS
         fm, _ = f(x)
         x[i] = orig
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise FloatingPointError(f"non-finite evaluation near coordinate {i}")
-        fd = (fp - fm) / (2.0 * eps)
-        denom = max(abs(grad[i]), abs(fd), floor)
+        fd = (fp - fm) / (2.0 * GRAD_CHECK_EPS)
+        denom = max(abs(grad[i]), abs(fd), GRAD_CHECK_FLOOR)
         worst = max(worst, abs(grad[i] - fd) / denom)
     return worst
 

@@ -177,10 +177,8 @@ def build_keypoints(
     kept = np.flatnonzero(in_range(pts[:, :3], cfg.range_min, cfg.range_max))
     idx = kept[vsa.fps(pts[kept, :3], cfg.num_keypoints)]
     positions = pts[idx, :3]
-    f_pv = vsa.vsa_multi_level(positions, tensors, config.VSA_RADII,
-                               config.VSA_CAPS, model.vsa_mlps, seed=seed)
-    f_p = vsa.extended_vsa(positions, f_pv, pts[kept], bev, config.RAW_RADII,
-                           config.RAW_CAP, model.raw_mlps, seed=seed)
+    f_pv = vsa.vsa_multi_level(positions, tensors, model.vsa_mlps, seed)
+    f_p = vsa.extended_vsa(positions, f_pv, pts[kept], bev, model.raw_mlps, seed)
     weighted, scores, labels = vsa.pkw(positions, f_p, list(scene.gt_boxes),
                                        model.pkw)
     return KeypointSet(positions, idx, f_p, np.hstack([weighted, positions]),
@@ -195,16 +193,6 @@ class PipelineResult:
     proposals: list[Detection]
     keypoints: KeypointSet | None
     timings: dict[str, float] = field(default_factory=dict)
-
-
-def _pool_rois(model: ModelParams, keypoints: KeypointSet, rois: np.ndarray,
-               seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """RoI-grid pooling of (R, 7) box rows; the k-th RoI draws from seed + 31 * k."""
-    return roihead.roi_grid_pool(
-        rois, keypoints.weighted_xyz, config.GRID_RADII,
-        config.GRID_CAP, model.grid_mlps, model.pool_mlp,
-        seeds=[seed + 31 * k for k in range(len(rois))],
-    )
 
 
 def run_scene(
@@ -240,7 +228,8 @@ def run_scene(
 
     t0 = time.perf_counter()
     rois = np.array([p.box.to_array() for p in proposals]).reshape(-1, 7)
-    _, roi_features = _pool_rois(model, keypoints, rois, seed)
+    _, roi_features = roihead.roi_grid_pool(rois, keypoints.weighted_xyz,
+                                            model.grid_mlps, model.pool_mlp, seed)
     conf, _, refined = roihead.refine(roi_features, rois, model.refine)
     detections = [Detection(geom.box_from_array(refined[i]), float(conf[i]),
                             proposals[i].class_id)
@@ -252,6 +241,12 @@ def run_scene(
 # ---------------------------------------------------------------------------
 # Head-only training
 # ---------------------------------------------------------------------------
+
+def _check_loss(head: str, losses: list[float], lr: float) -> None:
+    if not np.isfinite(losses[-1]):
+        raise FloatingPointError(f"{head} training diverged: loss {losses[-1]} at "
+                                 f"iteration {len(losses) - 1} with lr {lr}")
+
 
 def _sgd_step(params: nn.MlpParams, w_grads, b_grads, lr: float) -> None:
     for w, b, gw, gb in zip(params.weights, params.biases, w_grads, b_grads):
@@ -310,6 +305,7 @@ def train_pkw(
         layers = nn.mlp_layers(params, batch.features)
         scores = layers[-1][:, 0]
         losses.append(vsa.seg_loss(scores, batch.labels))
+        _check_loss("pkw", losses, lr)
         up = rpn.focal_loss_grad(scores, batch.labels)[:, None]
         w_g, b_g, _ = nn.mlp_backward(params, batch.features, layers, up,
                                       input_grad=False)
@@ -356,7 +352,8 @@ def build_refine_batch(
             training_proposals(model, cfg, anchors, bev),
             list(scene.gt_boxes), seed + 977 * s_idx, n_sample=cfg.roi_samples,
         )
-        feats.append(_pool_rois(model, kp, sampled, seed + 7919 * s_idx)[1])
+        feats.append(roihead.roi_grid_pool(sampled, kp.weighted_xyz, model.grid_mlps,
+                                           model.pool_mlp, seed + 7919 * s_idx)[1])
         rois.extend(geom.box_from_array(row) for row in sampled)
         matched.extend(scene.gt_boxes[g] if g >= 0 else None
                        for g in targets.matched_gt)
@@ -384,6 +381,7 @@ def train_refine(head: RefineHead, batch: RefineBatch, iters: int, lr: float):
         conf, res = confidence[-1][:, 0], regression[-1]
         total, _parts = roihead.rcnn_loss(conf, res, batch.targets)
         losses.append(total)
+        _check_loss("refine", losses, lr)
 
         up_conf = roihead.iou_bce_grad(conf, batch.targets.y)[:, None]
         cw, cb, d_trunk_conf = nn.mlp_backward(h.confidence, trunk, confidence,
@@ -447,7 +445,8 @@ def bench_pooling(
     if strategy == "roi_grid":
         width = 2 * config.GRID_BRANCH_WIDTH
         rois = np.array([p.box.to_array() for p in proposals]).reshape(-1, 7)
-        grid_features, _ = _pool_rois(model, keypoints, rois, seed)
+        grid_features, _ = roihead.roi_grid_pool(rois, keypoints.weighted_xyz,
+                                                 model.grid_mlps, model.pool_mlp, seed)
         rows = grid_features.reshape(-1, width)
     elif strategy == "average_pool":
         width = keypoints.feature_width

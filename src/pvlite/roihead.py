@@ -13,18 +13,15 @@ from . import config, geom, nn, rpn
 from .geom import Box3D
 from .vsa import _aggregate_branch, radius_query
 
-GRID_RESOLUTION = 6
-GRID_POINTS = GRID_RESOLUTION**3
+GRID_POINTS = config.GRID_RESOLUTION**3
 
 
 def roi_grid_pool(
     rois: np.ndarray,
     keypoints: np.ndarray,
-    radii: tuple[float, float],
-    cap: int,
     branch_mlps: list[nn.MlpParams],
     pool_mlp: nn.MlpParams,
-    seeds: list[int],
+    seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate weighted keypoint features onto each proposal's grid points.
 
@@ -35,9 +32,9 @@ def roi_grid_pool(
     rois are (R, 7) box rows; keypoints is the (n, d + 3) matrix
     [features | xyz] of the keypoints.
 
-    The grid points of all RoIs share one neighbour search for both radii.
-    Grid point j of rois[p] subsamples from the stream [seeds[p] + r, j] at
-    radius index r.
+    The grid points of all RoIs share one neighbour search for both
+    GRID_RADII. Grid point j of rois[p] keeps at most GRID_CAP neighbours at
+    radius index r, drawn from the stream [seed + 31 * p + r, j].
 
     Returns:
         (grid_features (R, 216, sum of branch widths), roi_features
@@ -45,15 +42,12 @@ def roi_grid_pool(
     """
     rows = np.asarray(rois, dtype=float).reshape(-1, 7)
     n_rois = rows.shape[0]
-    if len(seeds) != n_rois:
-        raise ValueError(f"{len(seeds)} seeds for {n_rois} RoIs")
     keypoints = np.asarray(keypoints, dtype=float)
-    grids = [geom.roi_grid_points(geom.box_from_array(row), GRID_RESOLUTION)
-             for row in rows]
-    keys = np.stack([np.repeat(np.asarray(seeds, dtype=np.uint64), GRID_POINTS),
+    grids = [geom.roi_grid_points(geom.box_from_array(row)) for row in rows]
+    keys = np.stack([np.repeat(seed + 31 * np.arange(n_rois, dtype=np.uint64), GRID_POINTS),
                      np.tile(np.arange(GRID_POINTS, dtype=np.uint64), n_rois)], axis=1)
-    neigh = radius_query(np.reshape(grids, (-1, 3)), keypoints[:, -3:], radii,
-                         cap, seed=keys)
+    neigh = radius_query(np.reshape(grids, (-1, 3)), keypoints[:, -3:],
+                         config.GRID_RADII, config.GRID_CAP, seed=keys)
     cols = np.cumsum([0] + [mlp.out_width for mlp in branch_mlps])
     grid_features = np.empty((n_rois, GRID_POINTS, cols[-1]))
     roi_features = np.empty((n_rois, pool_mlp.out_width))
@@ -124,13 +118,12 @@ def sample_proposals(
     gt: list[Box3D],
     seed: int,
     n_sample: int,
-    pos_iou: float = config.ROI_POS_IOU,
 ):
     """Sample RoIs for refinement training at a 1:1 positive:negative ratio.
 
     proposals are (N, 7) box rows, such as pipeline.training_proposals
     returns. A proposal is positive when its best 3D IoU with the ground
-    truth reaches pos_iou; positives carry residuals of their best gt
+    truth reaches ROI_POS_IOU; positives carry residuals of their best gt
     encoded against the proposal row, all in one call. Confidence targets
     follow the piecewise linear IoU mapping for every sampled RoI. When one
     side has fewer than n_sample/2 candidates the other side fills the
@@ -149,8 +142,8 @@ def sample_proposals(
     best_iou = iou.max(axis=1)
     best_gt = np.argmax(iou, axis=1) - 1
 
-    pos_idx = np.flatnonzero(best_iou >= pos_iou)
-    neg_idx = np.flatnonzero(best_iou < pos_iou)
+    pos_idx = np.flatnonzero(best_iou >= config.ROI_POS_IOU)
+    neg_idx = np.flatnonzero(best_iou < config.ROI_POS_IOU)
     rng = np.random.default_rng(seed)
     half = n_sample // 2
     take_pos = min(half, pos_idx.size)
@@ -161,7 +154,7 @@ def sample_proposals(
     chosen = np.concatenate([np.sort(chosen_pos), np.sort(chosen_neg)]).astype(np.int64)
 
     y = confidence_target(best_iou[chosen])
-    positive = best_iou[chosen] >= pos_iou
+    positive = best_iou[chosen] >= config.ROI_POS_IOU
     matched = best_gt[chosen]
     residuals = np.zeros((len(chosen), 7))
     residuals[positive] = rpn.encode_residuals(gt_rows[matched[positive]],
@@ -198,8 +191,8 @@ def refine(roi_features: np.ndarray, rois: np.ndarray, head: RefineHead):
     item 2 waits on a relative tolerance.
 
     Returns:
-        (confidences (R,), residuals (R, 7), refined (R, 7) box rows) where
-        each refined row is its residual decoded against its RoI.
+        (confidences (R,), residuals (R, 7), refined (R, 7) rows): residuals
+        decoded against the RoIs and checked by rpn.check_decoded ("RoI i").
     """
     feats = np.asarray(roi_features, dtype=float)
     rows = np.asarray(rois, dtype=float).reshape(-1, 7)
@@ -209,7 +202,9 @@ def refine(roi_features: np.ndarray, rois: np.ndarray, head: RefineHead):
         trunk = nn.mlp_forward(head.shared, feats[i : i + 1])
         conf[i] = nn.mlp_forward(head.confidence, trunk)[0, 0]
         residuals[i] = nn.mlp_forward(head.regression, trunk)[0]
-    return conf, residuals, rpn.decode_residuals(residuals, rows)
+    refined = rpn.decode_residuals(residuals, rows)
+    rpn.check_decoded(refined, conf, "RoI")
+    return conf, residuals, refined
 
 
 def rcnn_loss(
@@ -228,13 +223,11 @@ def rcnn_loss(
     return iou_term + reg_term, {"iou": iou_term, "reg": reg_term}
 
 
-def final_select(
-    boxes: np.ndarray, scores: np.ndarray, nms_iou: float = config.FINAL_NMS_IOU
-) -> list[int]:
-    """Greedy NMS over refined (R, 7) box rows and their (R,) confidences to
-    drop near-duplicates.
+def final_select(boxes: np.ndarray, scores: np.ndarray) -> list[int]:
+    """Greedy NMS at FINAL_NMS_IOU over refined (R, 7) box rows and their
+    (R,) confidences to drop near-duplicates.
 
     Returns:
         The kept row indices, by descending score.
     """
-    return geom.nms(np.asarray(boxes, dtype=float).reshape(-1, 7), scores, nms_iou)
+    return geom.nms(boxes, scores, config.FINAL_NMS_IOU)

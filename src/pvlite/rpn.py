@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .config import PROPOSAL_NMS_IOU, ClassSpec
+from .config import FOCAL_ALPHA, FOCAL_GAMMA, PROPOSAL_NMS_IOU, ClassSpec
 from .geom import Box3D, Detection
 
 
@@ -197,16 +197,11 @@ def assign_targets(
 PROB_EPS = 1e-7
 
 
-def focal_loss(
-    pred_prob: np.ndarray,
-    target: np.ndarray,
-    alpha: float = 0.25,
-    gamma: float = 2.0,
-) -> float:
-    """Focal loss summed over elements, divided by max(1, #positives).
-
-    Predictions are clamped to [1e-7, 1 - 1e-7] before the logs.
-    """
+def focal_loss(pred_prob: np.ndarray, target: np.ndarray) -> float:
+    """Focal loss (FOCAL_ALPHA, FOCAL_GAMMA) summed over elements, divided
+    by max(1, #positives); predictions are clamped to [1e-7, 1 - 1e-7]
+    before the logs."""
+    alpha, gamma = FOCAL_ALPHA, FOCAL_GAMMA
     p = np.clip(np.asarray(pred_prob, dtype=float), PROB_EPS, 1.0 - PROB_EPS)
     t = np.asarray(target)
     pos = t == 1
@@ -218,13 +213,9 @@ def focal_loss(
     return float(per.sum()) / max(1, int(pos.sum()))
 
 
-def focal_loss_grad(
-    pred_prob: np.ndarray,
-    target: np.ndarray,
-    alpha: float = 0.25,
-    gamma: float = 2.0,
-) -> np.ndarray:
+def focal_loss_grad(pred_prob: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d focal_loss / d pred_prob (zero where the clamp is active)."""
+    alpha, gamma = FOCAL_ALPHA, FOCAL_GAMMA
     raw = np.asarray(pred_prob, dtype=float)
     p = np.clip(raw, PROB_EPS, 1.0 - PROB_EPS)
     t = np.asarray(target)
@@ -269,16 +260,33 @@ def smooth_l1_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 _BOX_FIELDS = ("cx", "cy", "cz", "l", "w", "h", "theta")
 
 
+def check_decoded(rows: np.ndarray, scores: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first row ("{what} i") with a non-finite
+    field, a non-positive size or a score outside [0, 1]: the rules Box3D and
+    Detection enforce, applied whether or not a box is built from the row."""
+    nonfinite = ~np.isfinite(rows)
+    nonpositive = rows[:, 3:6] <= 0.0
+    bad_score = ~((scores >= 0.0) & (scores <= 1.0))
+    bad = nonfinite.any(axis=1) | nonpositive.any(axis=1) | bad_score
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if nonfinite[i].any():
+        j = int(np.argmax(nonfinite[i]))
+        raise ValueError(f"{what} {i}: decoded {_BOX_FIELDS[j]} must be finite, "
+                         f"got {float(rows[i, j])!r}")
+    if nonpositive[i].any():
+        j = 3 + int(np.argmax(nonpositive[i]))
+        raise ValueError(f"{what} {i}: decoded {_BOX_FIELDS[j]} must be positive, "
+                         f"got {float(rows[i, j])!r}")
+    raise ValueError(f"{what} {i}: score must be in [0, 1], got {float(scores[i])!r}")
+
+
 def decode_anchors(
     cls_map: np.ndarray, reg_map: np.ndarray, anchors: AnchorSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and decoded (A, 7) box rows of every anchor, validated.
-
-    Raises ValueError when the maps do not cover the anchors, or naming the
-    first anchor whose decoded box has a non-finite field or a non-positive
-    size, or whose score is NaN or outside [0, 1]: the rules Box3D and
-    Detection enforce, applied to every row whether or not a box is built
-    from it.
+    """Scores and decoded (A, 7) box rows of every anchor, validated by
+    check_decoded. Raises ValueError when the maps do not cover the anchors.
     """
     scores = np.asarray(cls_map, dtype=float).reshape(-1)
     reg = np.asarray(reg_map, dtype=float).reshape(-1, 7)
@@ -288,32 +296,13 @@ def decode_anchors(
             f"expected {len(anchors)}"
         )
     decoded = decode_residuals(reg, anchors.boxes)
-    nonfinite = ~np.isfinite(decoded)
-    nonpositive = decoded[:, 3:6] <= 0.0
-    bad_score = ~((scores >= 0.0) & (scores <= 1.0))
-    bad = nonfinite.any(axis=1) | nonpositive.any(axis=1) | bad_score
-    if not bad.any():
-        return scores, decoded
-    i = int(np.argmax(bad))
-    if nonfinite[i].any():
-        j = int(np.argmax(nonfinite[i]))
-        raise ValueError(f"anchor {i}: decoded {_BOX_FIELDS[j]} must be finite, "
-                         f"got {float(decoded[i, j])!r}")
-    if nonpositive[i].any():
-        j = 3 + int(np.argmax(nonpositive[i]))
-        raise ValueError(f"anchor {i}: decoded {_BOX_FIELDS[j]} must be positive, "
-                         f"got {float(decoded[i, j])!r}")
-    raise ValueError(f"anchor {i}: score must be in [0, 1], got {float(scores[i])!r}")
+    check_decoded(decoded, scores, "anchor")
+    return scores, decoded
 
 
-def extract_proposals(
-    cls_map: np.ndarray,
-    reg_map: np.ndarray,
-    anchors: AnchorSet,
-    top_k: int,
-    nms_iou: float = PROPOSAL_NMS_IOU,
-) -> list[Detection]:
-    """Decode every anchor, rank by classification score, NMS, keep top_k.
+def extract_proposals(cls_map: np.ndarray, reg_map: np.ndarray, anchors: AnchorSet,
+                      top_k: int) -> list[Detection]:
+    """Decode every anchor, rank by score, NMS at PROPOSAL_NMS_IOU, keep top_k.
 
     Every decoded box and score is validated up front (decode_anchors);
     ranking and suppression run on the arrays in geom.nms, and a Detection
@@ -328,7 +317,7 @@ def extract_proposals(
         Kept detections in descending score order (at most top_k).
     """
     scores, decoded = decode_anchors(cls_map, reg_map, anchors)
-    keep = geom.nms(decoded, scores, nms_iou, max_keep=top_k)
+    keep = geom.nms(decoded, scores, PROPOSAL_NMS_IOU, max_keep=top_k)
     return [
         Detection(geom.box_from_array(decoded[i]), float(scores[i]),
                   int(anchors.class_ids[i]))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom, nn, rpn
+from .config import RAW_CAP, RAW_RADII, VSA_CAPS, VSA_RADII
 from .geom import Box3D
 from .sparsegrid import BevMap, SparseTensor, bilinear_sample, voxel_centers
 
@@ -336,21 +337,18 @@ def _aggregate_branch(
 def vsa_multi_level(
     keypoints: np.ndarray,
     level_tensors: list[SparseTensor],
-    radii: tuple[tuple[float, float], ...],
-    caps: tuple[int, ...],
     mlps: list[list[nn.MlpParams]],
-    seed: int = 0,
+    seed: int,
 ) -> np.ndarray:
     """Multi-scale keypoint features from the backbone levels.
 
-    For each level: query the voxel centers at both radii in one pass,
-    aggregate each radius with its branch MLP, and concatenate everything.
+    For each level k: query the voxel centers at both radii VSA_RADII[k] in
+    one pass (at most VSA_CAPS[k] neighbors each), aggregate each radius
+    with its branch MLP, and concatenate everything.
 
     Args:
         keypoints: (n, 3) positions.
         level_tensors: the four backbone outputs.
-        radii: radii[k] is level k's radius pair, meters.
-        caps: caps[k] is level k's neighbor cap.
         mlps: mlps[k][r] for level k, radius index r.
         seed: base seed for neighbor-cap subsampling.
 
@@ -361,7 +359,7 @@ def vsa_multi_level(
     m, blocks = kp.shape[0], []
     for k, tensor in enumerate(level_tensors):
         centers = voxel_centers(tensor)
-        neigh = radius_query(kp, centers, radii[k], caps[k], seed=seed + 1000 * k)
+        neigh = radius_query(kp, centers, VSA_RADII[k], VSA_CAPS[k], seed=seed + 1000 * k)
         points = np.hstack([tensor.features, centers])
         blocks += [_aggregate_branch(kp, neigh[r * m : (r + 1) * m], points, mlp)
                    for r, mlp in enumerate(mlps[k])]
@@ -373,21 +371,19 @@ def extended_vsa(
     f_pv: np.ndarray,
     raw_points: np.ndarray,
     bev: BevMap,
-    radii: tuple[float, float],
-    cap: int,
     raw_mlps: list[nn.MlpParams],
-    seed: int = 0,
+    seed: int,
 ) -> np.ndarray:
     """Concatenate [f_pv, f_raw, f_bev] per keypoint.
 
     f_raw aggregates raw points (intensity as the single feature channel)
-    at each radius of the pair (at most `cap` neighbors each); f_bev
+    at each of the RAW_RADII (at most RAW_CAP neighbors each); f_bev
     bilinearly samples the BEV map at the keypoint's ground-plane position.
     """
     kp = np.asarray(keypoints, dtype=float).reshape(-1, 3)
     raw = np.asarray(raw_points, dtype=float).reshape(-1, 4)
     m, points = kp.shape[0], raw[:, [3, 0, 1, 2]]  # [intensity | xyz]
-    neigh = radius_query(kp, raw[:, :3], radii, cap, seed=seed + 7000)
+    neigh = radius_query(kp, raw[:, :3], RAW_RADII, RAW_CAP, seed=seed + 7000)
     blocks = [np.asarray(f_pv, dtype=float)]
     blocks += [_aggregate_branch(kp, neigh[r * m : (r + 1) * m], points, mlp)
                for r, mlp in enumerate(raw_mlps)]

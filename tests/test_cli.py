@@ -166,6 +166,20 @@ class TestTrainHeads:
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "p").exists()
 
+    @pytest.mark.parametrize("which", ["pkw", "refine"])
+    def test_diverging_training_exits_2_and_writes_nothing(
+            self, cfg_path, scene_dir, tmp_path, capsys, which):
+        out = tmp_path / "p"
+        with np.errstate(all="ignore"):
+            rc = cli.main(["train-heads", "--config", cfg_path, "--scenes",
+                           str(scene_dir), "--which", which, "--iters", "5",
+                           "--lr", "1e200", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"runtime error: {scene_dir}: FloatingPointError: {which} training "
+            "diverged: loss nan at iteration ")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEval:
     def test_perfect_detections_ap_one(self, cfg_path, scene_dir, tmp_path):

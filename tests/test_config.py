@@ -238,6 +238,50 @@ def test_every_field_is_varied():
     assert [f.name for f in dataclasses.fields(Config) if f.name not in varied] == []
 
 
+# Defaults kept though no call in src/pvlite or bench/ passes them.
+UNPASSED_DEFAULTS = {
+    "config.load.env": "tests substitute the environment through it",
+    "rpn.assign_targets.gt_classes": "only acceptance and unit tests call it",
+    "rpn.assign_targets.pos_iou": "only acceptance and unit tests call it",
+    "rpn.assign_targets.neg_iou": "only acceptance and unit tests call it",
+}
+
+
+def test_every_default_is_overridden():
+    """Every parameter default in src/pvlite is passed, by keyword or by
+    position, by some call in src/pvlite or bench/, matched by the called
+    name (a class name for its __init__). A default no call passes holds
+    one value: it is a constant, read where it is used, not a parameter."""
+    files = [*SRC.glob("*.py"), *(TESTS.parent / "bench").rglob("*.py")]
+    calls = []  # (called name, positional count, keywords, has *args or **kw)
+    for path in files:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Call):
+                kws = {k.arg for k in n.keywords}
+                calls.append((getattr(n.func, "id", getattr(n.func, "attr", "")),
+                              len(n.args), kws,
+                              None in kws or any(isinstance(a, ast.Starred) for a in n.args)))
+    unpassed = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(f): c for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name, pos = fn.name, fn.args.posonlyargs + fn.args.args
+            if id(fn) in owner:  # a method: self is not passed in the call
+                name = owner[id(fn)].name if name == "__init__" else name
+                pos = pos[1:]
+            params = [(a.arg, i) for i, a in enumerate(pos)][len(pos) - len(fn.args.defaults):]
+            params += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                                      fn.args.kw_defaults) if d is not None]
+            unpassed += [f"{path.stem}.{fn.name}.{arg}" for arg, i in params
+                         if not any(c[0] == name and (arg in c[2] or c[3] or (
+                             i is not None and c[1] > i)) for c in calls)]
+    assert sorted(set(unpassed) - set(UNPASSED_DEFAULTS)) == []
+
+
 def _names(node) -> Counter:
     """Identifiers a syntax tree names, with their counts: variables,
     attributes, imported names, and string constants (for lookups by name,

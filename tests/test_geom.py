@@ -356,21 +356,6 @@ class TestNms:
         with pytest.raises(ValueError):
             geom.nms(boxes, np.array([0.9, np.nan]), 0.5)
 
-    def test_unvisited_invalid_row_does_not_raise(self):
-        # Row 2 is invalid but ranks last; max_keep stops before it.
-        boxes = np.array([box(cx=0.0).to_array(), box(cx=9.0).to_array(),
-                          [0, 0, 0, -1.0, 1, 1, 0]])
-        assert geom.nms(boxes, np.array([0.9, 0.8, 0.1]), 0.5, max_keep=2) == [0, 1]
-
-    @pytest.mark.parametrize("bad, message", [
-        ([0, 0, 0, -1.0, 1, 1, 0], "dimensions must be positive"),
-        ([0, float("nan"), 0, 1, 1, 1, 0], "Box3D.cy must be finite"),
-    ])
-    def test_visited_invalid_row_raises(self, bad, message):
-        boxes = np.array([box(cx=0.0).to_array(), box(cx=9.0).to_array(), bad])
-        with pytest.raises(ValueError, match=message):
-            geom.nms(boxes, np.array([0.9, 0.8, 0.1]), 0.5, max_keep=3)
-
 
 def _tied_boxes(rng, n):
     """n random boxes packed tightly enough to overlap often, with a few

@@ -156,7 +156,7 @@ class TestGradCheck:
         def f(x):
             return float(x[0] ** 2), np.array([2.0 * x[0]])
 
-        assert nn.grad_check(f, np.array([3.0]), eps=1e-3) < 1e-6
+        assert nn.grad_check(f, np.array([3.0])) < 1e-6
 
     def test_linear_function(self):
         w = np.array([2.0, -3.0, 0.5])

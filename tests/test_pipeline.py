@@ -335,6 +335,21 @@ class TestTrainPkw:
         assert np.isfinite(probe).all()
 
 
+@pytest.mark.parametrize("which", ["pkw", "refine"])
+def test_diverging_training_raises(model, anchors, scene, which):
+    if which == "pkw":
+        head, train = model.pkw, pipeline.train_pkw
+        batch = pipeline.build_pkw_batch(CFG, model, [scene], seed=0)
+    else:
+        head, train = model.refine, pipeline.train_refine
+        batch = pipeline.build_refine_batch(CFG, model, [scene], anchors, seed=0)
+    assert np.isfinite(train(head, batch, 5, 0.01)[1]).all()
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match=rf"^{which} training diverged: loss nan at "
+                                      r"iteration [1-4] with lr 1e\+200$"):
+        train(head, batch, 5, 1e200)
+
+
 class TestTrainRefine:
     def test_overfit_improves_matched_iou(self, model, anchors):
         scenes = [synth.gen_scene(CFG, seed=200 + i) for i in range(2)]

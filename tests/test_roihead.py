@@ -2,12 +2,13 @@
 refinement head gradients and final NMS."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from pvlite import geom, nn, roihead, rpn, vsa
-from pvlite.config import Config
+from pvlite.config import FINAL_NMS_IOU, GRID_CAP, GRID_RADII, Config
 from pvlite.geom import Box3D, Detection
 
 from helpers import (
@@ -34,7 +35,7 @@ class TestRoiGridPool:
         gm = grid_mlps(6)
         pm = pool_mlp(8)
         grid_features, roi_features = roihead.roi_grid_pool(
-            rows(roi), np.empty((0, 9)), (0.8, 1.6), 32, gm, pm, seeds=[0])
+            rows(roi), np.empty((0, 9)), gm, pm, 0)
         assert not grid_features.any()
         np.testing.assert_allclose(
             roi_features, nn.mlp_forward(pm, np.zeros((1, 216 * 8))), atol=1e-12
@@ -46,8 +47,7 @@ class TestRoiGridPool:
         feats = np.array([[1.0, 2.0]])
         gm = grid_mlps(2, seed=3)
         pm = pool_mlp(8, seed=4)
-        [g], _ = roihead.roi_grid_pool(rows(roi), np.hstack([feats, kp]),
-                                       (0.8, 1.6), 32, gm, pm, seeds=[0])
+        [g], _ = roihead.roi_grid_pool(rows(roi), np.hstack([feats, kp]), gm, pm, 0)
         # Every grid point of a unit box is within 0.8 m of the center.
         grid = geom.roi_grid_points(roi)
         d = np.linalg.norm(grid, axis=1)
@@ -65,8 +65,7 @@ class TestRoiGridPool:
         feats = np.ones((1, 3))
         gm = grid_mlps(3, seed=6)
         pm = pool_mlp(8, seed=7)
-        [g], _ = roihead.roi_grid_pool(rows(roi), np.hstack([feats, kp]),
-                                       (0.8, 1.6), 32, gm, pm, seeds=[0])
+        [g], _ = roihead.roi_grid_pool(rows(roi), np.hstack([feats, kp]), gm, pm, 0)
         grid = geom.roi_grid_points(roi)
         near = np.linalg.norm(grid - kp[0], axis=1) < 0.8
         assert near.any()
@@ -75,20 +74,20 @@ class TestRoiGridPool:
 
     def test_translation_invariance(self):
         # Translating the RoI and keypoints together leaves grid features
-        # unchanged: the MLP sees only relative offsets.
+        # unchanged: the MLP sees only relative offsets. Enough keypoints
+        # that GRID_CAP subsamples near the center.
         rng = np.random.default_rng(30)
         roi = Box3D(1.0, -2.0, 0.5, 3.0, 1.8, 1.5, 0.4)
-        kp = rng.normal(size=(40, 3)) * 1.5 + [1.0, -2.0, 0.5]
-        feats = rng.normal(size=(40, 4))
+        kp = rng.normal(size=(200, 3)) * 1.5 + [1.0, -2.0, 0.5]
+        feats = rng.normal(size=(200, 4))
         gm = grid_mlps(4, seed=31)
         pm = pool_mlp(8, seed=32)
-        a = roihead.roi_grid_pool(rows(roi), np.hstack([feats, kp]), (0.8, 1.6),
-                                  16, gm, pm, seeds=[1])
+        a = roihead.roi_grid_pool(rows(roi), np.hstack([feats, kp]), gm, pm, 1)
         shift = np.array([7.0, -3.5, 1.25])
         roi2 = Box3D(roi.cx + shift[0], roi.cy + shift[1], roi.cz + shift[2],
                      roi.l, roi.w, roi.h, roi.theta)
         b = roihead.roi_grid_pool(rows(roi2), np.hstack([feats, kp + shift]),
-                                  (0.8, 1.6), 16, gm, pm, seeds=[1])
+                                  gm, pm, 1)
         np.testing.assert_allclose(b[0], a[0], atol=1e-9)
         np.testing.assert_allclose(b[1], a[1], atol=1e-9)
 
@@ -100,68 +99,63 @@ class TestRoiGridPool:
         gm = grid_mlps(5, out=7, seed=10)
         pm = nn.init_params((216 * 14, 16, 16), seed=11)
         grid_features, roi_features = roihead.roi_grid_pool(
-            rows(roi), np.hstack([feats, kp]), (0.8, 1.6), 8, gm, pm, seeds=[0])
+            rows(roi), np.hstack([feats, kp]), gm, pm, 0)
         assert grid_features.shape == (1, 216, 14)
         assert roi_features.shape == (1, 16)
 
     def test_batch_equals_single_roi_calls(self):
-        # 35 RoIs in one call, with a small cap so that subsampling runs;
-        # the last RoI is far from every keypoint.
+        # 35 RoIs in one call, with keypoints dense enough that GRID_CAP
+        # subsamples; the last RoI is far from every keypoint. RoI i of the
+        # batch draws as a lone RoI does from seed + 31 * i.
         rng = np.random.default_rng(33)
-        kp = rng.uniform(-4, 4, size=(300, 3))
-        feats = rng.normal(size=(300, 4))
+        kp = rng.uniform(-4, 4, size=(3000, 3))
+        feats = rng.normal(size=(3000, 4))
         gm = grid_mlps(4, seed=34)
         pm = pool_mlp(8, seed=35)
         n = 35
         rois = [random_box(rng, center_span=3.0) for _ in range(n - 1)]
         rois.append(Box3D(100.0, 100.0, 0.0, 2.0, 2.0, 2.0, 0.3))
-        seeds = [int(s) for s in rng.integers(0, 10_000, size=n)]
+        seed = int(rng.integers(0, 10_000))
         points = np.hstack([feats, kp])
         grid_features, roi_features = roihead.roi_grid_pool(
-            rows(*rois), points, (0.8, 1.6), 8, gm, pm, seeds=seeds)
+            rows(*rois), points, gm, pm, seed)
         assert grid_features.shape == (n, 216, 8)
         assert roi_features.shape == (n, 16)
-        for i, (roi, seed) in enumerate(zip(rois, seeds)):
-            want = roihead.roi_grid_pool(rows(roi), points, (0.8, 1.6), 8,
-                                         gm, pm, seeds=[seed])
+        for i, roi in enumerate(rois):
+            want = roihead.roi_grid_pool(rows(roi), points, gm, pm, seed + 31 * i)
             np.testing.assert_array_equal(grid_features[i], want[0][0])
             np.testing.assert_array_equal(roi_features[i], want[1][0])
         assert not grid_features[-1].any()
 
     def test_radius_streams_follow_seed(self):
-        # Grid point j at radius index r subsamples from the stream
-        # [seed + r, j]: rebuild the grid features from the oracle query.
+        # Grid point j of RoI p at radius index r subsamples from the stream
+        # [seed + 31 * p + r, j]: rebuild the grid features from the oracle
+        # query, with keypoints dense enough that GRID_CAP binds at both radii.
         rng = np.random.default_rng(36)
-        kp = rng.uniform(-2, 2, size=(200, 3))
-        feats = rng.normal(size=(200, 4))
+        kp = rng.uniform(-2, 2, size=(1200, 3))
+        feats = rng.normal(size=(1200, 4))
         gm = grid_mlps(4, seed=37)
-        roi = Box3D(0.2, -0.1, 0.0, 3.0, 2.0, 1.5, 0.4)
+        rois = [Box3D(0.2, -0.1, 0.0, 3.0, 2.0, 1.5, 0.4),
+                Box3D(-0.3, 0.4, 0.1, 2.5, 1.5, 1.2, -1.1)]
         points = np.hstack([feats, kp])
-        [g], _ = roihead.roi_grid_pool(rows(roi), points, (0.8, 1.6), 8, gm,
-                                       pool_mlp(8, seed=38), seeds=[40])
-        grid = geom.roi_grid_points(roi)
-        want = [vsa._aggregate_branch(
-                    grid, radius_query_bruteforce(grid, kp, radius, 8, 40 + r),
-                    points, gm[r])
-                for r, radius in enumerate((0.8, 1.6))]
-        np.testing.assert_array_equal(g, np.concatenate(want, axis=1))
+        g, _ = roihead.roi_grid_pool(rows(*rois), points, gm, pool_mlp(8, seed=38), 40)
+        for p, roi in enumerate(rois):
+            grid = geom.roi_grid_points(roi)
+            want = [vsa._aggregate_branch(
+                        grid, radius_query_bruteforce(grid, kp, radius, GRID_CAP,
+                                                      40 + 31 * p + r),
+                        points, gm[r])
+                    for r, radius in enumerate(GRID_RADII)]
+            np.testing.assert_array_equal(g[p], np.concatenate(want, axis=1))
 
     def test_empty_roi_list(self):
         gm = grid_mlps(4)
         pm = pool_mlp(8)
         kp = np.zeros((5, 3))
         grid_features, roi_features = roihead.roi_grid_pool(
-            np.empty((0, 7)), np.hstack([np.ones((5, 4)), kp]), (0.8, 1.6), 8,
-            gm, pm, seeds=[])
+            np.empty((0, 7)), np.hstack([np.ones((5, 4)), kp]), gm, pm, 0)
         assert grid_features.shape == (0, 216, 8)
         assert roi_features.shape == (0, 16)
-
-    def test_one_seed_per_roi(self):
-        roi = Box3D(0, 0, 0, 1, 1, 1, 0.0)
-        with pytest.raises(ValueError):
-            roihead.roi_grid_pool(rows(roi, roi), np.ones((1, 7)),
-                                  (0.8, 1.6), 8, grid_mlps(4), pool_mlp(8),
-                                  seeds=[0])
 
 
 class TestAveragePool:
@@ -361,6 +355,31 @@ class TestRefine:
                                             self._head())
         assert conf.shape == (0,) and res.shape == refined.shape == (0, 7)
 
+    @pytest.mark.parametrize("bad, message", [
+        ([0, 0, 0, -1.0, 1, 1, 0], "RoI 1: decoded l must be positive, got -1.0"),
+        ([0, float("nan"), 0, 1, 1, 1, 0], "RoI 1: decoded cy must be finite, got nan"),
+    ], ids=["nonpositive-size", "nonfinite-field"])
+    def test_invalid_refined_row_raises(self, bad, message):
+        # Zero residuals: each refined row is its RoI, and row 1 is invalid.
+        head = roihead.RefineHead(
+            shared=nn.init_params((6, 5, 5), seed=21),
+            confidence=zero_params((5, 1), out_activation="sigmoid"),
+            regression=zero_params((5, 7)),
+        )
+        rois = np.array([Box3D(0, 0, 0, 1, 1, 1, 0).to_array(), bad,
+                         Box3D(9, 0, 0, 1, 1, 1, 0).to_array()])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            roihead.refine(np.ones((3, 6)), rois, head)
+
+    def test_diverged_regression_names_roi(self):
+        head = self._head()
+        head.regression.weights[-1][:] = 0.0
+        head.regression.biases[-1][3] = 1000.0  # exp(1000) overflows l
+        rois = rows(*(random_box(np.random.default_rng(24)) for _ in range(2)))
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="RoI 0: decoded l must be finite, got inf"):
+            roihead.refine(np.ones((2, 12)), rois, head)
+
     def test_branch_contracts_enforced(self):
         with pytest.raises(nn.ShapeError):
             roihead.RefineHead(
@@ -455,10 +474,10 @@ class TestRcnnLoss:
         )
 
 
-def select(dets, nms_iou):
+def select(dets):
     """final_select over Detection objects, returning the kept objects."""
     boxes = rows(*(d.box for d in dets))
-    keep = roihead.final_select(boxes, np.array([d.score for d in dets]), nms_iou)
+    keep = roihead.final_select(boxes, np.array([d.score for d in dets]))
     return [dets[i] for i in keep]
 
 
@@ -473,7 +492,7 @@ class TestFinalSelect:
             Detection(b, 0.9),
             Detection(Box3D(3.01, 1.0, 0, 4, 2, 1.5, 0.1), 0.7),
         ]
-        kept = select(dets, nms_iou=0.01)
+        kept = select(dets)
         assert [d.score for d in kept] == [0.9]
 
     def test_disjoint_pass_through(self):
@@ -481,19 +500,19 @@ class TestFinalSelect:
             Detection(Box3D(i * 20.0, 0, 0, 4, 2, 1.5, 0.0), 0.5 + 0.05 * i)
             for i in range(4)
         ]
-        kept = select(dets, nms_iou=0.01)
+        kept = select(dets)
         assert len(kept) == 4
         for i in range(4):
             for j in range(i + 1, 4):
                 assert geom.iou_3d(kept[i].box.to_array(),
-                                   kept[j].box.to_array()) <= 0.01
+                                   kept[j].box.to_array()) <= FINAL_NMS_IOU
 
     def test_matches_reference_and_returns_originals(self):
         rng = np.random.default_rng(31)
         dets = [Detection(random_box(rng, center_span=4.0), float(s))
                 for s in rng.choice([0.3, 0.6, 0.9], size=40)]
-        kept = select(dets, nms_iou=0.2)
-        expect = nms_reference(dets, 0.2)
+        kept = select(dets)
+        expect = nms_reference(dets, FINAL_NMS_IOU)
         assert len(kept) == len(expect) > 1
         assert all(k is dets[i] for k, i in zip(kept, expect))
 

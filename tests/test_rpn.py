@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pvlite import geom, nn, rpn
-from pvlite.config import ClassSpec, Config
+from pvlite.config import PROPOSAL_NMS_IOU, ClassSpec, Config
 from pvlite.geom import Box3D, Detection
 
 from helpers import nms_reference, random_box
@@ -216,24 +216,26 @@ class TestExtractProposals:
                                    anchors.boxes[37], atol=1e-12)
 
     def test_duplicates_suppressed_and_capped(self):
+        # Anchors one 0.4 m cell apart overlap by 0.81 along their length and
+        # by 0.6 across it: either side of PROPOSAL_NMS_IOU = 0.7.
         anchors = self._anchors()
         rng = np.random.default_rng(7)
         cls = rng.uniform(0.1, 0.9, size=len(anchors))
         props = rpn.extract_proposals(cls, np.zeros((len(anchors), 7)), anchors,
-                                      top_k=20, nms_iou=0.3)
+                                      top_k=20)
         assert len(props) <= 20
         scores = [p.score for p in props]
         assert scores == sorted(scores, reverse=True)
         for i in range(len(props)):
             for j in range(i + 1, len(props)):
                 assert geom.iou_3d(props[i].box.to_array(),
-                                   props[j].box.to_array()) <= 0.3 + 1e-12
+                                   props[j].box.to_array()) <= PROPOSAL_NMS_IOU + 1e-12
 
     def test_zero_residuals_decode_to_anchors(self):
         anchors = self._anchors()
         cls = np.linspace(0.9, 0.1, len(anchors))
         props = rpn.extract_proposals(cls, np.zeros((len(anchors), 7)), anchors,
-                                      top_k=5, nms_iou=0.99)
+                                      top_k=5)
         for p in props:
             match = np.abs(anchors.boxes - p.box.to_array()).sum(axis=1).min()
             assert match < 1e-9
@@ -280,15 +282,16 @@ class TestExtractProposals:
             rpn.extract_proposals(cls, reg, anchors, top_k=Config().top_proposals)
 
 
-def _reference_proposals(cls, reg, anchors, top_k, nms_iou):
-    """Every anchor as a Detection, then the list-based NMS oracle."""
+def _reference_proposals(cls, reg, anchors, top_k):
+    """Every anchor as a Detection, then the list-based NMS oracle at
+    PROPOSAL_NMS_IOU."""
     decoded = rpn.decode_residuals(reg, anchors.boxes)
     dets = [
         Detection(geom.box_from_array(decoded[i]), float(cls[i]),
                   int(anchors.class_ids[i]))
         for i in range(len(anchors))
     ]
-    return [dets[i] for i in nms_reference(dets, nms_iou, max_keep=top_k)]
+    return [dets[i] for i in nms_reference(dets, PROPOSAL_NMS_IOU, max_keep=top_k)]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -298,9 +301,9 @@ def test_extract_proposals_matches_reference(seed):
     # Few score levels, so most anchors tie and the index decides the order.
     cls = rng.choice([0.05, 0.3, 0.3001, 0.7, 0.95], size=len(anchors))
     reg = rng.normal(0.0, 0.4, size=(len(anchors), 7))
-    top_k, nms_iou = [(100, 0.7), (20, 0.3), (400, 0.1), (3, 0.5)][seed]
-    expect = _reference_proposals(cls, reg, anchors, top_k, nms_iou)
-    got = rpn.extract_proposals(cls, reg, anchors, top_k=top_k, nms_iou=nms_iou)
+    top_k = [100, 20, 400, 3][seed]
+    expect = _reference_proposals(cls, reg, anchors, top_k)
+    got = rpn.extract_proposals(cls, reg, anchors, top_k=top_k)
     assert len(got) == len(expect) <= top_k
     for g, e in zip(got, expect):
         assert g.box.to_array().tobytes() == e.box.to_array().tobytes()

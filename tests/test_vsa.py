@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from pvlite import nn, rpn, vsa
-from pvlite.config import RAW_CAP, RAW_RADII, VSA_CAPS, VSA_RADII
 from pvlite.geom import Box3D
 from pvlite.sparsegrid import SparseTensor
 
@@ -448,7 +447,7 @@ class TestVsaMultiLevel:
         ]
         mlps = _mlps_for(empty)
         kp = np.array([[1.0, 1.0, 1.0]])
-        out = vsa.vsa_multi_level(kp, empty, VSA_RADII, VSA_CAPS, mlps)
+        out = vsa.vsa_multi_level(kp, empty, mlps, 0)
         np.testing.assert_array_equal(out, np.zeros((1, 4 * 2 * 5)))
 
     def test_output_width(self):
@@ -460,7 +459,7 @@ class TestVsaMultiLevel:
             for k, t in enumerate(tensors)
         ]
         kp = rng.uniform(0, 2, size=(6, 3))
-        out = vsa.vsa_multi_level(kp, tensors, VSA_RADII, VSA_CAPS, mlps)
+        out = vsa.vsa_multi_level(kp, tensors, mlps, 0)
         assert out.shape == (6, 256)
 
     def test_feature_scaling_with_centered_keypoint(self):
@@ -511,9 +510,8 @@ class TestExtendedVsa:
         kp = rng.uniform(0.2, 2.8, size=(7, 3))
         raw_pts = np.concatenate([rng.uniform(0, 3, size=(40, 3)),
                                   rng.uniform(0, 1, size=(40, 1))], axis=1)
-        f_pv = vsa.vsa_multi_level(kp, tensors, VSA_RADII, VSA_CAPS, mlps)
-        f_p = vsa.extended_vsa(kp, f_pv, raw_pts, bev, RAW_RADII, RAW_CAP,
-                               raw_mlps)
+        f_pv = vsa.vsa_multi_level(kp, tensors, mlps, 0)
+        f_p = vsa.extended_vsa(kp, f_pv, raw_pts, bev, raw_mlps, 0)
         assert f_p.shape == (7, f_pv.shape[1] + 2 * 4 + 6)
         assert np.isfinite(f_p).all()
         np.testing.assert_array_equal(f_p[:, : f_pv.shape[1]], f_pv)
@@ -526,9 +524,8 @@ class TestExtendedVsa:
         bev = bev_from_dense(np.zeros((4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
         kp = np.array([[1.0, 1.0, 1.0]])
         far_raw = np.array([[50.0, 50.0, 50.0, 0.5]])
-        f_pv = vsa.vsa_multi_level(kp, tensors, VSA_RADII, VSA_CAPS, mlps)
-        f_p = vsa.extended_vsa(kp, f_pv, far_raw, bev, RAW_RADII, RAW_CAP,
-                               raw_mlps)
+        f_pv = vsa.vsa_multi_level(kp, tensors, mlps, 0)
+        f_p = vsa.extended_vsa(kp, f_pv, far_raw, bev, raw_mlps, 0)
         width = f_pv.shape[1]
         np.testing.assert_array_equal(f_p[0, width : width + 8], np.zeros(8))
 
@@ -540,9 +537,8 @@ class TestExtendedVsa:
         bev = bev_from_dense(rng.normal(size=(4, 4, 6)), (0.0, 0.0), (0.8, 0.8))
         kp = np.array([[100.0, 100.0, 0.0]])
         raw_pts = np.array([[100.0, 100.0, 0.0, 0.3]])
-        f_pv = vsa.vsa_multi_level(kp, tensors, VSA_RADII, VSA_CAPS, mlps)
-        f_p = vsa.extended_vsa(kp, f_pv, raw_pts, bev, RAW_RADII, RAW_CAP,
-                               raw_mlps)
+        f_pv = vsa.vsa_multi_level(kp, tensors, mlps, 0)
+        f_p = vsa.extended_vsa(kp, f_pv, raw_pts, bev, raw_mlps, 0)
         np.testing.assert_array_equal(f_p[0, -6:], np.zeros(6))
 
 
