@@ -98,11 +98,11 @@ def check_nms_permutation(env):
 def check_roi_grid_points(env):
     rng = np.random.default_rng(1003)
     for _ in range(5):
-        b = _random_box(rng)
+        b = _random_box(rng).to_array()
         pts = geom.roi_grid_points(b)
         if not geom.points_in_box(pts, b).all():
             return False, "grid point escaped its box"
-        if np.abs(pts.mean(axis=0) - b.to_array()[:3]).max() > 1e-9:
+        if np.abs(pts.mean(axis=0) - b[:3]).max() > 1e-9:
             return False, "grid centroid off the box center"
     return True, "216 points inside with centered mean on 5 boxes"
 

@@ -172,12 +172,11 @@ def cmd_eval(args) -> int:
         for bucket in ("ALL", "L1", "L2"):
             flags_all, scores_all, gt_total = [], [], 0
             for scene, dets in per_scene:
-                gts = [b for b, c in zip(scene.gt_boxes, scene.gt_classes)
-                       if c == cls]
+                gts = scene.gt_boxes[np.equal(scene.gt_classes, cls)]
                 if bucket != "ALL":
                     levels = evalkit.difficulty_buckets(
                         gts, scene.points_f64()[:, :3])
-                    gts = [g for g, lv in zip(gts, levels) if lv == bucket]
+                    gts = gts[[lv == bucket for lv in levels]]
                 cdets = [d for d in dets if d.class_id == cls]
                 flags = evalkit.match_detections(cdets, gts, args.iou_thresh,
                                                  iou_kind=args.iou_kind)
@@ -242,27 +241,23 @@ def _strategy_list(text: str) -> list[str]:
     return text.split(",")
 
 
-def _int_from(lo: int):
-    """An argparse type: an int in [lo, 2**63), the range of a seed."""
-    def parse(text: str) -> int:
+def _number(cast, ok, rule: str):
+    """An argparse type: a finite int or float for which ok(value) holds."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if not lo <= value < config.SEED_LIMIT:
-            raise argparse.ArgumentTypeError(f"must be in [{lo}, 2**63), got {value}")
+            raise argparse.ArgumentTypeError(
+                f"invalid {cast.__name__} value: {text!r}") from None
+        if not (ok(value) and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
         return value
     return parse
 
 
-def _learning_rate(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
+def _int_from(lo: int):
+    """An int in [lo, 2**63), the range of a seed."""
+    return _number(int, lambda v: lo <= v < config.SEED_LIMIT, f"in [{lo}, 2**63)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--which", choices=("pkw", "refine"), required=True)
     p.add_argument("--iters", type=_int_from(1), default=500)
-    p.add_argument("--lr", type=_learning_rate, default=1.0)
+    p.add_argument("--lr", type=_number(float, lambda v: v > 0.0, "finite and > 0"),
+                   default=0.01)
     p.add_argument("--out", required=True, help="parameter output file")
     p.add_argument("--params", action="append",
                    help="pre-trained params to start from (repeatable)")
@@ -307,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", required=True)
     p.add_argument("--detections", required=True,
                    help="directory of per-scene detection files")
-    p.add_argument("--iou-thresh", type=float, default=0.7)
+    p.add_argument("--iou-thresh", default=0.7,
+                   type=_number(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"))
     p.add_argument("--iou-kind", choices=("bev", "3d"), default="bev")
     p.add_argument("--mode", choices=("R11", "R40"), default="R40")
     p.add_argument("--out", help="CSV output path")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .geom import Box3D, Detection
+from .geom import Detection
 
 R11_SAMPLES = np.linspace(0.0, 1.0, 11)
 R40_SAMPLES = np.arange(1, 41) / 40.0
@@ -28,11 +28,11 @@ class PrCurve:
 
 def match_detections(
     dets: list[Detection],
-    gts: list[Box3D],
+    gts: np.ndarray,
     iou_thresh: float,
     iou_kind: str = "bev",
 ) -> np.ndarray:
-    """Greedy one-to-one TP/FP assignment.
+    """Greedy one-to-one TP/FP assignment of detections to (G, 7) gt rows.
 
     Detections are processed in descending score order (ties by input
     index); each matches its highest-IoU still-unmatched gt when that IoU
@@ -45,12 +45,12 @@ def match_detections(
         raise ValueError(f"iou_kind must be 'bev' or '3d', got {iou_kind!r}")
     iou_fn = geom.bev_iou if iou_kind == "bev" else geom.iou_3d
     flags = np.zeros(len(dets), dtype=bool)
-    if not dets or not gts:
+    gt_rows = np.asarray(gts, dtype=float).reshape(1, -1, 7)
+    if not dets or not gt_rows.size:
         return flags
     det_rows = np.array([d.box.to_array() for d in dets]).reshape(-1, 1, 7)
-    gt_rows = np.array([gt.to_array() for gt in gts]).reshape(1, -1, 7)
     iou = iou_fn(det_rows, gt_rows)  # (N, G)
-    free = np.ones(len(gts), dtype=bool)
+    free = np.ones(gt_rows.shape[1], dtype=bool)
     for i in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
         cand = np.where(free, iou[i], 0.0)
         g = int(np.argmax(cand))
@@ -100,15 +100,11 @@ def average_precision(
     return total / len(samples)
 
 
-def difficulty_buckets(gts: list[Box3D], points: np.ndarray) -> list[str | None]:
-    """'L1' for gts with at least 5 inside points, 'L2' for 1..4, None for
-    empty boxes (excluded from both levels)."""
-    pts = np.asarray(points, dtype=float)
-    out: list[str | None] = []
-    for gt in gts:
-        count = int(geom.points_in_box(pts, gt).sum()) if len(pts) else 0
-        out.append("L1" if count >= 5 else "L2" if count >= 1 else None)
-    return out
+def difficulty_buckets(gts: np.ndarray, points: np.ndarray) -> list[str | None]:
+    """'L1' for (G, 7) gt rows with at least 5 inside points, 'L2' for 1..4,
+    None for empty boxes (excluded from both levels)."""
+    counts = geom.points_in_box(points, np.reshape(gts, (-1, 7))).sum(axis=0)
+    return ["L1" if c >= 5 else "L2" if c >= 1 else None for c in counts]
 
 
 # ---------------------------------------------------------------------------

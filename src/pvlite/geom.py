@@ -37,6 +37,9 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
     return np.where(t >= math.pi, t - TWO_PI, t)
 
 
+BOX_FIELDS = ("cx", "cy", "cz", "l", "w", "h", "theta")
+
+
 @dataclass(frozen=True)
 class Box3D:
     """Oriented 3D box: center, dimensions, yaw.
@@ -55,7 +58,7 @@ class Box3D:
     theta: float
 
     def __post_init__(self):
-        for name in ("cx", "cy", "cz", "l", "w", "h", "theta"):
+        for name in BOX_FIELDS:
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"Box3D.{name} must be finite, got {v!r}")
@@ -93,6 +96,25 @@ class Detection:
     def __post_init__(self):
         if not math.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
             raise ValueError(f"Detection score must be in [0, 1], got {self.score!r}")
+
+
+def check_boxes(rows: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first of the (N, 7) box rows ("{what} i")
+    with a non-finite field or a non-positive size: the rule Box3D enforces,
+    applied without building a box."""
+    nonfinite = ~np.isfinite(rows)
+    nonpositive = rows[:, 3:6] <= 0.0
+    bad = nonfinite.any(axis=1) | nonpositive.any(axis=1)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if nonfinite[i].any():
+        j = int(np.argmax(nonfinite[i]))
+        raise ValueError(f"{what} {i}: {BOX_FIELDS[j]} must be finite, "
+                         f"got {float(rows[i, j])!r}")
+    j = 3 + int(np.argmax(nonpositive[i]))
+    raise ValueError(f"{what} {i}: {BOX_FIELDS[j]} must be positive, "
+                     f"got {float(rows[i, j])!r}")
 
 
 def _shoelace(x: np.ndarray, y: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -206,33 +228,34 @@ def iou_3d(a, b) -> np.ndarray:
     return _iou(a, b, vertical=True)
 
 
-def points_in_box(points: np.ndarray, box: Box3D) -> np.ndarray:
-    """Boolean mask of points inside the (closed) box.
+def points_in_box(points: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Boolean mask of points inside (closed) box rows.
 
     A point is inside iff its coordinates in the box frame lie within
     [-l/2, l/2] x [-w/2, w/2] x [-h/2, h/2]; the boundary counts as inside.
+    The yaw is wrapped as Box3D wraps it.
 
     Args:
         points: (N, 3) array of positions (extra columns are ignored).
-        box: the oriented box.
+        boxes: one (7,) box row, or (G, 7) rows.
 
     Returns:
-        (N,) boolean mask.
+        (N,) mask for one row, (N, G) for G rows.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError(f"points must be (N, >=3), got shape {pts.shape}")
-    dx = pts[:, 0] - box.cx
-    dy = pts[:, 1] - box.cy
-    dz = pts[:, 2] - box.cz
-    c, s = math.cos(box.theta), math.sin(box.theta)
+    rows = np.asarray(boxes, dtype=float)
+    if pts.ndim != 2 or rows.ndim not in (1, 2) or rows.shape[-1] != 7:
+        raise ValueError(f"points_in_box needs (N, >=3) points and (7,) or (G, 7) "
+                         f"boxes, got {pts.shape} and {rows.shape}")
+    b = rows.reshape(-1, 7)
+    dx, dy, dz = (pts[:, k, None] - b[:, k] for k in range(3))
+    theta = wrap_angles(b[:, 6])
+    c, s = np.cos(theta), np.sin(theta)
     qx = c * dx + s * dy
     qy = -s * dx + c * dy
-    return (
-        (np.abs(qx) <= 0.5 * box.l)
-        & (np.abs(qy) <= 0.5 * box.w)
-        & (np.abs(dz) <= 0.5 * box.h)
-    )
+    inside = ((np.abs(qx) <= 0.5 * b[:, 3]) & (np.abs(qy) <= 0.5 * b[:, 4])
+              & (np.abs(dz) <= 0.5 * b[:, 5]))
+    return inside if rows.ndim == 2 else inside[:, 0]
 
 
 def nms(
@@ -294,19 +317,22 @@ def nms(
     return kept
 
 
-def roi_grid_points(box: Box3D) -> np.ndarray:
-    """(GRID_RESOLUTION**3, 3) uniform grid of cell-center points in a box.
+def roi_grid_points(boxes: np.ndarray) -> np.ndarray:
+    """(..., GRID_RESOLUTION**3, 3) uniform grids of cell-center points in
+    (..., 7) box rows.
 
     Local offsets per axis are ((i + 0.5) / GRID_RESOLUTION - 0.5) * dim,
-    rotated by the box yaw and translated to the center. Points are ordered
-    lexicographically by (i, j, k).
+    rotated by the wrapped box yaw and translated to the center. Points are
+    ordered lexicographically by (i, j, k).
     """
+    rows = np.asarray(boxes, dtype=float)
+    if rows.shape[-1:] != (7,):
+        raise ValueError(f"roi_grid_points needs (..., 7) box rows, got {rows.shape}")
     u = (np.arange(GRID_RESOLUTION) + 0.5) / GRID_RESOLUTION - 0.5
-    gi, gj, gk = np.meshgrid(u * box.l, u * box.w, u * box.h, indexing="ij")
-    local = np.stack([gi.ravel(), gj.ravel(), gk.ravel()], axis=1)
-    c, s = math.cos(box.theta), math.sin(box.theta)
-    pts = np.empty_like(local)
-    pts[:, 0] = c * local[:, 0] - s * local[:, 1] + box.cx
-    pts[:, 1] = s * local[:, 0] + c * local[:, 1] + box.cy
-    pts[:, 2] = local[:, 2] + box.cz
-    return pts
+    gi, gj, gk = (g.ravel() for g in np.meshgrid(u, u, u, indexing="ij"))
+    b = rows[..., None, :]
+    lx, ly, lz = gi * b[..., 3], gj * b[..., 4], gk * b[..., 5]
+    theta = wrap_angles(b[..., 6])
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([c * lx - s * ly + b[..., 0], s * lx + c * ly + b[..., 1],
+                     lz + b[..., 2]], axis=-1)

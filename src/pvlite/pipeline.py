@@ -15,7 +15,7 @@ import numpy as np
 
 from . import config, geom, nn, roihead, rpn, vsa
 from .config import Config
-from .geom import Box3D, Detection
+from .geom import Detection
 from .roihead import RefineHead, RefineTargets
 from .rpn import AnchorSet, BevGrid
 from .sparsegrid import (
@@ -179,8 +179,7 @@ def build_keypoints(
     positions = pts[idx, :3]
     f_pv = vsa.vsa_multi_level(positions, tensors, model.vsa_mlps, seed)
     f_p = vsa.extended_vsa(positions, f_pv, pts[kept], bev, model.raw_mlps, seed)
-    weighted, scores, labels = vsa.pkw(positions, f_p, list(scene.gt_boxes),
-                                       model.pkw)
+    weighted, scores, labels = vsa.pkw(positions, f_p, scene.gt_boxes, model.pkw)
     return KeypointSet(positions, idx, f_p, np.hstack([weighted, positions]),
                        scores, labels)
 
@@ -320,9 +319,9 @@ class RefineBatch:
     """Cached pooled RoI features with refinement targets."""
 
     features: np.ndarray  # (S, roi_feature_width)
-    rois: list[Box3D]
+    rois: np.ndarray  # (S, 7) sampled box rows
     targets: RefineTargets
-    matched_boxes: list[Box3D | None]
+    matched_boxes: np.ndarray  # (S, 7) matched gt rows, NaN where matched_gt is -1
 
 
 def training_proposals(
@@ -340,7 +339,8 @@ def build_refine_batch(
     cfg: Config, model: ModelParams, scenes: list[SceneSample],
     anchors: AnchorSet, seed: int,
 ) -> RefineBatch:
-    feats, rois, matched = [np.empty((0, config.ROI_FEATURE_WIDTH))], [], []
+    feats = [np.empty((0, config.ROI_FEATURE_WIDTH))]
+    rois, matched = [np.empty((0, 7))], [np.empty((0, 7))]
     parts = [RefineTargets(np.empty(0), np.empty((0, 7)), np.empty(0, dtype=bool),
                            np.empty(0, dtype=np.int64))]
     for s_idx, scene in enumerate(scenes):
@@ -350,18 +350,17 @@ def build_refine_batch(
         bev, kp = found
         sampled, targets = roihead.sample_proposals(
             training_proposals(model, cfg, anchors, bev),
-            list(scene.gt_boxes), seed + 977 * s_idx, n_sample=cfg.roi_samples,
+            scene.gt_boxes, seed + 977 * s_idx, n_sample=cfg.roi_samples,
         )
         feats.append(roihead.roi_grid_pool(sampled, kp.weighted_xyz, model.grid_mlps,
                                            model.pool_mlp, seed + 7919 * s_idx)[1])
-        rois.extend(geom.box_from_array(row) for row in sampled)
-        matched.extend(scene.gt_boxes[g] if g >= 0 else None
-                       for g in targets.matched_gt)
+        rois.append(sampled)
+        matched.append(np.vstack([scene.gt_boxes, np.full(7, np.nan)])[targets.matched_gt])
         parts.append(targets)
     combined = RefineTargets(*(np.concatenate([getattr(t, f) for t in parts])
                                for f in ("y", "residuals", "positive", "matched_gt")))
-    features = np.concatenate(feats)
-    return RefineBatch(features, rois, combined, matched)
+    return RefineBatch(np.concatenate(feats), np.concatenate(rois), combined,
+                       np.concatenate(matched))
 
 
 def train_refine(head: RefineHead, batch: RefineBatch, iters: int, lr: float):
@@ -402,6 +401,7 @@ def train_refine(head: RefineHead, batch: RefineBatch, iters: int, lr: float):
 
 def matched_iou_stats(head: RefineHead, batch: RefineBatch):
     """Mean 3D IoU against the matched gt for raw vs refined positive RoIs.
+    The batch's rois and matched_boxes may also be lists of (7,) rows.
 
     Returns:
         (mean_raw, mean_refined); (nan, nan) when there are no positives.
@@ -411,8 +411,8 @@ def matched_iou_stats(head: RefineHead, batch: RefineBatch):
         return float("nan"), float("nan")
     res = nn.mlp_forward(head.regression,
                          nn.mlp_forward(head.shared, batch.features))
-    rois = np.array([batch.rois[i].to_array() for i in pos])
-    gts = np.array([batch.matched_boxes[i].to_array() for i in pos])
+    rois = np.asarray(batch.rois, dtype=float).reshape(-1, 7)[pos]
+    gts = np.asarray(batch.matched_boxes, dtype=float).reshape(-1, 7)[pos]
     refined = rpn.decode_residuals(res[pos], rois)
     return (float(np.mean(geom.iou_3d(rois, gts))),
             float(np.mean(geom.iou_3d(refined, gts))))
@@ -442,17 +442,17 @@ def bench_pooling(
     fraction of RoIs whose pooled vector is nonzero.
     """
     t0 = time.perf_counter()
+    rois = np.array([p.box.to_array() for p in proposals]).reshape(-1, 7)
     if strategy == "roi_grid":
         width = 2 * config.GRID_BRANCH_WIDTH
-        rois = np.array([p.box.to_array() for p in proposals]).reshape(-1, 7)
         grid_features, _ = roihead.roi_grid_pool(rois, keypoints.weighted_xyz,
                                                  model.grid_mlps, model.pool_mlp, seed)
         rows = grid_features.reshape(-1, width)
     elif strategy == "average_pool":
         width = keypoints.feature_width
-        rows = np.array([roihead.average_pool_roi(p.box, keypoints.positions,
+        rows = np.array([roihead.average_pool_roi(roi, keypoints.positions,
                                                   keypoints.weighted)
-                         for p in proposals]).reshape(-1, width)
+                         for roi in rois]).reshape(-1, width)
     else:
         raise ValueError(f"unknown pooling strategy {strategy!r}")
     wall = time.perf_counter() - t0

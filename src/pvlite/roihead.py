@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, geom, nn, rpn
-from .geom import Box3D
 from .vsa import _aggregate_branch, radius_query
 
 GRID_POINTS = config.GRID_RESOLUTION**3
@@ -43,10 +42,10 @@ def roi_grid_pool(
     rows = np.asarray(rois, dtype=float).reshape(-1, 7)
     n_rois = rows.shape[0]
     keypoints = np.asarray(keypoints, dtype=float)
-    grids = [geom.roi_grid_points(geom.box_from_array(row)) for row in rows]
+    grids = geom.roi_grid_points(rows)
     keys = np.stack([np.repeat(seed + 31 * np.arange(n_rois, dtype=np.uint64), GRID_POINTS),
                      np.tile(np.arange(GRID_POINTS, dtype=np.uint64), n_rois)], axis=1)
-    neigh = radius_query(np.reshape(grids, (-1, 3)), keypoints[:, -3:],
+    neigh = radius_query(grids.reshape(-1, 3), keypoints[:, -3:],
                          config.GRID_RADII, config.GRID_CAP, seed=keys)
     cols = np.cumsum([0] + [mlp.out_width for mlp in branch_mlps])
     grid_features = np.empty((n_rois, GRID_POINTS, cols[-1]))
@@ -61,11 +60,11 @@ def roi_grid_pool(
 
 
 def average_pool_roi(
-    roi: Box3D, keypoint_positions: np.ndarray, keypoint_features: np.ndarray
+    roi: np.ndarray, keypoint_positions: np.ndarray, keypoint_features: np.ndarray
 ) -> np.ndarray:
-    """Baseline pooling: mean of the keypoint features inside the proposal
-    box (zero vector when it contains no keypoint). Output width equals the
-    keypoint feature width."""
+    """Baseline pooling: mean of the keypoint features inside the proposal's
+    (7,) box row (zero vector when it contains no keypoint). Output width
+    equals the keypoint feature width."""
     kp = np.asarray(keypoint_positions, dtype=float).reshape(-1, 3)
     feats = np.asarray(keypoint_features, dtype=float)
     if kp.shape[0] == 0:
@@ -115,27 +114,28 @@ class RefineTargets:
 
 def sample_proposals(
     proposals: np.ndarray,
-    gt: list[Box3D],
+    gt: np.ndarray,
     seed: int,
     n_sample: int,
 ):
     """Sample RoIs for refinement training at a 1:1 positive:negative ratio.
 
     proposals are (N, 7) box rows, such as pipeline.training_proposals
-    returns. A proposal is positive when its best 3D IoU with the ground
-    truth reaches ROI_POS_IOU; positives carry residuals of their best gt
-    encoded against the proposal row, all in one call. Confidence targets
-    follow the piecewise linear IoU mapping for every sampled RoI. When one
-    side has fewer than n_sample/2 candidates the other side fills the
-    remainder. One iou_3d call covers every (proposal, gt) pair whose
-    bounding circles meet; each proposal takes the first gt of highest IoU.
+    returns, and gt the scene's (G, 7) rows. A proposal is positive when its
+    best 3D IoU with the ground truth reaches ROI_POS_IOU; positives carry
+    residuals of their best gt encoded against the proposal row, all in one
+    call. Confidence targets follow the piecewise linear IoU mapping for
+    every sampled RoI. When one side has fewer than n_sample/2 candidates the
+    other side fills the remainder. One iou_3d call covers every (proposal,
+    gt) pair whose bounding circles meet; each proposal takes the first gt of
+    highest IoU.
 
     Returns:
         (sampled (S, 7) rows, RefineTargets); empty when there are no
         proposals.
     """
     rows = np.asarray(proposals, dtype=float).reshape(-1, 7)
-    gt_rows = np.array([box.to_array() for box in gt]).reshape(-1, 7)
+    gt_rows = np.asarray(gt, dtype=float).reshape(-1, 7)
     pi, pg = np.nonzero(geom.circles_meet(rows[:, None], gt_rows[None]))
     iou = np.zeros((len(rows), len(gt_rows) + 1))  # column 0: no overlap
     iou[pi, pg + 1] = geom.iou_3d(rows[pi], gt_rows[pg])

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import geom
 from .config import FOCAL_ALPHA, FOCAL_GAMMA, PROPOSAL_NMS_IOU, ClassSpec
-from .geom import Box3D, Detection
+from .geom import Detection
 
 
 @dataclass(frozen=True)
@@ -140,12 +140,12 @@ class RpnTargets:
 
 def assign_targets(
     anchors: AnchorSet,
-    gt_boxes: list[Box3D],
+    gt_boxes: np.ndarray,
     gt_classes=None,
     pos_iou: float = 0.6,
     neg_iou: float = 0.45,
 ) -> RpnTargets:
-    """Label anchors by BEV IoU against ground truth.
+    """Label anchors by BEV IoU against the (G, 7) ground-truth rows.
 
     An anchor is positive when its IoU with some same-class gt reaches
     pos_iou, or when it is that gt's best (highest-IoU, overlapping) match;
@@ -156,15 +156,16 @@ def assign_targets(
     labels = np.full(n, NEGATIVE, dtype=np.int64)
     residuals = np.zeros((n, 7))
     matched = np.full(n, -1, dtype=np.int64)
-    if not gt_boxes:
+    gt = np.asarray(gt_boxes, dtype=float).reshape(-1, 7)
+    if not len(gt):
         return RpnTargets(labels, residuals, matched)
     if gt_classes is None:
-        gt_classes = [0] * len(gt_boxes)
+        gt_classes = [0] * len(gt)
 
     best_iou = np.zeros(n)
     best_gt = np.full(n, -1, dtype=np.int64)
-    for g, (box, cls) in enumerate(zip(gt_boxes, gt_classes)):
-        iou = geom.bev_iou(anchors.boxes, box.to_array())
+    for g, (box, cls) in enumerate(zip(gt, gt_classes)):
+        iou = geom.bev_iou(anchors.boxes, box)
         iou[anchors.class_ids != cls] = 0.0
         better = iou > best_iou
         best_iou[better] = iou[better]
@@ -185,8 +186,7 @@ def assign_targets(
     pos = labels == POSITIVE
     if pos.any():
         matched[pos] = best_gt[pos]
-        gt_arr = np.stack([b.to_array() for b in gt_boxes])
-        residuals[pos] = encode_residuals(gt_arr[best_gt[pos]], anchors.boxes[pos])
+        residuals[pos] = encode_residuals(gt[best_gt[pos]], anchors.boxes[pos])
     return RpnTargets(labels, residuals, matched)
 
 
@@ -257,29 +257,14 @@ def smooth_l1_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 # Proposal extraction
 # ---------------------------------------------------------------------------
 
-_BOX_FIELDS = ("cx", "cy", "cz", "l", "w", "h", "theta")
-
-
 def check_decoded(rows: np.ndarray, scores: np.ndarray, what: str) -> None:
-    """Raise ValueError naming the first row ("{what} i") with a non-finite
-    field, a non-positive size or a score outside [0, 1]: the rules Box3D and
-    Detection enforce, applied whether or not a box is built from the row."""
-    nonfinite = ~np.isfinite(rows)
-    nonpositive = rows[:, 3:6] <= 0.0
-    bad_score = ~((scores >= 0.0) & (scores <= 1.0))
-    bad = nonfinite.any(axis=1) | nonpositive.any(axis=1) | bad_score
-    if not bad.any():
-        return
-    i = int(np.argmax(bad))
-    if nonfinite[i].any():
-        j = int(np.argmax(nonfinite[i]))
-        raise ValueError(f"{what} {i}: decoded {_BOX_FIELDS[j]} must be finite, "
-                         f"got {float(rows[i, j])!r}")
-    if nonpositive[i].any():
-        j = 3 + int(np.argmax(nonpositive[i]))
-        raise ValueError(f"{what} {i}: decoded {_BOX_FIELDS[j]} must be positive, "
-                         f"got {float(rows[i, j])!r}")
-    raise ValueError(f"{what} {i}: score must be in [0, 1], got {float(scores[i])!r}")
+    """Raise ValueError naming the first row ("{what} i") that geom.check_boxes
+    rejects or whose score is outside [0, 1] (Detection's rule)."""
+    bad = ~((scores >= 0.0) & (scores <= 1.0))
+    i = int(np.argmax(bad)) if bad.any() else len(rows)
+    geom.check_boxes(rows[:i + 1], what)
+    if i < len(rows):
+        raise ValueError(f"{what} {i}: score must be in [0, 1], got {float(scores[i])!r}")
 
 
 def decode_anchors(

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import config, geom
 from .config import Config
-from .geom import Box3D
 from .sparsegrid import in_range
 
 MAGIC = "PVSCN1"
@@ -39,26 +38,25 @@ def _f32(x: float) -> float:
 _MAX_F32_YAW = float(np.nextafter(np.float32(math.pi), np.float32(0.0)))
 
 
-def _f32_box(cx, cy, cz, l, w, h, theta) -> Box3D:
-    """Box with float32-representable fields (yaw nudged off the +/-pi edge)."""
-    t = _f32(geom.wrap_angle(float(theta)))
-    if t >= math.pi:
-        t = _MAX_F32_YAW
-    elif t < -math.pi:
-        t = -_MAX_F32_YAW
-    return Box3D(_f32(cx), _f32(cy), _f32(cz), _f32(l), _f32(w), _f32(h), t)
+def _f32_box(cx, cy, cz, l, w, h, theta) -> np.ndarray:
+    """Box row of float32-representable fields (yaw nudged off the +/-pi
+    edge), its yaw wrapped as a SceneSample wraps it."""
+    t = min(max(_f32(geom.wrap_angle(float(theta))), -_MAX_F32_YAW), _MAX_F32_YAW)
+    return np.array([_f32(cx), _f32(cy), _f32(cz), _f32(l), _f32(w), _f32(h),
+                     geom.wrap_angle(t)])
 
 
 @dataclass(frozen=True)
 class SceneSample:
-    """A point cloud with ground-truth boxes; every point value is finite.
+    """A point cloud with ground-truth box rows; every point value is finite,
+    every box passes geom.check_boxes and its yaw is wrapped to [-pi, pi).
 
     Points may lie outside the range (the pipeline ignores them); gen_scene
     keeps them inside, every box non-empty and the boxes BEV-disjoint.
     """
 
     points: np.ndarray  # (N, 4) float32: x, y, z, intensity
-    gt_boxes: tuple[Box3D, ...]
+    gt_boxes: np.ndarray  # (G, 7) float64: cx, cy, cz, l, w, h, theta
     gt_classes: tuple[int, ...]
     seed: int
     range_min: tuple[float, float, float]
@@ -73,7 +71,11 @@ class SceneSample:
             row, col = bad[0]
             raise ValueError(f"point {row}: {POINT_FIELDS[col]} must be finite, "
                              f"got {pts[row, col]}")
-        object.__setattr__(self, "gt_boxes", tuple(self.gt_boxes))
+        boxes = np.array(self.gt_boxes, dtype=float).reshape(-1, 7)
+        geom.check_boxes(boxes, "box")
+        boxes[:, 6] = geom.wrap_angles(boxes[:, 6])
+        boxes.flags.writeable = False
+        object.__setattr__(self, "gt_boxes", boxes)
         object.__setattr__(self, "gt_classes", tuple(int(c) for c in self.gt_classes))
         if len(self.gt_boxes) != len(self.gt_classes):
             raise ValueError("gt_boxes and gt_classes must align")
@@ -87,9 +89,8 @@ class SceneSample:
 
     def equals(self, other: "SceneSample") -> bool:
         return (
-            self.points.shape == other.points.shape
-            and (self.points == other.points).all()
-            and self.gt_boxes == other.gt_boxes
+            np.array_equal(self.points, other.points)
+            and np.array_equal(self.gt_boxes, other.gt_boxes)
             and self.gt_classes == other.gt_classes
             and self.seed == other.seed
             and self.range_min == other.range_min
@@ -97,9 +98,9 @@ class SceneSample:
         )
 
 
-def _sample_box_surface(box: Box3D, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform area-weighted samples over the six box faces, world frame."""
-    l, w, h = box.l, box.w, box.h
+def _sample_box_surface(box: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform area-weighted samples over the six faces of a box row, world frame."""
+    cx, cy, cz, l, w, h, theta = box
     areas = np.array([w * h, w * h, l * h, l * h, l * w, l * w])
     face = rng.choice(6, size=count, p=areas / areas.sum())
     u = rng.uniform(-0.5, 0.5, size=count)
@@ -117,11 +118,11 @@ def _sample_box_surface(box: Box3D, count: int, rng: np.random.Generator) -> np.
             local[m] = np.stack([u[m] * l, np.full(m.sum(), s * w), v[m] * h], axis=1)
         else:
             local[m] = np.stack([u[m] * l, v[m] * w, np.full(m.sum(), s * h)], axis=1)
-    c, s = math.cos(box.theta), math.sin(box.theta)
+    c, s = math.cos(theta), math.sin(theta)
     world = np.empty_like(local)
-    world[:, 0] = c * local[:, 0] - s * local[:, 1] + box.cx
-    world[:, 1] = s * local[:, 0] + c * local[:, 1] + box.cy
-    world[:, 2] = local[:, 2] + box.cz
+    world[:, 0] = c * local[:, 0] - s * local[:, 1] + cx
+    world[:, 1] = s * local[:, 0] + c * local[:, 1] + cy
+    world[:, 2] = local[:, 2] + cz
     return world
 
 
@@ -147,7 +148,7 @@ def gen_scene(cfg: Config, seed: int) -> SceneSample:
     ground = np.stack([gx, gy, gz, gi], axis=1).astype(np.float32)
     ground = ground[in_range(ground[:, :3].astype(float), lo, hi)]
 
-    boxes: list[Box3D] = []
+    boxes: list[np.ndarray] = []
     classes: list[int] = []
     chunks = [ground]
     for _ in range(cfg.synth_objects):
@@ -165,16 +166,16 @@ def gen_scene(cfg: Config, seed: int) -> SceneSample:
             cy = rng.uniform(lo[1] + margin, hi[1] - margin)
             cz = cfg.synth_ground_z + 0.5 * dims[2]
             cand = _f32_box(cx, cy, cz, dims[0], dims[1], dims[2], yaw)
-            placed = np.array([b.to_array() for b in boxes]).reshape(-1, 7)
-            near = placed[geom.circles_meet(placed, cand.to_array())]
-            if not (len(near) and geom.bev_iou(near, cand.to_array()).any()):
+            placed = np.array(boxes).reshape(-1, 7)
+            near = placed[geom.circles_meet(placed, cand)]
+            if not (len(near) and geom.bev_iou(near, cand).any()):
                 box = cand
                 break
         if box is None:
             raise PlacementError(
                 f"could not place object {len(boxes)} after 100 attempts"
             )
-        dist = math.hypot(box.cx, box.cy)
+        dist = math.hypot(box[0], box[1])
         count = max(
             config.SYNTH_MIN_POINTS * 2,
             int(cfg.synth_points_per_object / (1.0 + dist / config.SYNTH_RANGE_DECAY)),
@@ -199,7 +200,7 @@ def gen_scene(cfg: Config, seed: int) -> SceneSample:
         chunks.append(pts)
 
     points = np.concatenate(chunks, axis=0).astype(np.float32)
-    return SceneSample(points, tuple(boxes), tuple(classes), seed,
+    return SceneSample(points, boxes, classes, seed,
                        tuple(cfg.range_min), tuple(cfg.range_max))
 
 
@@ -219,7 +220,7 @@ def save_scene(scene: SceneSample, path) -> None:
         fh.write(header.encode("ascii"))
         fh.write(np.ascontiguousarray(scene.points, dtype="<f4").tobytes())
         for box, cls in zip(scene.gt_boxes, scene.gt_classes):
-            fh.write(np.asarray(box.to_array(), dtype="<f4").tobytes())
+            fh.write(np.asarray(box, dtype="<f4").tobytes())
             fh.write(np.asarray([cls], dtype="<i4").tobytes())
 
 
@@ -256,18 +257,13 @@ def load_scene(path) -> SceneSample:
                                          f"bytes, {left} left in the file")
                 left -= count * size
             points = np.frombuffer(fh.read(n_points * 16), dtype="<f4").reshape(n_points, 4)
-            boxes, classes = [], []
-            for _ in range(n_boxes):
-                rec = fh.read(7 * 4 + 4)
-                vals = np.frombuffer(rec[:28], dtype="<f4")
-                cls = int(np.frombuffer(rec[28:], dtype="<i4")[0])
-                boxes.append(geom.box_from_array(vals))
-                classes.append(cls)
+            boxes = np.frombuffer(fh.read(n_boxes * 32),
+                                  dtype=[("box", "<f4", 7), ("cls", "<i4")])
             if fh.read(1):
                 raise SceneFileError("trailing bytes after box records")
         return SceneSample(
-            points, tuple(boxes), tuple(classes), seed,
+            points, boxes["box"], boxes["cls"], seed,
             tuple(rng_vals[:3]), tuple(rng_vals[3:]),
         )
-    except ValueError as exc:  # SceneFileError, or a Box3D / SceneSample check
+    except ValueError as exc:  # SceneFileError, or a SceneSample check
         raise SceneFileError(f"{path}: {exc}") from exc

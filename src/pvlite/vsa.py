@@ -16,7 +16,6 @@ import numpy as np
 
 from . import geom, nn, rpn
 from .config import RAW_CAP, RAW_RADII, VSA_CAPS, VSA_RADII
-from .geom import Box3D
 from .sparsegrid import BevMap, SparseTensor, bilinear_sample, voxel_centers
 
 
@@ -391,26 +390,18 @@ def extended_vsa(
     return np.concatenate(blocks, axis=1)
 
 
-def keypoint_labels(positions: np.ndarray, gt_boxes: list[Box3D]) -> np.ndarray:
-    """1 where a keypoint lies inside any ground-truth box, else 0."""
-    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
-    labels = np.zeros(pos.shape[0], dtype=np.int64)
-    for box in gt_boxes:
-        labels |= geom.points_in_box(pos, box).astype(np.int64)
-    return labels
-
-
 def pkw(
     positions: np.ndarray,
     f_p: np.ndarray,
-    gt_boxes: list[Box3D],
+    gt_boxes: np.ndarray,
     mlp: nn.MlpParams,
 ):
     """Predicted keypoint weighting.
 
     Scores each keypoint's foreground confidence with a sigmoid MLP and
-    multiplies its feature row by the score. Labels come from containment
-    in any ground-truth box (used for the segmentation loss).
+    multiplies its feature row by the score. Labels are 1 where a keypoint
+    lies inside any of the (G, 7) ground-truth rows, else 0 (used for the
+    segmentation loss).
 
     Returns:
         (weighted_features, scores, labels).
@@ -420,7 +411,8 @@ def pkw(
     feats = np.asarray(f_p, dtype=float)
     scores = nn.mlp_forward(mlp, feats)[:, 0]
     weighted = scores[:, None] * feats
-    return weighted, scores, keypoint_labels(positions, gt_boxes)
+    inside = geom.points_in_box(np.reshape(positions, (-1, 3)), np.reshape(gt_boxes, (-1, 7)))
+    return weighted, scores, inside.any(axis=1).astype(np.int64)
 
 
 def seg_loss(scores: np.ndarray, labels: np.ndarray) -> float:

@@ -5,8 +5,8 @@ path it checks (sampling for areas, one Python polygon clip per box pair
 for rotated IoU, dense convolution for sparse, a dense BEV array for the
 occupied-rows map, full recomputation for incremental FPS, a
 list-of-Detection loop for NMS, separate feature and offset gathers for
-set abstraction), plus an all-zero MLP and a writer of malformed scene
-files.
+set abstraction, one Box3D at a time for containment and RoI grids), plus
+an all-zero MLP and a writer of malformed scene files.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from pvlite import nn
+from pvlite.config import GRID_RESOLUTION
 from pvlite.geom import CLIP_TOL, Box3D, Detection
 from pvlite.sparsegrid import BevMap
 
@@ -313,6 +314,37 @@ def random_box(rng: np.random.Generator, center_span: float = 10.0) -> Box3D:
     )
 
 
+def points_in_box_obj(points: np.ndarray, box: Box3D) -> np.ndarray:
+    """(N,) mask of the points inside one closed Box3D, with the box's own
+    scalar fields and math.cos/sin of its (already wrapped) yaw."""
+    pts = np.asarray(points, dtype=float)
+    dx = pts[:, 0] - box.cx
+    dy = pts[:, 1] - box.cy
+    dz = pts[:, 2] - box.cz
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    qx = c * dx + s * dy
+    qy = -s * dx + c * dy
+    return (
+        (np.abs(qx) <= 0.5 * box.l)
+        & (np.abs(qy) <= 0.5 * box.w)
+        & (np.abs(dz) <= 0.5 * box.h)
+    )
+
+
+def roi_grid_points_obj(box: Box3D) -> np.ndarray:
+    """(GRID_RESOLUTION**3, 3) cell-centre grid of one Box3D, built from a
+    meshgrid of the scaled offsets and rotated by math.cos/sin."""
+    u = (np.arange(GRID_RESOLUTION) + 0.5) / GRID_RESOLUTION - 0.5
+    gi, gj, gk = np.meshgrid(u * box.l, u * box.w, u * box.h, indexing="ij")
+    local = np.stack([gi.ravel(), gj.ravel(), gk.ravel()], axis=1)
+    c, s = math.cos(box.theta), math.sin(box.theta)
+    pts = np.empty_like(local)
+    pts[:, 0] = c * local[:, 0] - s * local[:, 1] + box.cx
+    pts[:, 1] = s * local[:, 0] + c * local[:, 1] + box.cy
+    pts[:, 2] = local[:, 2] + box.cz
+    return pts
+
+
 def overlapping_box_pair(rng: np.random.Generator):
     """Two random boxes with nearby centers (usually overlapping)."""
     a = random_box(rng, center_span=3.0)
@@ -406,6 +438,17 @@ def zero_params(layer_dims, out_activation: str = "identity") -> nn.MlpParams:
     weights = [np.zeros((dout, din)) for din, dout in zip(dims[:-1], dims[1:])]
     biases = [np.zeros(dout) for dout in dims[1:]]
     return nn.MlpParams(dims, weights, biases, out_activation)
+
+
+def set_box_value(path, box: int, col: int, value: float) -> None:
+    """Overwrite one field of a box record of a saved scene file (the last
+    32 bytes per box: cx, cy, cz, l, w, h, theta as little-endian float32,
+    then the int32 class), bypassing the checks a SceneSample makes."""
+    data = bytearray(Path(path).read_bytes())
+    header = dict(f.split("=", 1) for f in data[:data.index(b"\n")].decode().split()[1:])
+    at = len(data) - 32 * (int(header["boxes"]) - box) + 4 * col
+    data[at:at + 4] = np.array([value], dtype="<f4").tobytes()
+    Path(path).write_bytes(bytes(data))
 
 
 def set_point_value(path, row: int, col: int, value: float) -> None:

@@ -246,11 +246,12 @@ def test_06_residual_codec_roundtrip():
         Box3D(9.0, 2.5, -0.80, 4.1, 1.55, 1.6, math.pi / 2 - 0.06),
         Box3D(7.0, -4.0, -0.85, 3.9, 1.6, 1.5, -0.08),
     ]
-    targets = rpn.assign_targets(anchor_set, gt_boxes)
+    gt_rows = np.array([b.to_array() for b in gt_boxes])
+    targets = rpn.assign_targets(anchor_set, gt_rows)
     pos = np.flatnonzero(targets.labels == rpn.POSITIVE)
     assert pos.size > 0
     decoded = rpn.decode_residuals(targets.residuals[pos], anchor_set.boxes[pos])
-    matched = np.array([gt_boxes[g].to_array() for g in targets.matched_gt[pos]])
+    matched = gt_rows[targets.matched_gt[pos]]
     worst_assign = float(np.abs(decoded - matched).max())
     assert worst_assign < 1e-6, f"assign-then-decode error {worst_assign:.2e}"
     report(6, f"1e4 round trips <= {err:.1e}; assign-then-decode <= "

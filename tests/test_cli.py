@@ -4,7 +4,7 @@ plumbing and the invariant check suite."""
 import numpy as np
 import pytest
 
-from pvlite import cli, config, evalkit, nn, pipeline, synth
+from pvlite import cli, config, evalkit, geom, nn, pipeline, synth
 
 from helpers import set_point_value
 
@@ -166,6 +166,21 @@ class TestTrainHeads:
         assert capsys.readouterr().err == message + "\n"
         assert not (tmp_path / "p").exists()
 
+    def test_default_lr_trains_the_refine_head(self, desk7, tmp_path):
+        # Desk scenes 5 and 6: at lr 0.01 the loss goes 12.9 -> 231.7 -> 1.9
+        # -> 4.7 -> 0.78; at lr 1.0 it reaches 2.8e18 by iteration 4.
+        desk_cfg, _ = desk7
+        scenes, out = tmp_path / "scenes", tmp_path / "refine.params"
+        assert cli.main(["synth", "--config", desk_cfg, "--seed", "5",
+                         "--count", "2", "--out", str(scenes)]) == 0
+        rc = cli.main(["train-heads", "--config", desk_cfg, "--scenes",
+                       str(scenes), "--which", "refine", "--iters", "5",
+                       "--out", str(out)])
+        assert rc == 0
+        losses = [float(line.split(",")[1]) for line in
+                  (tmp_path / "refine.params.loss.csv").read_text().splitlines()[1:]]
+        assert len(losses) == 5 and losses[-1] < losses[0]
+
     @pytest.mark.parametrize("which", ["pkw", "refine"])
     def test_diverging_training_exits_2_and_writes_nothing(
             self, cfg_path, scene_dir, tmp_path, capsys, which):
@@ -187,7 +202,7 @@ class TestEval:
         det_dir.mkdir()
         for path in scene_dir.glob("*.pvscn"):
             scene = synth.load_scene(path)
-            dets = [evalkit.Detection(b, 0.9, c)
+            dets = [evalkit.Detection(geom.box_from_array(b), 0.9, c)
                     for b, c in zip(scene.gt_boxes, scene.gt_classes)]
             evalkit.save_detections(dets, det_dir / (path.stem + ".txt"))
         csv_path = tmp_path / "report.csv"
@@ -309,11 +324,15 @@ class TestInputErrors:
         ["synth", "--out", "{tmp}/d", "--seed", "-3"],
         ["run", "--scenes", "{scenes}", "--out", "{tmp}/d", "--seed", "-1"],
         ["synth", "--out", "{tmp}/d", "--seed", str(2**63)],
+        *(["eval", "--scenes", "{scenes}", "--detections", "{scenes}",
+           "--iou-thresh", value] for value in ("nan", "inf", "1.5", "-1")),
     ], ids=["bench --strategies bogus", "run without --scenes",
             "train-heads --iters 0", "train-heads --iters -3",
             "train-heads --lr nan", "train-heads --lr inf", "train-heads --lr 0",
             "train-heads --lr -0.1", "synth --count -2", "synth --count 0",
-            "synth --seed -3", "run --seed -1", "synth --seed 2**63"])
+            "synth --seed -3", "run --seed -1", "synth --seed 2**63",
+            "eval --iou-thresh nan", "eval --iou-thresh inf",
+            "eval --iou-thresh 1.5", "eval --iou-thresh -1"])
     def test_usage_error_exits_2(self, scene_dir, tmp_path, capsys, args):
         with pytest.raises(SystemExit) as exit_info:
             cli.main([a.format(scenes=scene_dir, tmp=tmp_path) for a in args])

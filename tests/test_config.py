@@ -320,3 +320,35 @@ def test_every_definition_is_used():
                             if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
     assert [qual for qual, node in defined
             if named[node.name] <= _names(node)[node.name]] == []
+
+
+# The only places a Box3D or a Detection is built, and why.
+BOX_OBJECT_SITES = {
+    "geom": "defines Box3D, box_from_array and Detection",
+    "checks": "_random_box draws the IoU checks' boxes as Box3D objects",
+    "rpn.extract_proposals": "returns the kept proposals as Detections",
+    "pipeline.run_scene": "returns the final detections as Detections",
+    "evalkit.load_detections": "reads a detection file into Detections",
+}
+
+
+def test_boxes_are_rows_inside_the_pipeline():
+    """Box3D(...), box_from_array(...) and Detection(...) are called only at
+    the sites above, and no module but geom and checks names Box3D: from
+    scene to training batch, boxes are (N, 7) rows."""
+    sites, named = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "Box3D" in _names(tree) and path.stem not in ("geom", "checks"):
+            named.add(path.stem)
+        for top in tree.body:
+            where = (f"{path.stem}.{top.name}"
+                     if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else path.stem)
+            sites |= {where for n in ast.walk(top) if isinstance(n, ast.Call)
+                      and getattr(n.func, "id", getattr(n.func, "attr", ""))
+                      in ("Box3D", "box_from_array", "Detection")}
+    assert named == set()
+    assert sorted(s for s in sites if s not in BOX_OBJECT_SITES
+                  and s.split(".")[0] not in BOX_OBJECT_SITES) == []
+    assert [k for k in BOX_OBJECT_SITES
+            if not any(s == k or s.startswith(k + ".") for s in sites)] == []

@@ -18,11 +18,16 @@ def boxes_apart(n, spacing=20.0):
     return [Box3D(i * spacing, 0, 0, 4, 2, 1.5, 0.0) for i in range(n)]
 
 
+def rows(boxes):
+    """(G, 7) rows of Box3D objects."""
+    return np.array([b.to_array() for b in boxes]).reshape(-1, 7)
+
+
 class TestMatchDetections:
     def test_perfect_all_tp(self):
         gts = boxes_apart(3)
         dets = [det(b, 0.9 - 0.1 * i) for i, b in enumerate(gts)]
-        flags = evalkit.match_detections(dets, gts, 0.7)
+        flags = evalkit.match_detections(dets, rows(gts), 0.7)
         assert flags.all()
 
     def test_no_gts_all_fp(self):
@@ -33,13 +38,13 @@ class TestMatchDetections:
     def test_two_dets_one_gt(self):
         gt = boxes_apart(1)
         dets = [det(gt[0], 0.9), det(gt[0], 0.8)]
-        flags = evalkit.match_detections(dets, gt, 0.7)
+        flags = evalkit.match_detections(dets, rows(gt), 0.7)
         np.testing.assert_array_equal(flags, [True, False])
 
     def test_greedy_prefers_higher_score(self):
         gt = boxes_apart(1)
         dets = [det(gt[0], 0.2), det(gt[0], 0.9)]
-        flags = evalkit.match_detections(dets, gt, 0.7)
+        flags = evalkit.match_detections(dets, rows(gt), 0.7)
         np.testing.assert_array_equal(flags, [False, True])
 
     def test_highest_iou_unmatched_gt(self):
@@ -47,14 +52,14 @@ class TestMatchDetections:
         b = Box3D(1.0, 0, 0, 4, 2, 1.5, 0.0)
         # One det overlapping both: matches the higher-IoU one (itself).
         dets = [det(a, 0.9), det(a, 0.8)]
-        flags = evalkit.match_detections(dets, [a, b], 0.2, iou_kind="bev")
+        flags = evalkit.match_detections(dets, rows([a, b]), 0.2, iou_kind="bev")
         assert flags[0]
         assert flags[1]  # second det falls back to the remaining gt
 
     def test_3d_kind(self):
         gt = [Box3D(0, 0, 0, 4, 2, 2.0, 0.0)]
         lifted = Box3D(0, 0, 5.0, 4, 2, 2.0, 0.0)
-        flags = evalkit.match_detections([det(lifted, 0.9)], gt, 0.1,
+        flags = evalkit.match_detections([det(lifted, 0.9)], rows(gt), 0.1,
                                          iou_kind="3d")
         assert not flags.any()
 
@@ -133,12 +138,12 @@ class TestDifficultyBuckets:
         # 5 points in box 0, 1 point in box 1, none in box 2.
         pts.extend([[0.1 * k, 0, 0] for k in range(5)])
         pts.append([20.0, 0, 0])
-        levels = evalkit.difficulty_buckets(gts, np.array(pts))
+        levels = evalkit.difficulty_buckets(rows(gts), np.array(pts))
         assert levels == ["L1", "L2", None]
 
     def test_empty_points(self):
         gts = boxes_apart(1)
-        assert evalkit.difficulty_buckets(gts, np.empty((0, 3))) == [None]
+        assert evalkit.difficulty_buckets(rows(gts), np.empty((0, 3))) == [None]
 
 
 class TestDetectionFiles:

@@ -3,6 +3,7 @@ clipping oracle, containment, NMS against a list-based oracle, and RoI grid
 point placement."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from pvlite.geom import Box3D, Detection
 
 from helpers import (
     iou_pair, mc_bev_iou, mc_volume_iou, nms_reference, overlapping_box_pair,
-    random_box,
+    points_in_box_obj, random_box, roi_grid_points_obj,
 )
 
 
@@ -259,22 +260,22 @@ class TestIouKernel:
 
 class TestPointsInBox:
     def test_center_inside(self):
-        b = box(cx=3, cy=-2, cz=1)
+        b = box(cx=3, cy=-2, cz=1).to_array()
         assert geom.points_in_box(np.array([[3.0, -2.0, 1.0]]), b).all()
 
     def test_far_point_outside(self):
-        b = box()
+        b = box().to_array()
         far = np.array([[100.0, 100.0, 100.0]])
         assert not geom.points_in_box(far, b).any()
 
     def test_rotated_heading_axis(self):
         # Point on the heading axis at distance 1 <= l/2 for a pi/4 box.
-        b = box(l=2, w=1, theta=math.pi / 4)
+        b = box(l=2, w=1, theta=math.pi / 4).to_array()
         p = np.array([[math.cos(math.pi / 4), math.sin(math.pi / 4), 0.0]])
         assert geom.points_in_box(p, b).all()
 
     def test_boundary_counts_inside(self):
-        b = box(l=2, w=2, h=2)
+        b = box(l=2, w=2, h=2).to_array()
         edge = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         assert geom.points_in_box(edge, b).all()
 
@@ -282,7 +283,7 @@ class TestPointsInBox:
         rng = np.random.default_rng(3)
         pts = rng.uniform(-3, 3, size=(200, 3))
         b = random_box(rng)
-        before = geom.points_in_box(pts, b)
+        before = geom.points_in_box(pts, b.to_array())
         angle, tx, ty, tz = 0.7, 1.5, -2.0, 0.3
         c, s = math.cos(angle), math.sin(angle)
         moved = pts.copy()
@@ -293,8 +294,87 @@ class TestPointsInBox:
             c * b.cx - s * b.cy + tx, s * b.cx + c * b.cy + ty, b.cz + tz,
             b.l, b.w, b.h, b.theta + angle,
         )
-        after = geom.points_in_box(moved, b2)
+        after = geom.points_in_box(moved, b2.to_array())
         assert (before == after).all()
+
+
+def far_rows(rng, n):
+    """Random box rows: half of them centred up to 1e3 m from the origin
+    and half within 1 m of it, crossed with half of the yaws unwrapped at
+    or within 1e-9 of +-pi and half in [-4, 4]."""
+    k = np.arange(n)
+    span = np.where(k // 2 % 2 == 0, 1e3, 1.0)[:, None]
+    near_pi = rng.choice([-1.0, 1.0], n) * (math.pi + rng.choice(
+        [0.0, 1e-15, -1e-15, 1e-9, -1e-9], n))
+    return np.column_stack([
+        rng.uniform(-1.0, 1.0, (n, 2)) * span, rng.uniform(-5, 5, n),
+        rng.uniform(0.5, 6.0, n), rng.uniform(0.5, 4.0, n), rng.uniform(0.5, 3.0, n),
+        np.where(k % 2 == 0, near_pi, rng.uniform(-4.0, 4.0, n)),
+    ])
+
+
+class TestRowsMatchBox3D:
+    """The row kernels give the bits of the per-Box3D oracles, which wrap
+    the yaw on construction."""
+
+    def test_points_in_box(self):
+        rng = np.random.default_rng(40)
+        rows = far_rows(rng, 40)
+        # Points around the boxes, and on their footprint corners, where
+        # the last bits of the rotation decide containment.
+        corners = [np.column_stack([Box3D(*row).corners_bev(), np.full(4, row[2])])
+                   for row in rows]
+        pts = np.concatenate([rows[rng.integers(0, 40, 4000), :3]
+                              + rng.uniform(-3.0, 3.0, size=(4000, 3)), *corners])
+        table = geom.points_in_box(pts, rows)
+        assert table.shape == (4160, 40) and table.dtype == bool
+        assert 0 < table.sum() < table.size
+        for g, row in enumerate(rows):
+            want = points_in_box_obj(pts, Box3D(*row))
+            np.testing.assert_array_equal(table[:, g], want)
+            np.testing.assert_array_equal(geom.points_in_box(pts, row), want)
+
+    def test_roi_grid_points(self):
+        rows = far_rows(np.random.default_rng(41), 30)
+        grids = geom.roi_grid_points(rows)
+        assert grids.shape == (30, 216, 3)
+        for r, row in enumerate(rows):
+            want = roi_grid_points_obj(Box3D(*row))
+            np.testing.assert_array_equal(grids[r], want)
+            np.testing.assert_array_equal(geom.roi_grid_points(row), want)
+
+    def test_empty_inputs(self):
+        assert geom.points_in_box(np.empty((0, 3)), far_rows(
+            np.random.default_rng(42), 2)).shape == (0, 2)
+        assert geom.points_in_box(np.zeros((5, 3)), np.empty((0, 7))).shape == (5, 0)
+        assert geom.roi_grid_points(np.empty((0, 7))).shape == (0, 216, 3)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            geom.points_in_box(np.zeros(3), box().to_array())
+        with pytest.raises(ValueError):
+            geom.points_in_box(np.zeros((2, 3)), np.zeros((2, 6)))
+        with pytest.raises(ValueError):
+            geom.roi_grid_points(np.zeros(6))
+
+
+class TestCheckBoxes:
+    @pytest.mark.parametrize("col, value, message", [
+        (0, np.nan, "box 1: cx must be finite, got nan"),
+        (6, -np.inf, "box 1: theta must be finite, got -inf"),
+        (5, 0.0, "box 1: h must be positive, got 0.0"),
+        (4, -2.0, "box 1: w must be positive, got -2.0"),
+    ])
+    def test_first_bad_row_and_field_named(self, col, value, message):
+        rows = np.tile(box().to_array(), (3, 1))
+        rows[1, col] = value
+        rows[2, 3] = np.nan
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            geom.check_boxes(rows, "box")
+
+    def test_valid_rows_pass(self):
+        geom.check_boxes(far_rows(np.random.default_rng(43), 10), "box")
+        geom.check_boxes(np.empty((0, 7)), "box")
 
 
 class TestNms:
@@ -385,19 +465,19 @@ class TestRoiGridPoints:
     def test_count_and_centroid(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
-            b = random_box(rng)
+            b = random_box(rng).to_array()
             pts = geom.roi_grid_points(b)
             assert pts.shape == (216, 3)
-            np.testing.assert_allclose(pts.mean(axis=0), b.to_array()[:3], atol=1e-9)
+            np.testing.assert_allclose(pts.mean(axis=0), b[:3], atol=1e-9)
 
     def test_unit_cube_first_point(self):
-        pts = geom.roi_grid_points(box(l=1, w=1, h=1))
+        pts = geom.roi_grid_points(box(l=1, w=1, h=1).to_array())
         np.testing.assert_allclose(pts[0], [-5 / 12, -5 / 12, -5 / 12], atol=1e-12)
 
     def test_all_inside(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
-            b = random_box(rng)
+            b = random_box(rng).to_array()
             pts = geom.roi_grid_points(b)
             assert geom.points_in_box(pts, b).all()
 
@@ -405,8 +485,8 @@ class TestRoiGridPoints:
         b0 = box(cx=1.0, cy=2.0, l=3.0, w=1.5, h=2.0, theta=0.0)
         angle = 0.6
         b1 = Box3D(b0.cx, b0.cy, b0.cz, b0.l, b0.w, b0.h, angle)
-        p0 = geom.roi_grid_points(b0)
-        p1 = geom.roi_grid_points(b1)
+        p0 = geom.roi_grid_points(b0.to_array())
+        p1 = geom.roi_grid_points(b1.to_array())
         c, s = math.cos(angle), math.sin(angle)
         centre = b0.to_array()[:3]
         rel = p0 - centre
@@ -417,7 +497,7 @@ class TestRoiGridPoints:
         np.testing.assert_allclose(p1, rot, atol=1e-12)
 
     def test_lexicographic_order(self):
-        pts = geom.roi_grid_points(box(l=6, w=6, h=6))
+        pts = geom.roi_grid_points(box(l=6, w=6, h=6).to_array())
         # k varies fastest, then j, then i.
         assert pts[1][2] > pts[0][2]
         assert pts[6][1] > pts[0][1]

@@ -70,7 +70,7 @@ def refine_batch_parts() -> dict[str, list]:
                                         seed=PIPELINE_SEED)
     t = batch.targets
     return {
-        "rois": [[*map(float, r.to_array())] for r in batch.rois],
+        "rois": batch.rois.tolist(),
         "y": t.y.tolist(),
         "residuals": t.residuals.tolist(),
         "positive": t.positive.tolist(),

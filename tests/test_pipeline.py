@@ -236,8 +236,8 @@ class TestEmptySceneInBatch:
         mixed = pipeline.build_refine_batch(CFG, model, [scene, EMPTY], anchors,
                                             seed=4)
         np.testing.assert_array_equal(mixed.features, full.features)
-        assert mixed.rois == full.rois
-        assert mixed.matched_boxes == full.matched_boxes
+        np.testing.assert_array_equal(mixed.rois, full.rois)
+        np.testing.assert_array_equal(mixed.matched_boxes, full.matched_boxes)
         for name in ("y", "residuals", "positive", "matched_gt"):
             np.testing.assert_array_equal(getattr(mixed.targets, name),
                                           getattr(full.targets, name))
@@ -258,7 +258,7 @@ class TestTrainingProposals:
 
     @pytest.mark.parametrize("score, residual, message", [
         (np.nan, 0.0, "score must be in \\[0, 1\\], got nan"),
-        (0.5, np.inf, "decoded w must be finite, got inf"),
+        (0.5, np.inf, "w must be finite, got inf"),
     ], ids=["nan score", "infinite width"])
     def test_bad_row_raises_as_in_extract_proposals(self, model, anchors, bev,
                                                     monkeypatch, score, residual,

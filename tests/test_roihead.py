@@ -49,7 +49,7 @@ class TestRoiGridPool:
         pm = pool_mlp(8, seed=4)
         [g], _ = roihead.roi_grid_pool(rows(roi), np.hstack([feats, kp]), gm, pm, 0)
         # Every grid point of a unit box is within 0.8 m of the center.
-        grid = geom.roi_grid_points(roi)
+        grid = geom.roi_grid_points(roi.to_array())
         d = np.linalg.norm(grid, axis=1)
         assert (d < 0.8).all()
         assert (g != 0).any(axis=1).all()
@@ -66,11 +66,11 @@ class TestRoiGridPool:
         gm = grid_mlps(3, seed=6)
         pm = pool_mlp(8, seed=7)
         [g], _ = roihead.roi_grid_pool(rows(roi), np.hstack([feats, kp]), gm, pm, 0)
-        grid = geom.roi_grid_points(roi)
+        grid = geom.roi_grid_points(roi.to_array())
         near = np.linalg.norm(grid - kp[0], axis=1) < 0.8
         assert near.any()
         assert (g[near] != 0).any(axis=1).all()
-        assert not geom.points_in_box(kp, roi).any()
+        assert not geom.points_in_box(kp, roi.to_array()).any()
 
     def test_translation_invariance(self):
         # Translating the RoI and keypoints together leaves grid features
@@ -140,7 +140,7 @@ class TestRoiGridPool:
         points = np.hstack([feats, kp])
         g, _ = roihead.roi_grid_pool(rows(*rois), points, gm, pool_mlp(8, seed=38), 40)
         for p, roi in enumerate(rois):
-            grid = geom.roi_grid_points(roi)
+            grid = geom.roi_grid_points(roi.to_array())
             want = [vsa._aggregate_branch(
                         grid, radius_query_bruteforce(grid, kp, radius, GRID_CAP,
                                                       40 + 31 * p + r),
@@ -160,7 +160,7 @@ class TestRoiGridPool:
 
 class TestAveragePool:
     def test_empty_and_outside(self):
-        roi = Box3D(0, 0, 0, 2, 2, 2, 0.0)
+        roi = Box3D(0, 0, 0, 2, 2, 2, 0.0).to_array()
         assert not roihead.average_pool_roi(roi, np.empty((0, 3)),
                                             np.empty((0, 4))).any()
         far = np.array([[50.0, 0.0, 0.0]])
@@ -168,7 +168,7 @@ class TestAveragePool:
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_mean_of_inside(self):
-        roi = Box3D(0, 0, 0, 2, 2, 2, 0.0)
+        roi = Box3D(0, 0, 0, 2, 2, 2, 0.0).to_array()
         kp = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [9.0, 0.0, 0.0]])
         feats = np.array([[1.0], [3.0], [100.0]])
         out = roihead.average_pool_roi(roi, kp, feats)
@@ -226,7 +226,7 @@ class TestSampleProposals:
 
     def test_all_equal_gt(self):
         gts = [random_box(np.random.default_rng(14)) for _ in range(3)]
-        sampled, targets = roihead.sample_proposals(self._props_on(gts), gts,
+        sampled, targets = roihead.sample_proposals(self._props_on(gts), rows(*gts),
                                                     seed=0, n_sample=4)
         assert targets.positive.all()
         np.testing.assert_allclose(targets.y, np.ones(len(sampled)))
@@ -234,7 +234,7 @@ class TestSampleProposals:
     def test_all_far_negative(self):
         gts = [Box3D(0, 0, 0, 4, 2, 1.5, 0.0)]
         props = self._props_on([], extra_far=6)
-        sampled, targets = roihead.sample_proposals(props, gts, seed=0, n_sample=4)
+        sampled, targets = roihead.sample_proposals(props, rows(*gts), seed=0, n_sample=4)
         assert not targets.positive.any()
         np.testing.assert_allclose(targets.y, np.zeros(len(sampled)))
 
@@ -245,7 +245,7 @@ class TestSampleProposals:
         dz = 2.0 - 2 * 0.55 * 2.0 / 1.55
         prop = Box3D(0, 0, dz, 4, 2, 2.0, 0.0)
         assert geom.iou_3d(prop.to_array(), gt.to_array()) == pytest.approx(0.55, abs=1e-12)
-        sampled, targets = roihead.sample_proposals(prop.to_array()[None], [gt],
+        sampled, targets = roihead.sample_proposals(prop.to_array()[None], rows(gt),
                                                     seed=0, n_sample=2)
         assert targets.positive[0]
         assert targets.y[0] == pytest.approx(0.6, abs=1e-9)
@@ -253,7 +253,7 @@ class TestSampleProposals:
     def test_one_to_one_ratio_when_possible(self):
         gts = [Box3D(i * 10.0, 0, 0, 4, 2, 1.5, 0.0) for i in range(8)]
         props = self._props_on(gts, extra_far=20)
-        sampled, targets = roihead.sample_proposals(props, gts, seed=1,
+        sampled, targets = roihead.sample_proposals(props, rows(*gts), seed=1,
                                                     n_sample=8)
         assert len(sampled) == 8
         assert targets.positive.sum() == 4
@@ -261,14 +261,14 @@ class TestSampleProposals:
     def test_short_side_fill(self):
         gts = [Box3D(0, 0, 0, 4, 2, 1.5, 0.0)]
         props = self._props_on(gts, extra_far=10)
-        sampled, targets = roihead.sample_proposals(props, gts, seed=2,
+        sampled, targets = roihead.sample_proposals(props, rows(*gts), seed=2,
                                                     n_sample=8)
         assert len(sampled) == 8
         assert targets.positive.sum() == 1
 
     def test_empty_proposals(self):
         sampled, targets = roihead.sample_proposals(
-            np.empty((0, 7)), [Box3D(0, 0, 0, 1, 1, 1, 0)], seed=0,
+            np.empty((0, 7)), rows(Box3D(0, 0, 0, 1, 1, 1, 0)), seed=0,
             n_sample=Config().roi_samples)
         assert sampled.shape == (0, 7)
         assert targets.y.size == 0
@@ -277,7 +277,7 @@ class TestSampleProposals:
         gt = Box3D(5, 3, -0.5, 4.2, 1.8, 1.5, 0.3)
         prop = Box3D(5.3, 2.9, -0.45, 4.0, 1.7, 1.6, 0.25)
         assert geom.iou_3d(prop.to_array(), gt.to_array()) > 0.55
-        sampled, targets = roihead.sample_proposals(prop.to_array()[None], [gt],
+        sampled, targets = roihead.sample_proposals(prop.to_array()[None], rows(gt),
                                                     seed=3, n_sample=2)
         back = rpn.decode_residuals(targets.residuals[:1], rows(prop))
         np.testing.assert_allclose(back[0], gt.to_array(), atol=1e-9)
@@ -285,7 +285,7 @@ class TestSampleProposals:
     def test_sampled_rows_are_input_rows_positives_first(self):
         gts = [Box3D(i * 10.0, 0, 0, 4, 2, 1.5, 0.0) for i in range(8)]
         props = self._props_on(gts, extra_far=20)
-        sampled, targets = roihead.sample_proposals(props, gts, seed=1,
+        sampled, targets = roihead.sample_proposals(props, rows(*gts), seed=1,
                                                     n_sample=8)
         index = [int(np.flatnonzero((props == row).all(axis=1))[0])
                  for row in sampled]
@@ -300,7 +300,7 @@ class TestSampleProposals:
         real = geom.iou_3d
         monkeypatch.setattr(geom, "iou_3d",
                             lambda a, b: pairs.append(a[:, 0].tolist()) or real(a, b))
-        roihead.sample_proposals(props, gts, seed=2, n_sample=8)
+        roihead.sample_proposals(props, rows(*gts), seed=2, n_sample=8)
         # One call, holding only the row on the gt.
         assert pairs == [[0.0]]
 
@@ -356,8 +356,8 @@ class TestRefine:
         assert conf.shape == (0,) and res.shape == refined.shape == (0, 7)
 
     @pytest.mark.parametrize("bad, message", [
-        ([0, 0, 0, -1.0, 1, 1, 0], "RoI 1: decoded l must be positive, got -1.0"),
-        ([0, float("nan"), 0, 1, 1, 1, 0], "RoI 1: decoded cy must be finite, got nan"),
+        ([0, 0, 0, -1.0, 1, 1, 0], "RoI 1: l must be positive, got -1.0"),
+        ([0, float("nan"), 0, 1, 1, 1, 0], "RoI 1: cy must be finite, got nan"),
     ], ids=["nonpositive-size", "nonfinite-field"])
     def test_invalid_refined_row_raises(self, bad, message):
         # Zero residuals: each refined row is its RoI, and row 1 is invalid.
@@ -377,7 +377,7 @@ class TestRefine:
         head.regression.biases[-1][3] = 1000.0  # exp(1000) overflows l
         rois = rows(*(random_box(np.random.default_rng(24)) for _ in range(2)))
         with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match="RoI 0: decoded l must be finite, got inf"):
+                ValueError, match="RoI 0: l must be finite, got inf"):
             roihead.refine(np.ones((2, 12)), rois, head)
 
     def test_branch_contracts_enforced(self):

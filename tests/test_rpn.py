@@ -101,7 +101,7 @@ class TestAssignTargets:
     def test_anchor_equal_to_gt(self):
         anchors = rpn.generate_anchors((CAR,), small_grid(nx=8, ny=8))
         gt = geom.box_from_array(anchors.boxes[10])
-        t = rpn.assign_targets(anchors, [gt])
+        t = rpn.assign_targets(anchors, [gt.to_array()])
         assert t.labels[10] == rpn.POSITIVE
         np.testing.assert_allclose(t.residuals[10], np.zeros(7), atol=1e-12)
 
@@ -113,7 +113,7 @@ class TestAssignTargets:
             Box3D(6.0, -2.0, -0.8, 3.8, 1.7, 1.5, 0.05),
             Box3D(10.0, 3.0, -0.8, 4.0, 1.5, 1.6, math.pi / 2 + 0.04),
         ]
-        t = rpn.assign_targets(anchors, gts)
+        t = rpn.assign_targets(anchors, np.array([g.to_array() for g in gts]))
         assert (t.labels == rpn.POSITIVE).sum() > 0
         for i in np.flatnonzero(t.labels == rpn.POSITIVE):
             decoded = decode(t.residuals[i], geom.box_from_array(anchors.boxes[i]))
@@ -124,13 +124,13 @@ class TestAssignTargets:
         # A gt overlapping weakly still promotes its single best anchor.
         anchors = rpn.generate_anchors((CAR,), small_grid(nx=8, ny=8))
         gt = Box3D(1.0, 1.0, -0.82, 3.9, 1.6, 1.56, 0.3)
-        t = rpn.assign_targets(anchors, [gt], pos_iou=0.99)
+        t = rpn.assign_targets(anchors, [gt.to_array()], pos_iou=0.99)
         assert (t.labels == rpn.POSITIVE).sum() == 1
 
     def test_ignore_band(self):
         anchors = rpn.generate_anchors((CAR,), small_grid(nx=8, ny=8))
         gt = geom.box_from_array(anchors.boxes[10])
-        t = rpn.assign_targets(anchors, [gt], pos_iou=0.6, neg_iou=0.1)
+        t = rpn.assign_targets(anchors, [gt.to_array()], pos_iou=0.6, neg_iou=0.1)
         assert (t.labels == rpn.IGNORE).sum() > 0
 
 
@@ -259,7 +259,7 @@ class TestExtractProposals:
         reg = np.zeros((len(anchors), 7))
         reg[-1, field] = residual
         last = len(anchors) - 1
-        with pytest.raises(ValueError, match=f"anchor {last}: decoded {message}"):
+        with pytest.raises(ValueError, match=f"anchor {last}: {message}"):
             rpn.extract_proposals(cls, reg, anchors, top_k=5)
 
     @pytest.mark.parametrize("score", [np.nan, 1.5, -0.5, np.inf])

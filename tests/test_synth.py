@@ -8,7 +8,7 @@ import pytest
 from pvlite import geom, synth
 from pvlite.config import SYNTH_MIN_POINTS, SYNTH_SIZE_STD, desk_config
 
-from helpers import set_point_value
+from helpers import set_box_value, set_point_value
 
 CFG = desk_config()
 
@@ -30,7 +30,7 @@ class TestGenScene:
     def test_zero_objects_ground_only(self):
         cfg = CFG.replace(synth_objects=0)
         s = synth.gen_scene(cfg, seed=1)
-        assert s.gt_boxes == ()
+        assert s.gt_boxes.shape == (0, 7)
         assert s.num_points > 0
 
     def test_points_within_range(self, scene):
@@ -49,7 +49,7 @@ class TestGenScene:
         boxes = scene.gt_boxes
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
-                assert geom.bev_iou(boxes[i].to_array(), boxes[j].to_array()) == 0.0
+                assert geom.bev_iou(boxes[i], boxes[j]) == 0.0
 
     def test_object_count(self, scene):
         assert len(scene.gt_boxes) == CFG.synth_objects
@@ -60,10 +60,10 @@ class TestGenScene:
                           class_z=(-0.82, -0.74), synth_objects=6)
         s = synth.gen_scene(cfg, seed=3)
         assert set(s.gt_classes) == {0, 1}
-        for box, cls in zip(s.gt_boxes, s.gt_classes):
-            log_ratio = np.log(np.array([box.l, box.w, box.h]) / cfg.class_sizes[cls])
+        for (_, _, cz, l, w, h, _), cls in zip(s.gt_boxes, s.gt_classes):
+            log_ratio = np.log(np.array([l, w, h]) / cfg.class_sizes[cls])
             assert (np.abs(log_ratio) < 5 * SYNTH_SIZE_STD).all()
-            assert box.cz - 0.5 * box.h == pytest.approx(cfg.synth_ground_z, abs=1e-5)
+            assert cz - 0.5 * h == pytest.approx(cfg.synth_ground_z, abs=1e-5)
 
 
 class TestSceneFiles:
@@ -140,6 +140,27 @@ class TestSceneFiles:
             synth.load_scene(path)
         assert str(path) in str(err.value) and "positive" in str(err.value)
 
+    @pytest.mark.parametrize("box, col, value, message", [
+        (2, 0, np.nan, "box 2: cx must be finite, got nan"),
+        (1, 4, 0.0, "box 1: w must be positive, got 0.0"),
+    ])
+    def test_bad_box_names_file_box_and_field(self, scene, tmp_path, box, col,
+                                              value, message):
+        path = tmp_path / "scene.pvscn"
+        synth.save_scene(scene, path)
+        set_box_value(path, box, col, value)
+        with pytest.raises(synth.SceneFileError) as err:
+            synth.load_scene(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_file_yaw_is_wrapped_on_load(self, scene, tmp_path):
+        path = tmp_path / "scene.pvscn"
+        synth.save_scene(scene, path)
+        set_box_value(path, 0, 6, 4.0)
+        loaded = synth.load_scene(path)
+        assert loaded.gt_boxes[0, 6] == geom.wrap_angle(4.0)
+        np.testing.assert_array_equal(loaded.gt_boxes[1:], scene.gt_boxes[1:])
+
 
 class TestSceneSample:
     def test_nan_point_rejected(self, scene):
@@ -148,3 +169,24 @@ class TestSceneSample:
         with pytest.raises(ValueError, match="point 5: x must be finite"):
             synth.SceneSample(pts, scene.gt_boxes, scene.gt_classes, scene.seed,
                               scene.range_min, scene.range_max)
+
+    @pytest.mark.parametrize("box, col, value, message", [
+        (2, 0, np.nan, "box 2: cx must be finite, got nan"),
+        (0, 3, 0.0, "box 0: l must be positive, got 0.0"),
+    ])
+    def test_bad_box_rejected(self, scene, box, col, value, message):
+        boxes = scene.gt_boxes.copy()
+        boxes[box, col] = value
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synth.SceneSample(scene.points, boxes, scene.gt_classes, scene.seed,
+                              scene.range_min, scene.range_max)
+
+    def test_boxes_are_read_only_wrapped_rows(self, scene):
+        boxes = scene.gt_boxes.copy()
+        boxes[0, 6] = 4.0
+        s = synth.SceneSample(scene.points, list(boxes), scene.gt_classes,
+                              scene.seed, scene.range_min, scene.range_max)
+        assert s.gt_boxes.dtype == np.float64 and s.gt_boxes.shape == (3, 7)
+        assert s.gt_boxes[0, 6] == geom.wrap_angle(4.0)
+        with pytest.raises(ValueError):
+            s.gt_boxes[0, 0] = 1.0

@@ -13,7 +13,7 @@ from pvlite.sparsegrid import SparseTensor
 
 from helpers import (
     aggregate_branch_two_gathers, bev_from_dense, fps_bruteforce,
-    radius_query_bruteforce,
+    points_in_box_obj, radius_query_bruteforce,
 )
 
 
@@ -563,11 +563,15 @@ class TestPkw:
     def test_labels_match_geometry(self):
         rng = np.random.default_rng(82)
         pos = rng.uniform(-4, 4, size=(200, 3))
-        box = Box3D(0.0, 0.0, 0.0, 3.0, 2.0, 2.0, 0.4)
+        boxes = [Box3D(0.0, 0.0, 0.0, 3.0, 2.0, 2.0, 0.4),
+                 Box3D(2.5, -1.0, 0.5, 2.0, 1.0, 3.0, -2.9)]
         f = rng.normal(size=(200, 5))
-        _, _, labels = vsa.pkw(pos, f, [box], self._mlp(5, seed=2))
-        from pvlite import geom
-        expect = geom.points_in_box(pos, box).astype(int)
+        _, _, labels = vsa.pkw(pos, f, [boxes[0].to_array()], self._mlp(5, seed=2))
+        np.testing.assert_array_equal(labels, points_in_box_obj(pos, boxes[0]))
+        _, _, labels = vsa.pkw(pos, f, np.array([b.to_array() for b in boxes]),
+                               self._mlp(5, seed=2))
+        expect = points_in_box_obj(pos, boxes[0]) | points_in_box_obj(pos, boxes[1])
+        assert 0 < expect.sum() < len(pos)
         np.testing.assert_array_equal(labels, expect)
 
     def test_requires_sigmoid_head(self):
