@@ -23,18 +23,10 @@ CLIP_TOL = 1e-9
 NMS_BLOCK = 128
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle to [-pi, pi)."""
-    t = (theta + math.pi) % TWO_PI - math.pi
-    if t >= math.pi:  # guard against fp rounding in the modulo
-        t -= TWO_PI
-    return t
-
-
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """Vectorized wrap to [-pi, pi)."""
+    """Wrap angles to [-pi, pi); a wrapped angle comes back unchanged."""
     t = np.mod(theta + math.pi, TWO_PI) - math.pi
-    return np.where(t >= math.pi, t - TWO_PI, t)
+    return np.where(t >= math.pi, t - TWO_PI, t)  # fp rounding in the modulo
 
 
 BOX_FIELDS = ("cx", "cy", "cz", "l", "w", "h", "theta")
@@ -66,7 +58,7 @@ class Box3D:
             raise ValueError(
                 f"Box3D dimensions must be positive, got l={self.l} w={self.w} h={self.h}"
             )
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
+        object.__setattr__(self, "theta", float(wrap_angles(self.theta)))
 
     def corners_bev(self) -> np.ndarray:
         """Ground-plane footprint corners, counter-clockwise, shape (4, 2)."""
@@ -96,6 +88,8 @@ class Detection:
     def __post_init__(self):
         if not math.isfinite(self.score) or not 0.0 <= self.score <= 1.0:
             raise ValueError(f"Detection score must be in [0, 1], got {self.score!r}")
+        if self.class_id < 0:
+            raise ValueError(f"Detection class id must be >= 0, got {self.class_id}")
 
 
 def check_boxes(rows: np.ndarray, what: str) -> None:

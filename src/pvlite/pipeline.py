@@ -8,8 +8,7 @@ loops. Every stage is deterministic given (scene, config, seed).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from . import config, geom, nn, roihead, rpn, vsa
 from .config import Config
 from .geom import Detection
 from .roihead import RefineHead, RefineTargets
-from .rpn import AnchorSet, BevGrid
+from .rpn import AnchorSet, BevGrid, Proposals
 from .sparsegrid import (
     BackboneParams, BevMap, SparseTensor, bev_collapse, grid_shape_for,
     in_range, init_backbone, run_backbone, voxelize,
@@ -184,57 +183,53 @@ def build_keypoints(
                        scores, labels)
 
 
+def _scene_keypoints(cfg: Config, model: ModelParams, scene: SceneSample,
+                     seed: int) -> tuple[BevMap, KeypointSet] | None:
+    """Voxelize, backbone, BEV and keypoints of one scene, the front end
+    that run_scene and both batch builders share; None for a scene with no
+    in-range point. The backbone levels are freed on return."""
+    level1 = voxelize(scene.points_f64(), cfg.range_min, cfg.range_max,
+                      cfg.voxel_size)
+    if level1.num_voxels == 0:
+        return None
+    tensors = run_backbone(level1, model.backbone)
+    bev = bev_collapse(tensors[3])
+    return bev, build_keypoints(scene, tensors, bev, cfg, model, seed)
+
+
 @dataclass
 class PipelineResult:
     """Everything a command might need from one scene's forward pass."""
 
     detections: list[Detection]
-    proposals: list[Detection]
+    proposals: Proposals
     keypoints: KeypointSet | None
-    timings: dict[str, float] = field(default_factory=dict)
 
 
 def run_scene(
     scene: SceneSample, model: ModelParams, cfg: Config, anchors: AnchorSet,
     seed: int,
 ) -> PipelineResult:
-    """Full forward pipeline on one scene.
+    """Full forward pipeline on one scene: the shared front end, then
+    proposals from the BEV map, RoI-grid pooling, refinement and final NMS.
 
     A scene with no in-range points yields empty outputs at every stage.
     """
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    level1 = voxelize(scene.points_f64(), cfg.range_min, cfg.range_max,
-                      cfg.voxel_size)
-    timings["voxelize"] = time.perf_counter() - t0
-    if level1.num_voxels == 0:
-        return PipelineResult([], [], None, timings)
-
-    t0 = time.perf_counter()
-    tensors = run_backbone(level1, model.backbone)
-    timings["backbone"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    bev = bev_collapse(tensors[3])
+    found = _scene_keypoints(cfg, model, scene, seed)
+    if found is None:
+        return PipelineResult([], Proposals(np.empty((0, 7)), np.empty(0),
+                                            np.empty(0, dtype=np.int64)), None)
+    bev, keypoints = found
     cls_probs, reg = rpn_head_outputs(model, bev, len(cfg.classes))
     proposals = rpn.extract_proposals(cls_probs, reg, anchors,
                                       top_k=cfg.top_proposals)
-    timings["rpn"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    keypoints = build_keypoints(scene, tensors, bev, cfg, model, seed)
-    timings["keypoints"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    rois = np.array([p.box.to_array() for p in proposals]).reshape(-1, 7)
-    _, roi_features = roihead.roi_grid_pool(rois, keypoints.weighted_xyz,
+    _, roi_features = roihead.roi_grid_pool(proposals.rows, keypoints.weighted_xyz,
                                             model.grid_mlps, model.pool_mlp, seed)
-    conf, _, refined = roihead.refine(roi_features, rois, model.refine)
+    conf, _, refined = roihead.refine(roi_features, proposals.rows, model.refine)
     detections = [Detection(geom.box_from_array(refined[i]), float(conf[i]),
-                            proposals[i].class_id)
+                            int(proposals.class_ids[i]))
                   for i in roihead.final_select(refined, conf)]
-    timings["refine"] = time.perf_counter() - t0
-    return PipelineResult(detections, proposals, keypoints, timings)
+    return PipelineResult(detections, proposals, keypoints)
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +254,6 @@ class PkwBatch:
 
     features: np.ndarray  # (n, D)
     labels: np.ndarray  # (n,)
-
-
-def _scene_keypoints(cfg: Config, model: ModelParams, scene: SceneSample,
-                     seed: int) -> tuple[BevMap, KeypointSet] | None:
-    """Voxelize, backbone, BEV and keypoints of one training scene; None for
-    a scene with no in-range point, which the batch builders skip."""
-    level1 = voxelize(scene.points_f64(), cfg.range_min, cfg.range_max,
-                      cfg.voxel_size)
-    if level1.num_voxels == 0:
-        return None
-    tensors = run_backbone(level1, model.backbone)
-    bev = bev_collapse(tensors[3])
-    return bev, build_keypoints(scene, tensors, bev, cfg, model, seed)
 
 
 def build_pkw_batch(cfg: Config, model: ModelParams, scenes: list[SceneSample],
@@ -401,7 +383,9 @@ def train_refine(head: RefineHead, batch: RefineBatch, iters: int, lr: float):
 
 def matched_iou_stats(head: RefineHead, batch: RefineBatch):
     """Mean 3D IoU against the matched gt for raw vs refined positive RoIs.
-    The batch's rois and matched_boxes may also be lists of (7,) rows.
+    The batch's rois and matched_boxes may also be lists of (7,) rows. A
+    refined row that geom.check_boxes rejects raises ValueError naming it
+    ("refined RoI i", counting the positives).
 
     Returns:
         (mean_raw, mean_refined); (nan, nan) when there are no positives.
@@ -414,6 +398,7 @@ def matched_iou_stats(head: RefineHead, batch: RefineBatch):
     rois = np.asarray(batch.rois, dtype=float).reshape(-1, 7)[pos]
     gts = np.asarray(batch.matched_boxes, dtype=float).reshape(-1, 7)[pos]
     refined = rpn.decode_residuals(res[pos], rois)
+    geom.check_boxes(refined, "refined RoI")
     return (float(np.mean(geom.iou_3d(rois, gts))),
             float(np.mean(geom.iou_3d(refined, gts))))
 
@@ -426,23 +411,20 @@ def matched_iou_stats(head: RefineHead, batch: RefineBatch):
 class BenchReport:
     strategy: str
     rois: int
-    wall_time: float  # excluded from determinism guarantees
     nonzero_fraction: float
     feature_width: int
 
 
 def bench_pooling(
-    model: ModelParams, keypoints: KeypointSet, proposals: list[Detection],
+    model: ModelParams, keypoints: KeypointSet, rois: np.ndarray,
     strategy: str, seed: int,
 ) -> BenchReport:
-    """Run one pooling strategy over all proposals and measure it.
+    """Run one pooling strategy over the (R, 7) proposal rows rois.
 
     The roi_grid strategy reports the fraction of (RoI, grid point) rows
     with a nonzero aggregated feature; the averaging baseline reports the
     fraction of RoIs whose pooled vector is nonzero.
     """
-    t0 = time.perf_counter()
-    rois = np.array([p.box.to_array() for p in proposals]).reshape(-1, 7)
     if strategy == "roi_grid":
         width = 2 * config.GRID_BRANCH_WIDTH
         grid_features, _ = roihead.roi_grid_pool(rois, keypoints.weighted_xyz,
@@ -455,7 +437,6 @@ def bench_pooling(
                          for roi in rois]).reshape(-1, width)
     else:
         raise ValueError(f"unknown pooling strategy {strategy!r}")
-    wall = time.perf_counter() - t0
     nonzero = int((rows != 0.0).any(axis=1).sum())
     frac = nonzero / len(rows) if len(rows) else 0.0
-    return BenchReport(strategy, len(proposals), wall, frac, width)
+    return BenchReport(strategy, len(rois), frac, width)

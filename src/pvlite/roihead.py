@@ -187,8 +187,8 @@ def refine(roi_features: np.ndarray, rois: np.ndarray, head: RefineHead):
     roi_features are (R, d) rows pooled from the (R, 7) box rows rois. The
     head runs on one RoI's row at a time: one product over all RoIs rounds
     differently, by more than the benchmark's absolute reference tolerance
-    (REF_TOL in bench/harness.py) allows on the largest boxes; ROADMAP
-    item 2 waits on a relative tolerance.
+    (REF_TOL in bench/harness.py) allows on the largest boxes, until ROADMAP
+    item 1 damps the untrained head that makes them.
 
     Returns:
         (confidences (R,), residuals (R, 7), refined (R, 7) rows): residuals

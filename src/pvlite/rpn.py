@@ -12,7 +12,6 @@ import numpy as np
 
 from . import geom
 from .config import FOCAL_ALPHA, FOCAL_GAMMA, PROPOSAL_NMS_IOU, ClassSpec
-from .geom import Detection
 
 
 @dataclass(frozen=True)
@@ -285,13 +284,26 @@ def decode_anchors(
     return scores, decoded
 
 
+@dataclass(frozen=True)
+class Proposals:
+    """Kept proposals in descending score order, as rows: (K, 7) decoded
+    boxes, (K,) scores and (K,) class ids."""
+
+    rows: np.ndarray
+    scores: np.ndarray
+    class_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+
 def extract_proposals(cls_map: np.ndarray, reg_map: np.ndarray, anchors: AnchorSet,
-                      top_k: int) -> list[Detection]:
+                      top_k: int) -> Proposals:
     """Decode every anchor, rank by score, NMS at PROPOSAL_NMS_IOU, keep top_k.
 
     Every decoded box and score is validated up front (decode_anchors);
-    ranking and suppression run on the arrays in geom.nms, and a Detection
-    is built only for each kept anchor.
+    ranking and suppression run on the arrays in geom.nms, and the kept rows
+    are the decoded rows, whose yaws decode_residuals has wrapped.
 
     Args:
         cls_map: (A,) per-anchor scores in [0, 1].
@@ -299,13 +311,8 @@ def extract_proposals(cls_map: np.ndarray, reg_map: np.ndarray, anchors: AnchorS
         anchors: the anchor set.
 
     Returns:
-        Kept detections in descending score order (at most top_k).
+        The kept proposals in descending score order (at most top_k).
     """
     scores, decoded = decode_anchors(cls_map, reg_map, anchors)
     keep = geom.nms(decoded, scores, PROPOSAL_NMS_IOU, max_keep=top_k)
-    return [
-        Detection(geom.box_from_array(decoded[i]), float(scores[i]),
-                  int(anchors.class_ids[i]))
-        for i in keep
-    ]
-
+    return Proposals(decoded[keep], scores[keep], anchors.class_ids[keep])

@@ -41,15 +41,16 @@ _MAX_F32_YAW = float(np.nextafter(np.float32(math.pi), np.float32(0.0)))
 def _f32_box(cx, cy, cz, l, w, h, theta) -> np.ndarray:
     """Box row of float32-representable fields (yaw nudged off the +/-pi
     edge), its yaw wrapped as a SceneSample wraps it."""
-    t = min(max(_f32(geom.wrap_angle(float(theta))), -_MAX_F32_YAW), _MAX_F32_YAW)
+    t = min(max(_f32(geom.wrap_angles(float(theta))), -_MAX_F32_YAW), _MAX_F32_YAW)
     return np.array([_f32(cx), _f32(cy), _f32(cz), _f32(l), _f32(w), _f32(h),
-                     geom.wrap_angle(t)])
+                     float(geom.wrap_angles(t))])
 
 
 @dataclass(frozen=True)
 class SceneSample:
     """A point cloud with ground-truth box rows; every point value is finite,
-    every box passes geom.check_boxes and its yaw is wrapped to [-pi, pi).
+    every box passes geom.check_boxes and its yaw is wrapped to [-pi, pi),
+    and every class id is >= 0.
 
     Points may lie outside the range (the pipeline ignores them); gen_scene
     keeps them inside, every box non-empty and the boxes BEV-disjoint.
@@ -79,6 +80,9 @@ class SceneSample:
         object.__setattr__(self, "gt_classes", tuple(int(c) for c in self.gt_classes))
         if len(self.gt_boxes) != len(self.gt_classes):
             raise ValueError("gt_boxes and gt_classes must align")
+        for b, cls in enumerate(self.gt_classes):
+            if cls < 0:
+                raise ValueError(f"box {b}: class id must be >= 0, got {cls}")
 
     @property
     def num_points(self) -> int:

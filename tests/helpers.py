@@ -5,8 +5,9 @@ path it checks (sampling for areas, one Python polygon clip per box pair
 for rotated IoU, dense convolution for sparse, a dense BEV array for the
 occupied-rows map, full recomputation for incremental FPS, a
 list-of-Detection loop for NMS, separate feature and offset gathers for
-set abstraction, one Box3D at a time for containment and RoI grids), plus
-an all-zero MLP and a writer of malformed scene files.
+set abstraction, one Box3D at a time for containment and RoI grids, a
+Detection per kept anchor for proposal rows), plus an all-zero MLP and a
+writer of malformed scene files.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from pvlite import nn
-from pvlite.config import GRID_RESOLUTION
+from pvlite import geom, nn, rpn
+from pvlite.config import GRID_RESOLUTION, PROPOSAL_NMS_IOU
 from pvlite.geom import CLIP_TOL, Box3D, Detection
 from pvlite.sparsegrid import BevMap
 
@@ -432,6 +433,15 @@ def nms_reference(
     return kept
 
 
+def proposals_as_detections(cls_map, reg_map, anchors, top_k: int) -> list[Detection]:
+    """The kept proposals as Detections, one Box3D per kept anchor: the
+    boxes that rpn.extract_proposals' rows must equal bit for bit."""
+    scores, decoded = rpn.decode_anchors(cls_map, reg_map, anchors)
+    keep = geom.nms(decoded, scores, PROPOSAL_NMS_IOU, max_keep=top_k)
+    return [Detection(geom.box_from_array(decoded[i]), float(scores[i]),
+                      int(anchors.class_ids[i])) for i in keep]
+
+
 def zero_params(layer_dims, out_activation: str = "identity") -> nn.MlpParams:
     """An MLP whose weights and biases are all zero."""
     dims = tuple(int(d) for d in layer_dims)
@@ -443,11 +453,12 @@ def zero_params(layer_dims, out_activation: str = "identity") -> nn.MlpParams:
 def set_box_value(path, box: int, col: int, value: float) -> None:
     """Overwrite one field of a box record of a saved scene file (the last
     32 bytes per box: cx, cy, cz, l, w, h, theta as little-endian float32,
-    then the int32 class), bypassing the checks a SceneSample makes."""
+    then the int32 class at col 7), bypassing the checks a SceneSample
+    makes."""
     data = bytearray(Path(path).read_bytes())
     header = dict(f.split("=", 1) for f in data[:data.index(b"\n")].decode().split()[1:])
     at = len(data) - 32 * (int(header["boxes"]) - box) + 4 * col
-    data[at:at + 4] = np.array([value], dtype="<f4").tobytes()
+    data[at:at + 4] = np.array([value], dtype="<i4" if col == 7 else "<f4").tobytes()
     Path(path).write_bytes(bytes(data))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from pvlite import cli, config, evalkit, geom, nn, pipeline, synth
 
-from helpers import set_point_value
+from helpers import set_box_value, set_point_value
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +195,24 @@ class TestTrainHeads:
             "diverged: loss nan at iteration ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_refined_rois_exit_2_and_write_nothing(self, desk7,
+                                                               tmp_path, capsys):
+        # Desk scenes 5 and 6 at lr 1.0: both losses are finite, but the
+        # trained head's residuals decode the first positive RoI to l = inf.
+        desk_cfg, _ = desk7
+        scenes, out = tmp_path / "scenes", tmp_path / "p" / "refine.params"
+        assert cli.main(["synth", "--config", desk_cfg, "--seed", "5",
+                         "--count", "2", "--out", str(scenes)]) == 0
+        with np.errstate(all="ignore"):
+            rc = cli.main(["train-heads", "--config", desk_cfg, "--scenes",
+                           str(scenes), "--which", "refine", "--iters", "2",
+                           "--lr", "1.0", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"runtime error: {scenes}: ValueError: refined RoI 0: l must be "
+            "finite, got inf\n")
+        assert list(out.parent.iterdir()) == []
+
 
 class TestEval:
     def test_perfect_detections_ap_one(self, cfg_path, scene_dir, tmp_path):
@@ -220,6 +238,30 @@ class TestEval:
         rc = cli.main(["eval", "--scenes", str(scene_dir), "--detections",
                        str(tmp_path)])
         assert rc == 1
+
+    def test_negative_detection_class_names_file_and_line(self, scene_dir,
+                                                          tmp_path, capsys):
+        for path in scene_dir.glob("*.pvscn"):
+            (tmp_path / (path.stem + ".txt")).write_text(
+                "0 1.0 2.0 -1.0 3.9 1.6 1.56 0.0 0.5\n"
+                "-4 1.0 2.0 -1.0 3.9 1.6 1.56 0.0 0.5\n")
+        rc = cli.main(["eval", "--scenes", str(scene_dir), "--detections",
+                       str(tmp_path)])
+        first = tmp_path / (sorted(scene_dir.glob("*.pvscn"))[0].stem + ".txt")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {first}:2: Detection class id must be >= 0, got -4\n")
+
+    def test_negative_gt_class_names_scene_and_box(self, desk7, tmp_path, capsys):
+        _, scene = desk7
+        path = tmp_path / "scene_7.pvscn"
+        synth.save_scene(scene, path)
+        set_box_value(path, 1, 7, -1)
+        rc = cli.main(["eval", "--scenes", str(path), "--detections",
+                       str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: box 1: class id must be >= 0, got -1\n")
 
 
 class TestBench:

@@ -326,7 +326,6 @@ def test_every_definition_is_used():
 BOX_OBJECT_SITES = {
     "geom": "defines Box3D, box_from_array and Detection",
     "checks": "_random_box draws the IoU checks' boxes as Box3D objects",
-    "rpn.extract_proposals": "returns the kept proposals as Detections",
     "pipeline.run_scene": "returns the final detections as Detections",
     "evalkit.load_detections": "reads a detection file into Detections",
 }

@@ -166,6 +166,13 @@ class TestDetectionFiles:
         with pytest.raises(evalkit.DetectionFileError):
             evalkit.load_detections(path)
 
+    def test_negative_class_id_names_file_and_line(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        path.write_text("0 0 0 0 1 1 1 0 0.5\n-4 0 0 0 1 1 1 0 0.5\n")
+        with pytest.raises(evalkit.DetectionFileError) as err:
+            evalkit.load_detections(path)
+        assert str(err.value) == f"{path}:2: Detection class id must be >= 0, got -4"
+
 
 class TestReports:
     def test_table_and_csv(self):

@@ -37,31 +37,30 @@ def rows(dets):
 
 class TestWrapAngle:
     def test_boundaries(self):
-        assert geom.wrap_angle(math.pi) == -math.pi
-        assert geom.wrap_angle(-math.pi) == -math.pi
-        assert geom.wrap_angle(3 * math.pi) == pytest.approx(-math.pi)
-        assert geom.wrap_angle(0.0) == 0.0
-
-    def test_scalar_vector_agree(self):
-        rng = np.random.default_rng(0)
-        angles = rng.uniform(-20, 20, size=200)
-        vec = geom.wrap_angles(angles)
-        assert (-math.pi <= vec).all() and (vec < math.pi).all()
-        for a, v in zip(angles, vec):
-            assert geom.wrap_angle(float(a)) == v
+        assert geom.wrap_angles(math.pi) == -math.pi
+        assert geom.wrap_angles(-math.pi) == -math.pi
+        assert geom.wrap_angles(3 * math.pi) == pytest.approx(-math.pi)
+        assert geom.wrap_angles(0.0) == 0.0
 
     def test_idempotent(self):
-        # NMS rebuilds boxes from the rows of already-built boxes, so a
-        # wrapped yaw must come back unchanged.
+        # Proposal rows keep the yaws decode_residuals wrapped, and a Box3D
+        # built from such a row wraps again, so a wrapped yaw must come back
+        # unchanged: the rows then equal the boxes bit for bit.
         rng = np.random.default_rng(1)
+        edges = np.array([-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi])
+        steps = np.arange(-2_000, 2_001)
         angles = np.concatenate([
             rng.uniform(-20, 20, 20_000), rng.normal(0.0, 1e-6, 2_000),
             [-math.pi, math.pi, -math.pi / 2, math.pi / 2, 0.0, 5e-324],
+            *(e + steps * np.spacing(max(abs(e), 1e-300)) for e in edges),
+            *(e + np.linspace(-1e-6, 1e-6, 20_001) for e in edges),
+            rng.uniform(-20, 20, 1_000_000),
         ])
         once = geom.wrap_angles(angles)
+        assert (-math.pi <= once).all() and (once < math.pi).all()
         np.testing.assert_array_equal(geom.wrap_angles(once), once)
-        for v in once[::10].tolist() + once[-6:].tolist():
-            assert geom.wrap_angle(v) == v
+        for v in once[:22_006:10].tolist() + once[22_000:22_006].tolist():
+            assert Box3D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, v).theta == v
 
 
 class TestBox3D:

@@ -56,7 +56,9 @@ def detection_rows(scene_seed: int) -> list[list[float]]:
 def kitti_rows() -> dict[str, list[list[float]]]:
     """Proposal and detection rows of the kitti golden scene."""
     result = _run(default_config(), KITTI_SCENE_SEED)
-    return {"proposals": _rows(result.proposals),
+    p = result.proposals
+    return {"proposals": [[*map(float, row), float(s), int(c)]
+                          for row, s, c in zip(p.rows, p.scores, p.class_ids)],
             "detections": _rows(result.detections)}
 
 

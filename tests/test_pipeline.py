@@ -84,7 +84,10 @@ class TestRunScene:
     def test_empty_scene_empty_outputs(self, model, anchors):
         result = pipeline.run_scene(EMPTY, model, CFG, anchors, seed=0)
         assert result.detections == []
-        assert result.proposals == []
+        assert len(result.proposals) == 0
+        assert result.proposals.rows.shape == (0, 7)
+        assert result.proposals.scores.shape == (0,)
+        assert result.proposals.class_ids.shape == (0,)
         assert result.keypoints is None
 
     def test_deterministic(self, model, anchors, scene):
@@ -376,22 +379,22 @@ class TestBench:
         scene = synth.gen_scene(sparse_cfg, seed=77)
         result = pipeline.run_scene(scene, model, sparse_cfg, anchors, seed=0)
         grid = pipeline.bench_pooling(model, result.keypoints,
-                                      result.proposals, "roi_grid", seed=0)
+                                      result.proposals.rows, "roi_grid", seed=0)
         avg = pipeline.bench_pooling(model, result.keypoints,
-                                     result.proposals, "average_pool", seed=0)
+                                     result.proposals.rows, "average_pool", seed=0)
         assert grid.nonzero_fraction > avg.nonzero_fraction
         assert grid.rois == avg.rois
 
     def test_deterministic_fields(self, model, anchors, scene):
         result = pipeline.run_scene(scene, model, CFG, anchors, seed=0)
         a = pipeline.bench_pooling(model, result.keypoints,
-                                   result.proposals, "roi_grid", seed=0)
+                                   result.proposals.rows, "roi_grid", seed=0)
         b = pipeline.bench_pooling(model, result.keypoints,
-                                   result.proposals, "roi_grid", seed=0)
+                                   result.proposals.rows, "roi_grid", seed=0)
         assert a.nonzero_fraction == b.nonzero_fraction
 
     def test_unknown_strategy(self, model, anchors, scene):
         result = pipeline.run_scene(scene, model, CFG, anchors, seed=0)
         with pytest.raises(ValueError):
             pipeline.bench_pooling(model, result.keypoints,
-                                   result.proposals, "maxpool", seed=0)
+                                   result.proposals.rows, "maxpool", seed=0)

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from pvlite import geom, nn, rpn
-from pvlite.config import PROPOSAL_NMS_IOU, ClassSpec, Config
+from pvlite import geom, nn, pipeline, rpn
+from pvlite.config import (
+    PROPOSAL_NMS_IOU, ClassSpec, Config, default_config, desk_config,
+)
 from pvlite.geom import Box3D, Detection
 
-from helpers import nms_reference, random_box
+from helpers import nms_reference, proposals_as_detections, random_box
 
 CAR = ClassSpec("car", (3.9, 1.6, 1.56), -0.82)
 PED = ClassSpec("pedestrian", (0.8, 0.6, 1.73), -0.6)
@@ -211,9 +213,8 @@ class TestExtractProposals:
         cls[37] = 0.95
         props = rpn.extract_proposals(cls, np.zeros((len(anchors), 7)), anchors,
                                       top_k=10)
-        assert props[0].score == pytest.approx(0.95)
-        np.testing.assert_allclose(props[0].box.to_array(),
-                                   anchors.boxes[37], atol=1e-12)
+        assert props.scores[0] == pytest.approx(0.95)
+        np.testing.assert_allclose(props.rows[0], anchors.boxes[37], atol=1e-12)
 
     def test_duplicates_suppressed_and_capped(self):
         # Anchors one 0.4 m cell apart overlap by 0.81 along their length and
@@ -224,20 +225,20 @@ class TestExtractProposals:
         props = rpn.extract_proposals(cls, np.zeros((len(anchors), 7)), anchors,
                                       top_k=20)
         assert len(props) <= 20
-        scores = [p.score for p in props]
+        scores = props.scores.tolist()
         assert scores == sorted(scores, reverse=True)
         for i in range(len(props)):
             for j in range(i + 1, len(props)):
-                assert geom.iou_3d(props[i].box.to_array(),
-                                   props[j].box.to_array()) <= PROPOSAL_NMS_IOU + 1e-12
+                assert geom.iou_3d(props.rows[i],
+                                   props.rows[j]) <= PROPOSAL_NMS_IOU + 1e-12
 
     def test_zero_residuals_decode_to_anchors(self):
         anchors = self._anchors()
         cls = np.linspace(0.9, 0.1, len(anchors))
         props = rpn.extract_proposals(cls, np.zeros((len(anchors), 7)), anchors,
                                       top_k=5)
-        for p in props:
-            match = np.abs(anchors.boxes - p.box.to_array()).sum(axis=1).min()
+        for row in props.rows:
+            match = np.abs(anchors.boxes - row).sum(axis=1).min()
             assert match < 1e-9
 
     def test_shape_mismatch_raises(self):
@@ -305,7 +306,27 @@ def test_extract_proposals_matches_reference(seed):
     expect = _reference_proposals(cls, reg, anchors, top_k)
     got = rpn.extract_proposals(cls, reg, anchors, top_k=top_k)
     assert len(got) == len(expect) <= top_k
-    for g, e in zip(got, expect):
-        assert g.box.to_array().tobytes() == e.box.to_array().tobytes()
-        assert (g.score, g.class_id) == (e.score, e.class_id)
+    for i, e in enumerate(expect):
+        assert got.rows[i].tobytes() == e.box.to_array().tobytes()
+        assert (got.scores[i], got.class_ids[i]) == (e.score, e.class_id)
+
+
+@pytest.mark.parametrize("profile", [desk_config, default_config])
+def test_proposal_rows_equal_detection_boxes(profile):
+    # Desk- and kitti-sized maps of random scores and residuals: the rows,
+    # scores and class ids equal, bit for bit, those of a Detection built
+    # for each kept anchor, whose Box3D wraps the decoded yaw once more.
+    cfg = profile()
+    anchors = rpn.generate_anchors(cfg.classes, pipeline.bev_grid(cfg))
+    rng = np.random.default_rng(17)
+    cls = rng.uniform(0.0, 1.0, size=len(anchors))
+    reg = rng.normal(0.0, 1.0, size=(len(anchors), 7))
+    reg[:, 6] = rng.uniform(-4 * math.pi, 4 * math.pi, size=len(anchors))
+    got = rpn.extract_proposals(cls, reg, anchors, top_k=cfg.top_proposals)
+    expect = proposals_as_detections(cls, reg, anchors, cfg.top_proposals)
+    assert len(got) == len(expect) == cfg.top_proposals
+    assert got.rows.shape == (len(got), 7) and got.class_ids.shape == (len(got),)
+    assert got.rows.tobytes() == np.array([d.box.to_array() for d in expect]).tobytes()
+    assert got.scores.tobytes() == np.array([d.score for d in expect]).tobytes()
+    assert got.class_ids.tolist() == [d.class_id for d in expect]
 

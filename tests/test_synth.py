@@ -143,6 +143,7 @@ class TestSceneFiles:
     @pytest.mark.parametrize("box, col, value, message", [
         (2, 0, np.nan, "box 2: cx must be finite, got nan"),
         (1, 4, 0.0, "box 1: w must be positive, got 0.0"),
+        (1, 7, -1, "box 1: class id must be >= 0, got -1"),
     ])
     def test_bad_box_names_file_box_and_field(self, scene, tmp_path, box, col,
                                               value, message):
@@ -158,7 +159,7 @@ class TestSceneFiles:
         synth.save_scene(scene, path)
         set_box_value(path, 0, 6, 4.0)
         loaded = synth.load_scene(path)
-        assert loaded.gt_boxes[0, 6] == geom.wrap_angle(4.0)
+        assert loaded.gt_boxes[0, 6] == geom.wrap_angles(4.0)
         np.testing.assert_array_equal(loaded.gt_boxes[1:], scene.gt_boxes[1:])
 
 
@@ -187,6 +188,6 @@ class TestSceneSample:
         s = synth.SceneSample(scene.points, list(boxes), scene.gt_classes,
                               scene.seed, scene.range_min, scene.range_max)
         assert s.gt_boxes.dtype == np.float64 and s.gt_boxes.shape == (3, 7)
-        assert s.gt_boxes[0, 6] == geom.wrap_angle(4.0)
+        assert s.gt_boxes[0, 6] == geom.wrap_angles(4.0)
         with pytest.raises(ValueError):
             s.gt_boxes[0, 0] = 1.0
