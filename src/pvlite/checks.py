@@ -281,6 +281,33 @@ def check_set_abstraction(env):
     return True, "bitwise permutation-invariant; empty set maps to zero"
 
 
+def check_row_blocks(env):
+    # The installed BLAS must round each row of a block's product as it does
+    # in one product over all rows; a kitti-size call, then calls either
+    # side of the 1-, 2- and 3-block sizes, at 611 and 67 wide.
+    rng = np.random.default_rng(1014)
+    calls = 0
+    for width, kitti_rows in ((611, 216 * 32), (67, 2048 * 32)):
+        per_block = max(vsa.MIN_BLOCK_ROWS, vsa.ROW_BLOCK_BYTES // (8 * width))
+        points = np.hstack([rng.normal(size=(3000, width - 3)),
+                            rng.uniform(-40.0, 40.0, size=(3000, 3))])
+        mlp = nn.init_params((width, 16, 16), seed=1015)
+        for total in (kitti_rows, *(b * per_block + d for b in (1, 2, 3) for d in (-1, 1))):
+            ends = np.minimum(np.cumsum(rng.integers(0, 33, size=total // 4 + 1)), total)
+            lens = np.diff(ends, prepend=0)
+            flat = rng.integers(0, 3000, size=total)
+            queries = rng.uniform(-40.0, 40.0, size=(lens.size, 3))
+            got = vsa._aggregate_branch(queries, np.split(flat, ends[:-1]), points, mlp)
+            ids, seg = vsa._branch_block(queries, flat, np.repeat(np.arange(lens.size), lens),
+                                         points, mlp)  # one block on this thread
+            want = np.zeros_like(got)
+            want[ids] = seg
+            calls += 1
+            if not np.array_equal(got, want):
+                return False, f"{width}-wide call of {total} rows differs from one block"
+    return True, f"{calls} calls equal to one block bit for bit, on {vsa._threads()} threads"
+
+
 def check_confidence_mapping(env):
     for iou in np.linspace(0, 1, 11):
         expect = min(1.0, max(0.0, 2.0 * iou - 0.5))
@@ -336,6 +363,7 @@ CHECKS = [
     ("vsa.fps_vs_oracle", check_fps_oracle),
     ("vsa.cap_draws_vs_numpy", check_cap_draws),
     ("vsa.set_abstraction_invariance", check_set_abstraction),
+    ("vsa.row_blocks_vs_whole", check_row_blocks),
     ("roihead.confidence_mapping", check_confidence_mapping),
     ("evalkit.ap_hand_cases", check_ap_hand_cases),
     ("synth.determinism_roundtrip", check_scene_roundtrip),

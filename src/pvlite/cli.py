@@ -94,12 +94,12 @@ def cmd_run(args) -> int:
     _apply_param_files(model, args.params)
     anchors = rpn.generate_anchors(cfg.classes, pipeline.bev_grid(cfg))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for path, scene in _load_scenes(args.scenes, cfg):
         t0 = time.perf_counter()
         with _processing(path):
             result = pipeline.run_scene(scene, model, cfg, anchors, seed=cfg.seed)
         wall = time.perf_counter() - t0
+        out.mkdir(parents=True, exist_ok=True)  # here, so a failed run leaves no directory
         evalkit.save_detections(result.detections, out / (path.stem + ".txt"))
         print(f"{path.name}: {len(result.proposals)} proposals -> "
               f"{len(result.detections)} detections in {wall:.3f}s")
@@ -112,7 +112,6 @@ def cmd_train_heads(args) -> int:
     _apply_param_files(model, args.params)
     scenes = [s for _, s in _load_scenes(args.scenes, cfg)]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
 
     if args.which == "pkw":
         with _processing(args.scenes):
@@ -122,6 +121,7 @@ def cmd_train_heads(args) -> int:
                 return 2
             trained, losses, acc = pipeline.train_pkw(model.pkw, batch,
                                                       args.iters, args.lr)
+        out.parent.mkdir(parents=True, exist_ok=True)  # here, so a failed run leaves none
         with open(out, "wb") as fh:
             nn.save_params(trained, fh, name="pkw")
         print(f"pkw: {args.iters} iters, loss {losses[0]:.4f} -> "
@@ -137,6 +137,7 @@ def cmd_train_heads(args) -> int:
             trained, losses = pipeline.train_refine(model.refine, batch,
                                                     args.iters, args.lr)
             raw, refined = pipeline.matched_iou_stats(trained, batch)
+        out.parent.mkdir(parents=True, exist_ok=True)
         with open(out, "wb") as fh:
             nn.save_params(trained.shared, fh, name="refine_shared")
             nn.save_params(trained.confidence, fh, name="refine_confidence")

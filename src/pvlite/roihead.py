@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, geom, nn, rpn
-from .vsa import _aggregate_branch, radius_query
+from .vsa import _aggregate_branch, ordered_map, radius_query
 
 GRID_POINTS = config.GRID_RESOLUTION**3
 
@@ -35,6 +35,11 @@ def roi_grid_pool(
     GRID_RADII. Grid point j of rois[p] keeps at most GRID_CAP neighbours at
     radius index r, drawn from the stream [seed + 31 * p + r, j].
 
+    After the search, each RoI (both branches and its pool-MLP row) is one
+    unit of vsa.ordered_map and writes only its own rows of the outputs, so
+    the outputs do not depend on the thread count. Each branch call gathers
+    its rows in blocks of bounded size (vsa._aggregate_branch).
+
     Returns:
         (grid_features (R, 216, sum of branch widths), roi_features
         (R, pool_mlp.out_width)).
@@ -50,12 +55,15 @@ def roi_grid_pool(
     cols = np.cumsum([0] + [mlp.out_width for mlp in branch_mlps])
     grid_features = np.empty((n_rois, GRID_POINTS, cols[-1]))
     roi_features = np.empty((n_rois, pool_mlp.out_width))
-    for i, grid in enumerate(grids):
+
+    def pool(i):
         for r, mlp in enumerate(branch_mlps):
             first = (r * n_rois + i) * GRID_POINTS
             grid_features[i, :, cols[r] : cols[r + 1]] = _aggregate_branch(
-                grid, neigh[first : first + GRID_POINTS], keypoints, mlp)
-        roi_features[i] = nn.mlp_forward(pool_mlp, grid_features[i].reshape(1, -1))[0]
+                grids[i], neigh[first : first + GRID_POINTS], keypoints, mlp)
+        roi_features[i] = nn.mlp_layers(pool_mlp, grid_features[i].reshape(1, -1))[-1][0]
+
+    ordered_map(pool, range(n_rois))
     return grid_features, roi_features
 
 

@@ -10,7 +10,10 @@ rescales each keypoint row by a learned foreground score.
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -308,29 +311,142 @@ def set_abstraction(
                              np.hstack([feats, pos]), mlp)[0]
 
 
+# Bytes of gathered rows a set-abstraction block holds (up to half as much
+# again when a call's rows do not split into whole blocks), and the fewest
+# rows it holds: OpenBLAS 0.3.31 rounds a row of a product of 64 rows or
+# fewer unlike the same row in a long product, and alike from about 127 on.
+ROW_BLOCK_BYTES = 4 << 20
+MIN_BLOCK_ROWS = 512
+
+_pool = None  # (workers, concurrent.futures.ThreadPoolExecutor), made on first use
+_in_map = threading.local()
+
+
+def _threads() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def ordered_map(fn, items) -> list:
+    """[fn(x) for x in items], run on every CPU the process may use.
+
+    The calling thread is one of the threads, and each takes the next item
+    in order. Results come back in item order, so a caller that writes only
+    what fn returns, or the slice fn owns, gets the same bits at any thread
+    count. A map inside fn runs inline. The first item to raise (in item
+    order) raises here, after every running item is done; the pool stays
+    usable.
+    """
+    global _pool
+    items = list(items)
+    threads = min(_threads(), len(items))
+    if threads < 2 or getattr(_in_map, "active", False):
+        return [fn(x) for x in items]
+    if _pool is None or _pool[0] < threads - 1:
+        from concurrent.futures import ThreadPoolExecutor
+        if _pool is not None:
+            _pool[1].shutdown(wait=False)
+        _pool = (threads - 1, ThreadPoolExecutor(threads - 1, "pvlite"))
+    results, errors = [None] * len(items), {}
+    lock, order = threading.Lock(), iter(range(len(items)))
+
+    def drain():
+        _in_map.active = True
+        try:
+            while not errors:
+                with lock:
+                    i = next(order, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:
+                    errors[i] = exc
+        finally:
+            _in_map.active = False
+
+    helpers = [_pool[1].submit(drain) for _ in range(threads - 1)]
+    drain()
+    for h in helpers:  # one that never started has nothing left to do
+        if not h.cancel():
+            h.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _branch_block(queries, flat, owner, points, mlp):
+    """One block of a branch call: gather the points flat names, subtract
+    each row's query (queries[owner]), run the MLP and take the max over each
+    run of equal owners. Returns (owners of the runs, their maxima)."""
+    rows = points.take(flat, axis=0)
+    rows[:, -3:] -= queries.take(owner, axis=0)
+    vals = nn.mlp_layers(mlp, rows)[-1]
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    return owner[starts], np.maximum.reduceat(vals, starts, axis=0)
+
+
+def _branch_units(queries, neighbor_lists, points, mlp):
+    """The row blocks of one _aggregate_branch call, as zero-argument units
+    for ordered_map, and the function that turns their results, in order,
+    into the (m, out_width) output.
+
+    per_block is ROW_BLOCK_BYTES of gathered rows, and at least
+    MIN_BLOCK_ROWS. A call of fewer rows than two blocks is one unit;
+    otherwise its rows are cut into total // per_block blocks of equal size
+    (give or take a row), each of per_block rows or more. A query cut in two
+    takes the max of both blocks' maxima, which is exact.
+    """
+    m = queries.shape[0]
+    out = np.zeros((m, mlp.out_width))
+    lens = np.array([len(nl) for nl in neighbor_lists], dtype=np.int64)
+    total = int(lens.sum())
+    if total == 0:
+        return [], lambda _parts: out
+    flat = np.concatenate([nl for nl in neighbor_lists if len(nl)])
+    owner = np.repeat(np.arange(m), lens)
+    per_block = max(MIN_BLOCK_ROWS, ROW_BLOCK_BYTES // (8 * points.shape[1]))
+    n_blocks = max(1, total // per_block)
+    cuts = np.arange(n_blocks + 1) * total // n_blocks
+    units = [partial(_branch_block, queries, flat[a:b], owner[a:b], points, mlp)
+             for a, b in zip(cuts[:-1], cuts[1:])]
+
+    def finish(parts):
+        ids, seg = parts[0]
+        if len(parts) > 1:  # a query cut between two blocks has a run in each
+            ids, seg = map(np.concatenate, zip(*parts))
+            first = np.flatnonzero(np.diff(ids, prepend=-1))
+            ids, seg = ids[first], np.maximum.reduceat(seg, first, axis=0)
+        out[ids] = seg
+        return out
+
+    return units, finish
+
+
+def _run(unit):
+    return unit()
+
+
 def _aggregate_branch(
     queries: np.ndarray,
     neighbor_lists: list[np.ndarray],
     points: np.ndarray,
     mlp: nn.MlpParams,
 ) -> np.ndarray:
-    """set_abstraction for every query at once (one MLP pass, segment max)
-    over points, the (n, d + 3) matrix [features | xyz], gathered in one copy."""
-    m = queries.shape[0]
-    out = np.zeros((m, mlp.out_width))
-    lens = np.array([len(nl) for nl in neighbor_lists])
-    total = int(lens.sum())
-    if total == 0:
-        return out
-    flat = np.concatenate([nl for nl in neighbor_lists if len(nl)])
-    rows = points.take(flat, axis=0)
-    rows[:, -3:] -= np.repeat(queries, lens, axis=0)
-    vals = nn.mlp_forward(mlp, rows)
-    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    nonempty = lens > 0
-    seg = np.maximum.reduceat(vals, starts[nonempty], axis=0)
-    out[nonempty] = seg
-    return out
+    """set_abstraction for every query at once over points, the (n, d + 3)
+    matrix [features | xyz]: each query's neighbours are gathered as rows
+    with the query subtracted from their xyz, run through the MLP, and
+    reduced by a channel-wise max (the zero vector for no neighbour).
+
+    The rows go in blocks of bounded size (_branch_units), run by
+    ordered_map: every MLP product sees at least MIN_BLOCK_ROWS rows or all
+    of the call's, so the output equals one gather and one product over all
+    rows, bit for bit, at any thread count.
+    """
+    units, finish = _branch_units(queries, neighbor_lists, points, mlp)
+    return finish(ordered_map(_run, units))
 
 
 def vsa_multi_level(
@@ -345,6 +461,9 @@ def vsa_multi_level(
     one pass (at most VSA_CAPS[k] neighbors each), aggregate each radius
     with its branch MLP, and concatenate everything.
 
+    The four queries run first; then the row blocks of all eight branches
+    go to one ordered_map, level 4 (the largest) first.
+
     Args:
         keypoints: (n, 3) positions.
         level_tensors: the four backbone outputs.
@@ -355,14 +474,16 @@ def vsa_multi_level(
         (n, sum of branch widths) feature matrix.
     """
     kp = np.asarray(keypoints, dtype=float).reshape(-1, 3)
-    m, blocks = kp.shape[0], []
+    m, branches = kp.shape[0], []
     for k, tensor in enumerate(level_tensors):
         centers = voxel_centers(tensor)
         neigh = radius_query(kp, centers, VSA_RADII[k], VSA_CAPS[k], seed=seed + 1000 * k)
         points = np.hstack([tensor.features, centers])
-        blocks += [_aggregate_branch(kp, neigh[r * m : (r + 1) * m], points, mlp)
-                   for r, mlp in enumerate(mlps[k])]
-    return np.concatenate(blocks, axis=1)
+        branches += [_branch_units(kp, neigh[r * m : (r + 1) * m], points, mlp)
+                     for r, mlp in enumerate(mlps[k])]
+    done = iter(ordered_map(_run, [u for units, _ in branches[::-1] for u in units]))
+    blocks = [finish([next(done) for _ in units]) for units, finish in branches[::-1]]
+    return np.concatenate(blocks[::-1], axis=1)
 
 
 def extended_vsa(

@@ -5,7 +5,8 @@ path it checks (sampling for areas, one Python polygon clip per box pair
 for rotated IoU, dense convolution for sparse, a dense BEV array for the
 occupied-rows map, full recomputation for incremental FPS, a
 list-of-Detection loop for NMS, separate feature and offset gathers for
-set abstraction, one Box3D at a time for containment and RoI grids, a
+set abstraction, one gather and one MLP pass for row-blocked set
+abstraction, one Box3D at a time for containment and RoI grids, a
 Detection per kept anchor for proposal rows), plus an all-zero MLP and a
 writer of malformed scene files.
 """
@@ -394,6 +395,27 @@ def aggregate_branch_two_gathers(queries, neighbor_lists, positions, features, m
         [features[flat], positions[flat] - queries[owner]], axis=1))
     for i in np.flatnonzero(lens):
         out[i] = vals[owner == i].max(axis=0)
+    return out
+
+
+def aggregate_branch_one_block(queries, neighbor_lists, points, mlp):
+    """Set abstraction of every query from one gather of all rows and one MLP
+    pass on the calling thread, as vsa._aggregate_branch ran before its rows
+    went in blocks: [features | xyz] rows of points with each query
+    subtracted from its rows' xyz, then a max over each query's rows."""
+    m = queries.shape[0]
+    out = np.zeros((m, mlp.out_width))
+    lens = np.array([len(nl) for nl in neighbor_lists])
+    total = int(lens.sum())
+    if total == 0:
+        return out
+    flat = np.concatenate([nl for nl in neighbor_lists if len(nl)])
+    rows = points.take(flat, axis=0)
+    rows[:, -3:] -= np.repeat(queries, lens, axis=0)
+    vals = nn.mlp_forward(mlp, rows)
+    starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
+    nonempty = lens > 0
+    out[nonempty] = np.maximum.reduceat(vals, starts[nonempty], axis=0)
     return out
 
 

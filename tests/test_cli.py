@@ -105,6 +105,24 @@ class TestRun:
         assert rc == 0
         assert evalkit.load_detections(out / "empty.txt") == []
 
+    @pytest.mark.parametrize("bad, code", [("class", 1), ("run", 2)])
+    def test_failed_run_makes_no_directory(self, desk7, tmp_path, monkeypatch,
+                                           capsys, bad, code):
+        # A scene the loader rejects (exit 1) or one whose run raises (exit
+        # 2) leaves no --out directory behind.
+        cfg_file, scene = desk7
+        path = tmp_path / "scene_7.pvscn"
+        classes = scene.gt_classes[:-1] + (5,) if bad == "class" else scene.gt_classes
+        synth.save_scene(synth.SceneSample(scene.points, scene.gt_boxes, classes, 7,
+                                           scene.range_min, scene.range_max), path)
+        if bad == "run":
+            monkeypatch.setattr(pipeline, "run_scene", lambda *a, **k: 1 / 0)
+        out = tmp_path / "d" / "dets"
+        assert cli.main(["run", "--config", cfg_file, "--scenes", str(path),
+                         "--out", str(out), "--seed", "7"]) == code
+        assert capsys.readouterr().err.startswith(("error: ", "runtime error: ")[code - 1])
+        assert not (tmp_path / "d").exists()
+
     def test_missing_scenes_dir(self, cfg_path, tmp_path):
         rc = cli.main(["run", "--config", cfg_path, "--scenes",
                        str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")])
@@ -211,7 +229,7 @@ class TestTrainHeads:
         assert capsys.readouterr().err == (
             f"runtime error: {scenes}: ValueError: refined RoI 0: l must be "
             "finite, got inf\n")
-        assert list(out.parent.iterdir()) == []
+        assert not out.parent.exists()
 
 
 class TestEval:

@@ -145,6 +145,50 @@ class TestRunScene:
                                       kp.positions)
 
 
+def _one_then_many_threads(monkeypatch, run):
+    """run() with one thread and default blocks, then with four threads and
+    MIN_BLOCK_ROWS-row blocks; asserts some branch call was cut in blocks."""
+    monkeypatch.setattr(vsa, "_threads", lambda: 1)
+    one = run()
+    cut, units = [], vsa._branch_units
+
+    def spy(*args):
+        found = units(*args)
+        cut.append(len(found[0]) > 1)
+        return found
+
+    monkeypatch.setattr(vsa, "_threads", lambda: 4)
+    monkeypatch.setattr(vsa, "ROW_BLOCK_BYTES", 0)
+    monkeypatch.setattr(vsa, "_branch_units", spy)
+    many = run()
+    assert any(cut)
+    return one, many
+
+
+class TestThreadCount:
+    """Outputs are the same bits at any thread count and block size."""
+
+    def test_run_scene(self, model, anchors, scene, monkeypatch):
+        one, many = _one_then_many_threads(
+            monkeypatch, lambda: pipeline.run_scene(scene, model, CFG, anchors, seed=1))
+        assert len(one.detections) == len(many.detections) > 0
+        for a, b in zip(one.detections, many.detections):
+            assert (a.score, a.class_id) == (b.score, b.class_id)
+            np.testing.assert_array_equal(a.box.to_array(), b.box.to_array())
+        np.testing.assert_array_equal(one.proposals.rows, many.proposals.rows)
+        np.testing.assert_array_equal(one.keypoints.weighted_xyz,
+                                      many.keypoints.weighted_xyz)
+
+    def test_build_refine_batch(self, model, anchors, scene, monkeypatch):
+        scenes = [scene, synth.gen_scene(CFG, seed=43)]
+        one, many = _one_then_many_threads(
+            monkeypatch,
+            lambda: pipeline.build_refine_batch(CFG, model, scenes, anchors, seed=4))
+        assert one.features.shape[0] > 0
+        np.testing.assert_array_equal(one.features, many.features)
+        np.testing.assert_array_equal(one.rois, many.rois)
+
+
 class TestParamSections:
     def test_apply_pkw(self, model):
         fresh = pipeline.build_model(CFG, seed=9)

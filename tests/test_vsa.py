@@ -3,6 +3,8 @@ brute-force oracles, permutation/translation invariance, multi-level
 feature widths and predicted keypoint weighting."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from pvlite.geom import Box3D
 from pvlite.sparsegrid import SparseTensor
 
 from helpers import (
-    aggregate_branch_two_gathers, bev_from_dense, fps_bruteforce,
-    points_in_box_obj, radius_query_bruteforce,
+    aggregate_branch_one_block, aggregate_branch_two_gathers, bev_from_dense,
+    fps_bruteforce, points_in_box_obj, radius_query_bruteforce,
 )
 
 
@@ -412,6 +414,163 @@ class TestSetAbstraction:
         lists = [np.empty(0, np.int64)] * 4
         out = vsa._aggregate_branch(np.zeros((4, 3)), lists, np.ones((6, 5)), mlp)
         np.testing.assert_array_equal(out, np.zeros((4, 6)))
+
+
+def _per_block(width):
+    """Rows in one block of a branch over (n, width) points."""
+    return max(vsa.MIN_BLOCK_ROWS, vsa.ROW_BLOCK_BYTES // (8 * width))
+
+
+def _lists_of_total(rng, total, n_points, cap=32):
+    """Neighbour lists of 0..cap indices each (empty ones and repeated
+    indices included) whose lengths add up to exactly total."""
+    lens = []
+    while sum(lens) < total:
+        lens.append(min(int(rng.integers(0, cap + 1)), total - sum(lens)))
+    return [rng.integers(0, n_points, size=k) for k in lens]
+
+
+def _branch_case(seed, width, lists):
+    """Queries, (n, width) points [features | xyz] and a branch MLP."""
+    rng = np.random.default_rng(seed)
+    n = 1 + max((int(nl.max()) for nl in lists if len(nl)), default=0)
+    points = np.hstack([rng.normal(size=(n, width - 3)), rng.normal(size=(n, 3)) * 1e3])
+    queries = rng.normal(size=(len(lists), 3)) * 1e3
+    mlp = nn.init_params((width, 16, 16), seed=seed)
+    return queries, points, mlp
+
+
+# Calls of 611-wide rows (RoI-grid branches) and 67-wide rows (levels 3 and
+# 4 of keypoint VSA): each side of the 1-, 2- and 3-block sizes, one query
+# longer than a block, and lists with no row at all.
+def _block_cases():
+    rng = np.random.default_rng(90)
+    cases = []
+    for width in (611, 67):
+        b = _per_block(width)
+        for blocks in (1, 2, 3):
+            for total in (blocks * b - 1, blocks * b + 1):
+                cases.append((f"{width}-wide {total} rows", width,
+                              _lists_of_total(rng, total, 700)))
+    b = _per_block(611)
+    one = [rng.integers(0, 50, size=k) for k in (3, 3 * b + 5, 0, 2)]
+    cases.append(("one query longer than a block", 611, one))
+    cases.append(("only a query longer than a block", 611, one[1:2]))
+    cases.append(("empty lists", 611, [np.empty(0, np.int64)] * 5))
+    cases.append(("no queries", 611, []))
+    return cases
+
+
+BLOCK_CASES = _block_cases()
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("name, width, lists", BLOCK_CASES,
+                             ids=[c[0] for c in BLOCK_CASES])
+    def test_blocked_equals_one_block_oracle(self, monkeypatch, threads, name,
+                                             width, lists):
+        monkeypatch.setattr(vsa, "_threads", lambda: threads)
+        queries, points, mlp = _branch_case(91, width, lists)
+        got = vsa._aggregate_branch(queries, lists, points, mlp)
+        assert got.shape == (len(lists), 16)
+        np.testing.assert_array_equal(
+            got, aggregate_branch_one_block(queries, lists, points, mlp))
+
+    @pytest.mark.parametrize("name, width, lists", BLOCK_CASES,
+                             ids=[c[0] for c in BLOCK_CASES])
+    def test_block_count_and_sizes(self, name, width, lists):
+        # total // per_block blocks of at least per_block rows, one block
+        # below two blocks' rows, and no unit for a call with no row.
+        queries, points, mlp = _branch_case(91, width, lists)
+        units, _ = vsa._branch_units(queries, lists, points, mlp)
+        total, per_block = sum(map(len, lists)), _per_block(width)
+        assert len(units) == (max(1, total // per_block) if total else 0)
+        sizes = [len(u.args[1]) for u in units]
+        assert sum(sizes) == total
+        if len(units) > 1:
+            assert min(sizes) >= per_block >= vsa.MIN_BLOCK_ROWS
+            assert max(sizes) < 1.5 * per_block + 1
+
+    def test_kitti_size_keypoint_branch(self, monkeypatch):
+        # 2048 keypoints, up to 32 rows each, 67 wide: several blocks.
+        monkeypatch.setattr(vsa, "_threads", lambda: 2)
+        rng = np.random.default_rng(92)
+        lists = [rng.integers(0, 3000, size=k) for k in rng.integers(0, 33, size=2048)]
+        queries, points, mlp = _branch_case(93, 67, lists)
+        assert len(vsa._branch_units(queries, lists, points, mlp)[0]) >= 4
+        np.testing.assert_array_equal(
+            vsa._aggregate_branch(queries, lists, points, mlp),
+            aggregate_branch_one_block(queries, lists, points, mlp))
+
+    def test_multi_level_same_bits_at_any_thread_count(self, monkeypatch):
+        # Small blocks force several per branch; one thread and four agree.
+        rng = np.random.default_rng(94)
+        tensors = _tiny_levels(rng, widths=(16, 32, 64, 64))
+        mlps = _mlps_for(tensors, out_width=32)
+        kp = rng.uniform(0, 3, size=(300, 3))
+        monkeypatch.setattr(vsa, "_threads", lambda: 1)
+        one = vsa.vsa_multi_level(kp, tensors, mlps, 5)
+        monkeypatch.setattr(vsa, "_threads", lambda: 4)
+        monkeypatch.setattr(vsa, "ROW_BLOCK_BYTES", 0)
+        np.testing.assert_array_equal(vsa.vsa_multi_level(kp, tensors, mlps, 5), one)
+
+
+class TestOrderedMap:
+    def test_results_in_item_order(self, monkeypatch):
+        monkeypatch.setattr(vsa, "_threads", lambda: 4)
+        assert vsa.ordered_map(lambda x: x * x, range(50)) == [x * x for x in range(50)]
+        assert vsa.ordered_map(lambda x: x, []) == []
+
+    def test_items_run_at_once(self, monkeypatch):
+        # Each item waits for the other: only two threads at once get past.
+        monkeypatch.setattr(vsa, "_threads", lambda: 2)
+        barrier = threading.Barrier(2, timeout=30)
+        assert vsa.ordered_map(lambda x: (barrier.wait(), x)[1], [1, 2]) == [1, 2]
+
+    def test_each_item_runs_once_under_frequent_switches(self, monkeypatch):
+        # More threads than cores and a thread switch every microsecond: an
+        # item handed out twice, or a result lost, shows in the counts.
+        monkeypatch.setattr(vsa, "_threads", lambda: 8)
+        runs = [0] * 3000
+
+        def unit(i):
+            runs[i] += 1
+            return -i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = vsa.ordered_map(unit, range(3000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [-i for i in range(3000)]
+        assert runs == [1] * 3000
+
+    def test_error_reaches_caller_and_pool_stays_usable(self, monkeypatch):
+        monkeypatch.setattr(vsa, "_threads", lambda: 3)
+
+        def unit(i):
+            if i in (3, 7):
+                raise ValueError(f"unit {i}")
+            return i
+
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unit 3"):
+                vsa.ordered_map(unit, range(10))
+            assert vsa.ordered_map(lambda i: -i, range(10)) == [-i for i in range(10)]
+
+    def test_nested_map_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(vsa, "_threads", lambda: 4)
+
+        def outer(i):
+            me = threading.get_ident()
+            inner = vsa.ordered_map(lambda j: (threading.get_ident(), i * j), range(5))
+            assert all(t == me for t, _ in inner)
+            return [v for _, v in inner]
+
+        assert vsa.ordered_map(outer, range(8)) == [[i * j for j in range(5)]
+                                                    for i in range(8)]
 
 
 def _tiny_levels(rng, widths=(4, 4, 4, 4)):
