@@ -284,9 +284,10 @@ def check_set_abstraction(env):
 def check_row_blocks(env):
     # The installed BLAS must round each row of a block's product as it does
     # in one product over all rows; a kitti-size call, then calls either
-    # side of the 1-, 2- and 3-block sizes, at 611 and 67 wide.
+    # side of the 1-, 2- and 3-block sizes, at 611 and 67 wide, each alone
+    # and then all of them in one aggregate.
     rng = np.random.default_rng(1014)
-    calls = 0
+    calls, wants = [], []
     for width, kitti_rows in ((611, 216 * 32), (67, 2048 * 32)):
         per_block = max(vsa.MIN_BLOCK_ROWS, vsa.ROW_BLOCK_BYTES // (8 * width))
         points = np.hstack([rng.normal(size=(3000, width - 3)),
@@ -294,18 +295,19 @@ def check_row_blocks(env):
         mlp = nn.init_params((width, 16, 16), seed=1015)
         for total in (kitti_rows, *(b * per_block + d for b in (1, 2, 3) for d in (-1, 1))):
             ends = np.minimum(np.cumsum(rng.integers(0, 33, size=total // 4 + 1)), total)
-            lens = np.diff(ends, prepend=0)
-            flat = rng.integers(0, 3000, size=total)
-            queries = rng.uniform(-40.0, 40.0, size=(lens.size, 3))
-            got = vsa._aggregate_branch(queries, np.split(flat, ends[:-1]), points, mlp)
-            ids, seg = vsa._branch_block(queries, flat, np.repeat(np.arange(lens.size), lens),
-                                         points, mlp)  # one block on this thread
-            want = np.zeros_like(got)
-            want[ids] = seg
-            calls += 1
-            if not np.array_equal(got, want):
+            lists = vsa.NeighborLists(rng.integers(0, 3000, size=total), np.append(0, ends))
+            queries = rng.uniform(-40.0, 40.0, size=(len(lists), 3))
+            calls.append((queries, lists, points, mlp))
+            wants.append(np.zeros((len(lists), 16)))
+            ids, seg = vsa._block(wants[-1], queries, lists, 0, total, points, mlp)  # one block
+            wants[-1][ids] = seg
+            if not np.array_equal(vsa.aggregate(calls[-1:])[0], wants[-1]):
                 return False, f"{width}-wide call of {total} rows differs from one block"
-    return True, f"{calls} calls equal to one block bit for bit, on {vsa._threads()} threads"
+    for k, got in enumerate(vsa.aggregate(calls)):
+        if not np.array_equal(got, wants[k]):
+            return False, f"call {k} of {len(calls)} in one aggregate differs from one block"
+    return True, (f"{len(calls)} calls equal to one block bit for bit, alone and in one "
+                  f"aggregate, on {vsa._threads()} threads")
 
 
 def check_confidence_mapping(env):

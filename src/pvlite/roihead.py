@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, geom, nn, rpn
-from .vsa import _aggregate_branch, ordered_map, radius_query
+from .vsa import aggregate, ordered_map, radius_query
 
 GRID_POINTS = config.GRID_RESOLUTION**3
 
@@ -35,10 +35,10 @@ def roi_grid_pool(
     GRID_RADII. Grid point j of rois[p] keeps at most GRID_CAP neighbours at
     radius index r, drawn from the stream [seed + 31 * p + r, j].
 
-    After the search, each RoI (both branches and its pool-MLP row) is one
-    unit of vsa.ordered_map and writes only its own rows of the outputs, so
-    the outputs do not depend on the thread count. Each branch call gathers
-    its rows in blocks of bounded size (vsa._aggregate_branch).
+    Then each RoI makes one vsa.aggregate call per radius over its 216
+    grid points, and all 2R calls run as one aggregate. The pool MLP runs
+    on one RoI's row at a time through vsa.ordered_map. Neither output
+    depends on the thread count.
 
     Returns:
         (grid_features (R, 216, sum of branch widths), roi_features
@@ -52,19 +52,17 @@ def roi_grid_pool(
                      np.tile(np.arange(GRID_POINTS, dtype=np.uint64), n_rois)], axis=1)
     neigh = radius_query(grids.reshape(-1, 3), keypoints[:, -3:],
                          config.GRID_RADII, config.GRID_CAP, seed=keys)
+    # Call k = r * R + i is RoI i at radius index r: the k-th 216 lists.
+    calls = [(grids[k % n_rois], neigh[k * GRID_POINTS : (k + 1) * GRID_POINTS], keypoints,
+              branch_mlps[k // n_rois]) for k in range(len(branch_mlps) * n_rois)]
     cols = np.cumsum([0] + [mlp.out_width for mlp in branch_mlps])
     grid_features = np.empty((n_rois, GRID_POINTS, cols[-1]))
-    roi_features = np.empty((n_rois, pool_mlp.out_width))
-
-    def pool(i):
-        for r, mlp in enumerate(branch_mlps):
-            first = (r * n_rois + i) * GRID_POINTS
-            grid_features[i, :, cols[r] : cols[r + 1]] = _aggregate_branch(
-                grids[i], neigh[first : first + GRID_POINTS], keypoints, mlp)
-        roi_features[i] = nn.mlp_layers(pool_mlp, grid_features[i].reshape(1, -1))[-1][0]
-
-    ordered_map(pool, range(n_rois))
-    return grid_features, roi_features
+    for k, out in enumerate(aggregate(calls)):
+        r, i = divmod(k, n_rois)
+        grid_features[i, :, cols[r] : cols[r + 1]] = out
+    roi_features = ordered_map(
+        lambda g: nn.mlp_layers(pool_mlp, g.reshape(1, -1))[-1][0], grid_features)
+    return grid_features, np.reshape(roi_features, (n_rois, pool_mlp.out_width))
 
 
 def average_pool_roi(

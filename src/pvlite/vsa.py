@@ -168,6 +168,31 @@ def cap_draws(keys, found, cap: int) -> np.ndarray:
     return picked
 
 
+class NeighborLists:
+    """Neighbor lists in one int64 index array: list j is
+    flat[offsets[j] : offsets[j + 1]]. An int index gives a view of one
+    list, a slice (step 1) the NeighborLists of its lists sharing flat, and
+    iteration the views in order."""
+
+    def __init__(self, flat: np.ndarray, offsets: np.ndarray):
+        self.flat, self.offsets = flat, offsets
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, key):
+        picked = range(len(self))[key]
+        if isinstance(picked, int):
+            return self.flat[self.offsets[picked] : self.offsets[picked + 1]]
+        if picked.step != 1:
+            raise ValueError(f"NeighborLists slices take step 1, got {picked.step}")
+        return NeighborLists(self.flat, self.offsets[picked.start : picked.start + len(picked) + 1])
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        return (self.flat[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
 # Most (query, point) pairs and query-cell keys radius_query holds at once.
 QUERY_CHUNK_PAIRS = 60_000
 
@@ -178,7 +203,7 @@ def radius_query(
     radii: float | tuple[float, ...],
     cap: int,
     seed: int | np.ndarray,
-) -> list[np.ndarray]:
+) -> NeighborLists:
     """Capped neighbor lists of each query strictly within each radius.
 
     A cell-list search: points are sorted into cubic cells at least the
@@ -198,8 +223,9 @@ def radius_query(
             query i's streams as [row[0] + r, row[1]].
 
     Returns:
-        len(radii) * M int arrays of neighbor indices (ascending), radius
-        major: entry r * M + i holds query i's neighbors at radii[r].
+        NeighborLists of len(radii) * M lists of neighbor indices
+        (ascending), radius major: list r * M + i holds query i's neighbors
+        at radii[r].
     """
     radii = np.ravel(radii).astype(float)
     if not (radii > 0).all():
@@ -216,7 +242,8 @@ def radius_query(
         seed = seed.astype(np.uint64)
     ok_p, ok_q = (np.flatnonzero(np.isfinite(a).all(axis=1)) for a in (p, q))
     if ok_p.size == 0 or ok_q.size == 0:
-        return [np.empty(0, dtype=np.int64) for _ in range(radii.size * m)]
+        return NeighborLists(np.empty(0, dtype=np.int64),
+                             np.zeros(radii.size * m + 1, dtype=np.int64))
     # Cells at least the largest radius wide, padded so that rounding in the
     # division and the floor never puts a pair that passes two cells apart.
     scale = max(np.abs(p[ok_p]).max(), np.abs(q[ok_q]).max())
@@ -281,11 +308,8 @@ def radius_query(
             for r, flat in enumerate(np.split(part[kept] % n, ends)):
                 flats[r].append(flat)
             s = e
-    out = []
-    for flat, size in zip(flats, lens):  # views of one array per radius
-        flat, ends = np.concatenate(flat), np.cumsum(size)
-        out += [flat[a:b] for a, b in zip(ends - size, ends)]
-    return out
+    return NeighborLists(np.concatenate([f for per_radius in flats for f in per_radius]),
+                         np.concatenate([[0], np.cumsum(lens)]))
 
 
 def set_abstraction(
@@ -295,20 +319,16 @@ def set_abstraction(
     mlp: nn.MlpParams,
 ) -> np.ndarray:
     """Channel-wise max of the MLP applied to [feature; position - center]
-    per neighbor: _aggregate_branch over one query. An empty neighborhood
-    yields the zero vector."""
+    per neighbor, for (k, d) feature rows and (k, 3) positions: aggregate
+    over one query. An empty neighborhood yields the zero vector."""
     feats = np.asarray(neighbor_feats, dtype=float)
     pos = np.asarray(neighbor_positions, dtype=float).reshape(-1, 3)
-    feats = feats.reshape(pos.shape[0], -1) if feats.size else feats.reshape(0, mlp.in_width - 3)
-    if feats.shape[0] == 0:
-        return np.zeros(mlp.out_width)
-    if feats.shape[1] + 3 != mlp.in_width:
-        raise nn.ShapeError(
-            f"MLP expects width {mlp.in_width}, got features {feats.shape[1]} + 3"
-        )
+    if feats.shape != (pos.shape[0], mlp.in_width - 3):
+        raise nn.ShapeError(f"features of shape {feats.shape} for {pos.shape[0]} positions: "
+                            f"expected one row of {mlp.in_width - 3} per position")
+    lists = NeighborLists(np.arange(pos.shape[0]), np.array([0, pos.shape[0]]))
     query = np.asarray(center, dtype=float).reshape(1, 3)
-    return _aggregate_branch(query, [np.arange(pos.shape[0])],
-                             np.hstack([feats, pos]), mlp)[0]
+    return aggregate([(query, lists, np.hstack([feats, pos]), mlp)])[0][0]
 
 
 # Bytes of gathered rows a set-abstraction block holds (up to half as much
@@ -319,7 +339,6 @@ ROW_BLOCK_BYTES = 4 << 20
 MIN_BLOCK_ROWS = 512
 
 _pool = None  # (workers, concurrent.futures.ThreadPoolExecutor), made on first use
-_in_map = threading.local()
 
 
 def _threads() -> int:
@@ -333,16 +352,17 @@ def ordered_map(fn, items) -> list:
     """[fn(x) for x in items], run on every CPU the process may use.
 
     The calling thread is one of the threads, and each takes the next item
-    in order. Results come back in item order, so a caller that writes only
-    what fn returns, or the slice fn owns, gets the same bits at any thread
-    count. A map inside fn runs inline. The first item to raise (in item
+    in order. The other threads come from one pool, made on first use and
+    kept for later calls. Results come back in item order, so a caller that
+    writes only what fn returns, or rows that one item alone writes, gets
+    the same bits at any thread count. The first item to raise (in item
     order) raises here, after every running item is done; the pool stays
     usable.
     """
     global _pool
     items = list(items)
     threads = min(_threads(), len(items))
-    if threads < 2 or getattr(_in_map, "active", False):
+    if threads < 2:
         return [fn(x) for x in items]
     if _pool is None or _pool[0] < threads - 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -353,19 +373,15 @@ def ordered_map(fn, items) -> list:
     lock, order = threading.Lock(), iter(range(len(items)))
 
     def drain():
-        _in_map.active = True
-        try:
-            while not errors:
-                with lock:
-                    i = next(order, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = fn(items[i])
-                except BaseException as exc:
-                    errors[i] = exc
-        finally:
-            _in_map.active = False
+        while not errors:
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                errors[i] = exc
 
     helpers = [_pool[1].submit(drain) for _ in range(threads - 1)]
     drain()
@@ -377,76 +393,58 @@ def ordered_map(fn, items) -> list:
     return results
 
 
-def _branch_block(queries, flat, owner, points, mlp):
-    """One block of a branch call: gather the points flat names, subtract
-    each row's query (queries[owner]), run the MLP and take the max over each
-    run of equal owners. Returns (owners of the runs, their maxima)."""
-    rows = points.take(flat, axis=0)
+def _row_cuts(total: int, width: int) -> np.ndarray:
+    """Block boundaries of a call's total gathered rows, width floats each:
+    fewer rows than two blocks of per_block (ROW_BLOCK_BYTES, at least
+    MIN_BLOCK_ROWS) are one block, more are total // per_block equal blocks
+    (give or take a row), and no rows are no block."""
+    per_block = max(MIN_BLOCK_ROWS, ROW_BLOCK_BYTES // (8 * width))
+    n_blocks = max(1, total // per_block) if total else 0
+    return np.arange(n_blocks + 1) * total // max(n_blocks, 1)
+
+
+def _block(out, queries, lists, a, b, points, mlp):
+    """Rows a to b of a call: gather the points they name, subtract each
+    row's query, run the MLP and take the max over each run of rows of one
+    query. Writes the runs' maxima to out but for the first and last run,
+    which a block next to it may share, and returns those as (query
+    indices, maxima)."""
+    at = lists.offsets[0] + np.arange(a, b)
+    owner = np.searchsorted(lists.offsets, at, side="right") - 1
+    rows = points.take(lists.flat[at], axis=0)
     rows[:, -3:] -= queries.take(owner, axis=0)
     vals = nn.mlp_layers(mlp, rows)[-1]
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    return owner[starts], np.maximum.reduceat(vals, starts, axis=0)
+    ids, seg = owner[starts], np.maximum.reduceat(vals, starts, axis=0)
+    out[ids[1:-1]] = seg[1:-1]
+    return ids[[0, -1]], seg[[0, -1]]
 
 
-def _branch_units(queries, neighbor_lists, points, mlp):
-    """The row blocks of one _aggregate_branch call, as zero-argument units
-    for ordered_map, and the function that turns their results, in order,
-    into the (m, out_width) output.
+def aggregate(calls) -> list[np.ndarray]:
+    """Set abstraction for each (queries, lists, points, mlp) call: the
+    neighbours lists[i] of query i are gathered as rows of points, the
+    (n, d + 3) matrix [features | xyz], with the query subtracted from
+    their xyz, run through the MLP and reduced by a channel-wise max (the
+    zero vector for no neighbour). Returns one (M, out_width) array per call.
 
-    per_block is ROW_BLOCK_BYTES of gathered rows, and at least
-    MIN_BLOCK_ROWS. A call of fewer rows than two blocks is one unit;
-    otherwise its rows are cut into total // per_block blocks of equal size
-    (give or take a row), each of per_block rows or more. A query cut in two
-    takes the max of both blocks' maxima, which is exact.
+    The blocks of all calls (_row_cuts) go to one ordered_map and write
+    their own rows. A query cut between two blocks takes the max of both
+    blocks' maxima, which is exact. Every product sees MIN_BLOCK_ROWS rows
+    or all of its call's, so each output equals one product over its
+    call's rows, bit for bit, at any thread count and in any company.
     """
-    m = queries.shape[0]
-    out = np.zeros((m, mlp.out_width))
-    lens = np.array([len(nl) for nl in neighbor_lists], dtype=np.int64)
-    total = int(lens.sum())
-    if total == 0:
-        return [], lambda _parts: out
-    flat = np.concatenate([nl for nl in neighbor_lists if len(nl)])
-    owner = np.repeat(np.arange(m), lens)
-    per_block = max(MIN_BLOCK_ROWS, ROW_BLOCK_BYTES // (8 * points.shape[1]))
-    n_blocks = max(1, total // per_block)
-    cuts = np.arange(n_blocks + 1) * total // n_blocks
-    units = [partial(_branch_block, queries, flat[a:b], owner[a:b], points, mlp)
-             for a, b in zip(cuts[:-1], cuts[1:])]
-
-    def finish(parts):
-        ids, seg = parts[0]
-        if len(parts) > 1:  # a query cut between two blocks has a run in each
-            ids, seg = map(np.concatenate, zip(*parts))
-            first = np.flatnonzero(np.diff(ids, prepend=-1))
-            ids, seg = ids[first], np.maximum.reduceat(seg, first, axis=0)
-        out[ids] = seg
-        return out
-
-    return units, finish
-
-
-def _run(unit):
-    return unit()
-
-
-def _aggregate_branch(
-    queries: np.ndarray,
-    neighbor_lists: list[np.ndarray],
-    points: np.ndarray,
-    mlp: nn.MlpParams,
-) -> np.ndarray:
-    """set_abstraction for every query at once over points, the (n, d + 3)
-    matrix [features | xyz]: each query's neighbours are gathered as rows
-    with the query subtracted from their xyz, run through the MLP, and
-    reduced by a channel-wise max (the zero vector for no neighbour).
-
-    The rows go in blocks of bounded size (_branch_units), run by
-    ordered_map: every MLP product sees at least MIN_BLOCK_ROWS rows or all
-    of the call's, so the output equals one gather and one product over all
-    rows, bit for bit, at any thread count.
-    """
-    units, finish = _branch_units(queries, neighbor_lists, points, mlp)
-    return finish(ordered_map(_run, units))
+    outs, blocks = [], []  # blocks: (call, unit)
+    for queries, lists, points, mlp in calls:
+        cuts = _row_cuts(int(lists.offsets[-1] - lists.offsets[0]), points.shape[1])
+        outs.append(np.zeros((len(lists), mlp.out_width)))
+        blocks += [(len(outs) - 1, partial(_block, outs[-1], queries, lists, a, b, points, mlp))
+                   for a, b in zip(cuts[:-1], cuts[1:])]
+    edges = ordered_map(lambda block: block[1](), blocks)
+    for c, group in itertools.groupby(zip(blocks, edges), key=lambda pair: pair[0][0]):
+        ids, seg = map(np.concatenate, zip(*(edge for _, edge in group)))
+        first = np.flatnonzero(np.diff(ids, prepend=-1))
+        outs[c][ids[first]] = np.maximum.reduceat(seg, first, axis=0)
+    return outs
 
 
 def vsa_multi_level(
@@ -461,8 +459,7 @@ def vsa_multi_level(
     one pass (at most VSA_CAPS[k] neighbors each), aggregate each radius
     with its branch MLP, and concatenate everything.
 
-    The four queries run first; then the row blocks of all eight branches
-    go to one ordered_map, level 4 (the largest) first.
+    The four queries run first, then the eight branches as one aggregate.
 
     Args:
         keypoints: (n, 3) positions.
@@ -474,16 +471,14 @@ def vsa_multi_level(
         (n, sum of branch widths) feature matrix.
     """
     kp = np.asarray(keypoints, dtype=float).reshape(-1, 3)
-    m, branches = kp.shape[0], []
+    m, calls = kp.shape[0], []
     for k, tensor in enumerate(level_tensors):
         centers = voxel_centers(tensor)
         neigh = radius_query(kp, centers, VSA_RADII[k], VSA_CAPS[k], seed=seed + 1000 * k)
         points = np.hstack([tensor.features, centers])
-        branches += [_branch_units(kp, neigh[r * m : (r + 1) * m], points, mlp)
-                     for r, mlp in enumerate(mlps[k])]
-    done = iter(ordered_map(_run, [u for units, _ in branches[::-1] for u in units]))
-    blocks = [finish([next(done) for _ in units]) for units, finish in branches[::-1]]
-    return np.concatenate(blocks[::-1], axis=1)
+        calls += [(kp, neigh[r * m : (r + 1) * m], points, mlp)
+                  for r, mlp in enumerate(mlps[k])]
+    return np.concatenate(aggregate(calls), axis=1)
 
 
 def extended_vsa(
@@ -504,11 +499,10 @@ def extended_vsa(
     raw = np.asarray(raw_points, dtype=float).reshape(-1, 4)
     m, points = kp.shape[0], raw[:, [3, 0, 1, 2]]  # [intensity | xyz]
     neigh = radius_query(kp, raw[:, :3], RAW_RADII, RAW_CAP, seed=seed + 7000)
-    blocks = [np.asarray(f_pv, dtype=float)]
-    blocks += [_aggregate_branch(kp, neigh[r * m : (r + 1) * m], points, mlp)
-               for r, mlp in enumerate(raw_mlps)]
-    blocks.append(bilinear_sample(bev, kp[:, :2]))
-    return np.concatenate(blocks, axis=1)
+    f_raw = aggregate([(kp, neigh[r * m : (r + 1) * m], points, mlp)
+                       for r, mlp in enumerate(raw_mlps)])
+    return np.concatenate([np.asarray(f_pv, dtype=float), *f_raw,
+                           bilinear_sample(bev, kp[:, :2])], axis=1)
 
 
 def pkw(

@@ -380,6 +380,14 @@ def radius_query_bruteforce(queries, points, radius, cap, seed):
     return out
 
 
+def csr(neighbor_lists):
+    """(flat, offsets) of a sequence of index arrays: list j is
+    flat[offsets[j] : offsets[j + 1]], flat int64."""
+    lens = [len(nl) for nl in neighbor_lists]
+    flat = np.concatenate([np.empty(0, np.int64), *neighbor_lists]).astype(np.int64)
+    return flat, np.concatenate([[0], np.cumsum(lens, dtype=np.int64)])
+
+
 def aggregate_branch_two_gathers(queries, neighbor_lists, positions, features, mlp):
     """Set abstraction of every query from two separate gathers: neighbour
     features from one array and positions minus their query from another,
@@ -400,8 +408,8 @@ def aggregate_branch_two_gathers(queries, neighbor_lists, positions, features, m
 
 def aggregate_branch_one_block(queries, neighbor_lists, points, mlp):
     """Set abstraction of every query from one gather of all rows and one MLP
-    pass on the calling thread, as vsa._aggregate_branch ran before its rows
-    went in blocks: [features | xyz] rows of points with each query
+    pass on the calling thread, as one set-abstraction call ran before its
+    rows went in blocks: [features | xyz] rows of points with each query
     subtracted from its rows' xyz, then a max over each query's rows."""
     m = queries.shape[0]
     out = np.zeros((m, mlp.out_width))

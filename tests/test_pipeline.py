@@ -150,16 +150,16 @@ def _one_then_many_threads(monkeypatch, run):
     MIN_BLOCK_ROWS-row blocks; asserts some branch call was cut in blocks."""
     monkeypatch.setattr(vsa, "_threads", lambda: 1)
     one = run()
-    cut, units = [], vsa._branch_units
+    cut, row_cuts = [], vsa._row_cuts
 
     def spy(*args):
-        found = units(*args)
-        cut.append(len(found[0]) > 1)
+        found = row_cuts(*args)
+        cut.append(len(found) > 2)
         return found
 
     monkeypatch.setattr(vsa, "_threads", lambda: 4)
     monkeypatch.setattr(vsa, "ROW_BLOCK_BYTES", 0)
-    monkeypatch.setattr(vsa, "_branch_units", spy)
+    monkeypatch.setattr(vsa, "_row_cuts", spy)
     many = run()
     assert any(cut)
     return one, many

@@ -12,7 +12,7 @@ from pvlite.config import FINAL_NMS_IOU, GRID_CAP, GRID_RADII, Config
 from pvlite.geom import Box3D, Detection
 
 from helpers import (
-    nms_reference, radius_query_bruteforce, random_box, zero_params,
+    csr, nms_reference, radius_query_bruteforce, random_box, zero_params,
 )
 
 
@@ -141,11 +141,10 @@ class TestRoiGridPool:
         g, _ = roihead.roi_grid_pool(rows(*rois), points, gm, pool_mlp(8, seed=38), 40)
         for p, roi in enumerate(rois):
             grid = geom.roi_grid_points(roi.to_array())
-            want = [vsa._aggregate_branch(
-                        grid, radius_query_bruteforce(grid, kp, radius, GRID_CAP,
-                                                      40 + 31 * p + r),
-                        points, gm[r])
-                    for r, radius in enumerate(GRID_RADII)]
+            want = vsa.aggregate([
+                (grid, vsa.NeighborLists(*csr(radius_query_bruteforce(
+                    grid, kp, radius, GRID_CAP, 40 + 31 * p + r))), points, gm[r])
+                for r, radius in enumerate(GRID_RADII)])
             np.testing.assert_array_equal(g[p], np.concatenate(want, axis=1))
 
     def test_empty_roi_list(self):

@@ -15,7 +15,7 @@ from pvlite.sparsegrid import SparseTensor
 
 from helpers import (
     aggregate_branch_one_block, aggregate_branch_two_gathers, bev_from_dense,
-    fps_bruteforce, points_in_box_obj, radius_query_bruteforce,
+    csr, fps_bruteforce, points_in_box_obj, radius_query_bruteforce,
 )
 
 
@@ -144,6 +144,53 @@ ORACLE_CASES = {
     "shell": _shell_cases, "large": _large_cases,
     "non_finite": _non_finite_cases,
 }
+
+
+class TestNeighborLists:
+    FLAT = np.array([4, 9, 1, 1, 7, 3, 0, 2, 8, 5], dtype=np.int64)
+    OFFSETS = np.array([0, 2, 2, 5, 9, 10])
+    LISTS = [[4, 9], [], [1, 1, 7], [3, 0, 2, 8], [5]]
+
+    def test_len_index_and_iteration(self):
+        nl = vsa.NeighborLists(self.FLAT, self.OFFSETS)
+        assert len(nl) == 5
+        assert [a.tolist() for a in nl] == self.LISTS
+        for j in range(-5, 5):
+            assert nl[j].tolist() == self.LISTS[j]
+            assert nl[j].dtype == np.int64 and nl[j].base is self.FLAT
+        assert nl[np.int64(3)].tolist() == self.LISTS[3]
+        for j in (5, -6):
+            with pytest.raises(IndexError):
+                nl[j]
+
+    def test_slice_shares_flat(self):
+        nl = vsa.NeighborLists(self.FLAT, self.OFFSETS)
+        for key in (slice(1, 4), slice(None, 2), slice(3, None), slice(-2, None),
+                    slice(2, 2), slice(4, 1), slice(0, 99)):
+            part = nl[key]
+            assert isinstance(part, vsa.NeighborLists) and part.flat is self.FLAT
+            assert len(part) == len(self.LISTS[key])
+            assert [a.tolist() for a in part] == self.LISTS[key]
+        assert nl[1:4][1:][0].tolist() == [1, 1, 7]
+        with pytest.raises(ValueError):
+            nl[::2]
+
+    def test_empty(self):
+        nl = vsa.NeighborLists(np.empty(0, np.int64), np.zeros(1, np.int64))
+        assert len(nl) == 0 and list(nl) == [] and len(nl[:]) == 0
+        with pytest.raises(IndexError):
+            nl[0]
+        out = vsa.radius_query(np.empty((0, 3)), np.zeros((4, 3)), (0.5, 1.0), 4, seed=0)
+        assert len(out) == 0 and out.offsets.tolist() == [0]
+
+    def test_radius_query_holds_one_index_array(self):
+        rng = np.random.default_rng(49)
+        q, p = rng.normal(size=(30, 3)), rng.normal(size=(200, 3))
+        out = vsa.radius_query(q, p, (0.5, 1.0), 8, seed=0)
+        assert isinstance(out, vsa.NeighborLists)
+        assert out.flat.dtype == np.int64 and out.offsets.shape == (61,)
+        assert out.offsets[0] == 0 and out.offsets[-1] == out.flat.size
+        assert all(nl.base is out.flat for nl in out)
 
 
 class TestRadiusQuery:
@@ -378,6 +425,23 @@ class TestSetAbstraction:
         with pytest.raises(nn.ShapeError):
             vsa.set_abstraction(np.zeros(3), np.ones((2, 7)), np.zeros((2, 3)), mlp)
 
+    def test_xyz_only_mlp_takes_the_max_over_offsets(self):
+        # Zero-width features: the MLP sees the offsets alone.
+        rng = np.random.default_rng(64)
+        mlp = self._mlp(0 + 3, seed=5)
+        pos = rng.normal(size=(5, 3))
+        center = rng.normal(size=3)
+        out = vsa.set_abstraction(center, np.empty((5, 0)), pos, mlp)
+        expect = nn.mlp_forward(mlp, pos - center).max(axis=0)
+        assert expect.any()
+        np.testing.assert_array_equal(out, expect)
+
+    def test_feature_rows_must_match_positions(self):
+        # 10 rows of 3 features for 5 positions must not pass as 5 rows of 6.
+        mlp = self._mlp(6 + 3)
+        with pytest.raises(nn.ShapeError, match=r"\(10, 3\) for 5 positions"):
+            vsa.set_abstraction(np.zeros(3), np.ones((10, 3)), np.zeros((5, 3)), mlp)
+
     def test_batched_engine_matches_single(self):
         rng = np.random.default_rng(62)
         mlp = self._mlp(2 + 3, seed=4)
@@ -385,7 +449,7 @@ class TestSetAbstraction:
         feats = rng.normal(size=(50, 2))
         queries = rng.normal(size=(8, 3)) * 0.5
         neigh = vsa.radius_query(queries, pts, 1.5, 16, seed=5)
-        batched = vsa._aggregate_branch(queries, neigh, np.hstack([feats, pts]), mlp)
+        [batched] = vsa.aggregate([(queries, neigh, np.hstack([feats, pts]), mlp)])
         for i in range(8):
             single = vsa.set_abstraction(queries[i], feats[neigh[i]],
                                          pts[neigh[i]], mlp)
@@ -401,18 +465,19 @@ class TestSetAbstraction:
         pts = rng.normal(size=(50, 3)) * 1e3
         feats = rng.normal(size=(50, width))
         queries = rng.normal(size=(9, 3)) * 1e3
-        neigh = vsa.radius_query(queries, pts, 1500.0, 16, seed=5)
-        neigh[3] = np.empty(0, np.int64)
-        neigh[4] = np.array([7, 7, 2])
-        assert sum(map(len, neigh)) > 16
+        lists = list(vsa.radius_query(queries, pts, 1500.0, 16, seed=5))
+        lists[3] = np.empty(0, np.int64)
+        lists[4] = np.array([7, 7, 2])
+        assert sum(map(len, lists)) > 16
+        neigh = vsa.NeighborLists(*csr(lists))
         np.testing.assert_array_equal(
-            vsa._aggregate_branch(queries, neigh, np.hstack([feats, pts]), mlp),
-            aggregate_branch_two_gathers(queries, neigh, pts, feats, mlp))
+            vsa.aggregate([(queries, neigh, np.hstack([feats, pts]), mlp)])[0],
+            aggregate_branch_two_gathers(queries, lists, pts, feats, mlp))
 
     def test_no_neighbours_anywhere_zero(self):
         mlp = self._mlp(2 + 3)
-        lists = [np.empty(0, np.int64)] * 4
-        out = vsa._aggregate_branch(np.zeros((4, 3)), lists, np.ones((6, 5)), mlp)
+        lists = vsa.NeighborLists(*csr([np.empty(0, np.int64)] * 4))
+        [out] = vsa.aggregate([(np.zeros((4, 3)), lists, np.ones((6, 5)), mlp)])
         np.testing.assert_array_equal(out, np.zeros((4, 6)))
 
 
@@ -472,7 +537,7 @@ class TestRowBlocks:
                                              width, lists):
         monkeypatch.setattr(vsa, "_threads", lambda: threads)
         queries, points, mlp = _branch_case(91, width, lists)
-        got = vsa._aggregate_branch(queries, lists, points, mlp)
+        [got] = vsa.aggregate([(queries, vsa.NeighborLists(*csr(lists)), points, mlp)])
         assert got.shape == (len(lists), 16)
         np.testing.assert_array_equal(
             got, aggregate_branch_one_block(queries, lists, points, mlp))
@@ -481,14 +546,12 @@ class TestRowBlocks:
                              ids=[c[0] for c in BLOCK_CASES])
     def test_block_count_and_sizes(self, name, width, lists):
         # total // per_block blocks of at least per_block rows, one block
-        # below two blocks' rows, and no unit for a call with no row.
-        queries, points, mlp = _branch_case(91, width, lists)
-        units, _ = vsa._branch_units(queries, lists, points, mlp)
+        # below two blocks' rows, and no block for a call with no row.
         total, per_block = sum(map(len, lists)), _per_block(width)
-        assert len(units) == (max(1, total // per_block) if total else 0)
-        sizes = [len(u.args[1]) for u in units]
+        sizes = np.diff(vsa._row_cuts(total, width))
+        assert len(sizes) == (max(1, total // per_block) if total else 0)
         assert sum(sizes) == total
-        if len(units) > 1:
+        if len(sizes) > 1:
             assert min(sizes) >= per_block >= vsa.MIN_BLOCK_ROWS
             assert max(sizes) < 1.5 * per_block + 1
 
@@ -498,10 +561,53 @@ class TestRowBlocks:
         rng = np.random.default_rng(92)
         lists = [rng.integers(0, 3000, size=k) for k in rng.integers(0, 33, size=2048)]
         queries, points, mlp = _branch_case(93, 67, lists)
-        assert len(vsa._branch_units(queries, lists, points, mlp)[0]) >= 4
+        assert len(vsa._row_cuts(sum(map(len, lists)), 67)) - 1 >= 4
         np.testing.assert_array_equal(
-            vsa._aggregate_branch(queries, lists, points, mlp),
+            vsa.aggregate([(queries, vsa.NeighborLists(*csr(lists)), points, mlp)])[0],
             aggregate_branch_one_block(queries, lists, points, mlp))
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_calls_together_equal_each_alone(self, monkeypatch, threads):
+        # Calls 611, 67 and 5 wide, of one block, of several and of none,
+        # in one aggregate: each output equals that call run alone and the
+        # one-block oracle, bit for bit.
+        monkeypatch.setattr(vsa, "_threads", lambda: threads)
+        rng = np.random.default_rng(95)
+        calls, oracles = [], []
+        for width, total in ((611, 3 * _per_block(611) + 1), (67, 40), (5, 0),
+                             (67, 2 * _per_block(67) - 1), (5, 700), (611, 300)):
+            lists = _lists_of_total(rng, total, 700)
+            queries, points, mlp = _branch_case(96 + len(calls), width, lists)
+            calls.append((queries, vsa.NeighborLists(*csr(lists)), points, mlp))
+            oracles.append(aggregate_branch_one_block(queries, lists, points, mlp))
+        together = vsa.aggregate(calls)
+        assert len(together) == len(calls)
+        for call, got, want in zip(calls, together, oracles):
+            np.testing.assert_array_equal(got, vsa.aggregate([call])[0])
+            np.testing.assert_array_equal(got, want)
+        assert vsa.aggregate([]) == []
+
+    def test_shared_outputs_under_frequent_switches(self, monkeypatch):
+        # The blocks of each call write their own rows of one output from
+        # 8 threads that switch every microsecond: a lost or crossed write
+        # shows against the one-block oracle.
+        monkeypatch.setattr(vsa, "_threads", lambda: 8)
+        monkeypatch.setattr(vsa, "ROW_BLOCK_BYTES", 0)
+        rng = np.random.default_rng(97)
+        calls, oracles = [], []
+        for k in range(12):
+            lists = _lists_of_total(rng, int(rng.integers(0, 3000)), 200, cap=8)
+            queries, points, mlp = _branch_case(98 + k, 19, lists)
+            calls.append((queries, vsa.NeighborLists(*csr(lists)), points, mlp))
+            oracles.append(aggregate_branch_one_block(queries, lists, points, mlp))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            together = vsa.aggregate(calls)
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(together, oracles):
+            np.testing.assert_array_equal(got, want)
 
     def test_multi_level_same_bits_at_any_thread_count(self, monkeypatch):
         # Small blocks force several per branch; one thread and four agree.
@@ -560,17 +666,26 @@ class TestOrderedMap:
                 vsa.ordered_map(unit, range(10))
             assert vsa.ordered_map(lambda i: -i, range(10)) == [-i for i in range(10)]
 
-    def test_nested_map_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(vsa, "_threads", lambda: 4)
+    def test_repeated_maps_reuse_the_pool_threads(self, monkeypatch):
+        # Three items that wait for each other run on three threads; twenty
+        # maps later the same threads ran them and no thread was started.
+        monkeypatch.setattr(vsa, "_threads", lambda: 3)
+        monkeypatch.setattr(vsa, "_pool", None)
 
-        def outer(i):
-            me = threading.get_ident()
-            inner = vsa.ordered_map(lambda j: (threading.get_ident(), i * j), range(5))
-            assert all(t == me for t, _ in inner)
-            return [v for _, v in inner]
+        def threads_of_a_map():
+            barrier = threading.Barrier(3, timeout=30)
+            return set(vsa.ordered_map(
+                lambda _: (barrier.wait(), threading.current_thread())[1], range(3)))
 
-        assert vsa.ordered_map(outer, range(8)) == [[i * j for j in range(5)]
-                                                    for i in range(8)]
+        first = threads_of_a_map()
+        before = set(threading.enumerate())
+        try:
+            for _ in range(20):
+                assert threads_of_a_map() == first
+            assert set(threading.enumerate()) == before
+            assert len(first) == 3 and threading.current_thread() in first
+        finally:
+            vsa._pool[1].shutdown()
 
 
 def _tiny_levels(rng, widths=(4, 4, 4, 4)):
@@ -633,9 +748,8 @@ class TestVsaMultiLevel:
         kp = np.array([[0.5, 0.5, 0.5]])
         center = np.array([[0.5, 0.5, 0.5]])
         neigh = vsa.radius_query(kp, center, 0.4, 4, 0)
-        one = vsa._aggregate_branch(kp, neigh, np.hstack([t.features, center]), mlp)
-        two = vsa._aggregate_branch(kp, neigh, np.hstack([2.0 * t.features, center]),
-                                    mlp)
+        one, two = vsa.aggregate([(kp, neigh, np.hstack([t.features, center]), mlp),
+                                  (kp, neigh, np.hstack([2.0 * t.features, center]), mlp)])
         np.testing.assert_allclose(two, 2.0 * one, atol=1e-9)
 
     def test_joint_scaling_homogeneity(self):
@@ -653,9 +767,9 @@ class TestVsaMultiLevel:
         n2 = vsa.radius_query(kp * scale, pts * scale, 0.7 * scale, 64, seed=1)
         for a, b in zip(n1, n2):
             np.testing.assert_array_equal(a, b)
-        out1 = vsa._aggregate_branch(kp, n1, np.hstack([feats, pts]), mlp)
-        out2 = vsa._aggregate_branch(kp * scale, n2,
-                                     np.hstack([scale * feats, pts * scale]), mlp)
+        out1, out2 = vsa.aggregate([
+            (kp, n1, np.hstack([feats, pts]), mlp),
+            (kp * scale, n2, np.hstack([scale * feats, pts * scale]), mlp)])
         np.testing.assert_allclose(out2, scale * out1, rtol=1e-9)
 
 
