@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import evalkit, geom, nn, pipeline, roihead, rpn, sparsegrid, synth, vsa
+from . import evalkit, geom, nn, parallel, pipeline, roihead, rpn, sparsegrid, synth, vsa
 from .config import desk_config
 from .geom import Box3D
 
@@ -142,6 +142,34 @@ def _dense_conv(grid, w, stride):
                             kz : kz + stride * (oz - 1) + 1 : stride]
                 out += sl @ w[kx, ky, kz]
     return out
+
+
+def check_threaded_conv(env):
+    # A backbone over a dense block of voxels, where outputs sum several
+    # taps: each conv on every CPU equals the one-thread loop that adds the
+    # taps' products in tap order, bit for bit.
+    rng = np.random.default_rng(1016)
+    shape = (64, 64, 16)
+    flat = rng.choice(np.prod(shape), size=20_000, replace=False)
+    x = sparsegrid.SparseTensor(1, (0.1,) * 3, (0.0,) * 3, shape,
+                                np.stack(np.unravel_index(flat, shape), 1),
+                                rng.uniform(-1.0, 1.0, size=(20_000, 4)))
+    params = sparsegrid.init_backbone(4, (16, 32, 64, 64), seed=1017)
+    for k, pair in enumerate(params.level_weights):
+        for w, stride in zip(pair, (1 if k == 0 else 2, 1)):
+            mode = "strided" if stride == 2 else "submanifold"
+            out = sparsegrid.sparse_conv(x, w, stride=stride, mode=mode)
+            coords, pairs = sparsegrid._rulebook(x, stride, mode, out.grid_shape)
+            want = np.zeros_like(out.features)
+            for tap, (out_rows, in_rows) in zip(w.reshape(27, *w.shape[3:]), pairs):
+                if out_rows.size:
+                    want[out_rows] += x.features[in_rows] @ tap
+            if not (np.array_equal(out.coords, coords) and np.array_equal(out.features, want)):
+                return False, (f"level {k + 1} {mode} conv of {x.num_voxels} voxels differs "
+                               "from the one-thread tap loop")
+            x = sparsegrid.relu_features(out)
+    return True, (f"8 convs from 20,000 voxels equal to the one-thread tap loop bit for "
+                  f"bit on {parallel._threads()} threads")
 
 
 def check_bev_dense(env):
@@ -307,7 +335,7 @@ def check_row_blocks(env):
         if not np.array_equal(got, wants[k]):
             return False, f"call {k} of {len(calls)} in one aggregate differs from one block"
     return True, (f"{len(calls)} calls equal to one block bit for bit, alone and in one "
-                  f"aggregate, on {vsa._threads()} threads")
+                  f"aggregate, on {parallel._threads()} threads")
 
 
 def check_confidence_mapping(env):
@@ -357,6 +385,7 @@ CHECKS = [
     ("geom.nms_permutation", check_nms_permutation),
     ("geom.roi_grid_points", check_roi_grid_points),
     ("sparse.conv_vs_dense", check_sparse_conv_dense),
+    ("sparse.threaded_conv_vs_serial", check_threaded_conv),
     ("sparse.bev_vs_dense", check_bev_dense),
     ("sparse.voxelize_permutation", check_voxelize_permutation),
     ("nn.gradients_vs_fd", check_mlp_gradients),

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, geom, nn, rpn
-from .vsa import aggregate, ordered_map, radius_query
+from .parallel import ordered_map
+from .vsa import aggregate, radius_query
 
 GRID_POINTS = config.GRID_RESOLUTION**3
 
@@ -37,7 +38,7 @@ def roi_grid_pool(
 
     Then each RoI makes one vsa.aggregate call per radius over its 216
     grid points, and all 2R calls run as one aggregate. The pool MLP runs
-    on one RoI's row at a time through vsa.ordered_map. Neither output
+    on one RoI's row at a time through parallel.ordered_map. Neither output
     depends on the thread count.
 
     Returns:

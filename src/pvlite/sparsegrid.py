@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .parallel import ordered_fold, ordered_map
+
 
 class GridConfigError(ValueError):
     """Raised on inconsistent grid / weight configuration."""
@@ -154,40 +156,45 @@ _DELTAS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
 
 def _rulebook(inp: SparseTensor, stride: int, mode: str, out_shape):
     """Output coordinates and, per tap, the (out rows, in rows) it pairs,
-    both ascending.
+    both ascending. Each tap's look-up is one ordered_map unit.
 
-    Submanifold: the input keys shifted by the 13 taps before the centre
-    are looked up at once; tap 26 - n is tap n with its pairs swapped.
-    Strided: every input lists the outputs whose window holds it (at most
-    3 per axis) and the tap it falls under.
+    Submanifold: each of the 13 taps before the centre shifts the input
+    keys by its delta (inputs whose shifted coordinate leaves the grid
+    drop out) and looks them up with one searchsorted; tap 26 - n is tap n
+    with its pairs swapped. Strided: each tap lists the inputs it falls
+    under and the outputs whose window holds them (at most 3 per axis
+    hold an input); one unique over all taps gives the output set.
     """
-    coords, n_in = inp.coords, inp.num_voxels
+    coords, n_in, shape = inp.coords, inp.num_voxels, inp.grid_shape
     if mode == "submanifold":
-        keys = _pack(coords, inp.grid_shape)
-        near = coords[:, None] + _DELTAS[:13]
-        tap, row = np.nonzero(((near >= 0) & (near < inp.grid_shape)).all(axis=2).T)
-        want = _pack(near[row, tap], inp.grid_shape)
-        pos = np.minimum(np.searchsorted(keys, want), n_in - 1)
-        hit = keys[pos] == want
-        bounds = np.searchsorted(tap[hit], np.arange(1, 13))
-        pairs = list(zip(np.split(row[hit], bounds), np.split(pos[hit], bounds)))
+        keys, step = _pack(coords, shape), np.array([shape[1] * shape[2], shape[2], 1])
+
+        def lower(delta):  # in-grid coordinates shift their row-major key by delta @ step
+            near = coords + delta
+            row = np.flatnonzero(((near >= 0) & (near < shape)).all(axis=1))
+            want = keys[row] + delta @ step
+            pos = np.minimum(np.searchsorted(keys, want), n_in - 1)
+            hit = keys[pos] == want
+            return row[hit], pos[hit]
+
+        pairs = ordered_map(lower, _DELTAS[:13])
         centre = np.arange(n_in)
         return coords, pairs + [(centre, centre)] + [(i, o) for o, i in pairs[::-1]]
     # Output o takes input c under tap n when o * stride + delta = c.
     num = coords[:, :, None] - np.arange(-1, 2)  # (N, axis, delta + 1)
     fits = (num % stride == 0) & (num >= 0) & (num // stride < np.reshape(out_shape, (3, 1)))
     num //= stride
-    fits = fits[:, 0, :, None, None] & fits[:, 1, None, :, None] & fits[:, 2, None, None, :]
-    # Tap-major, inputs ascending: within a tap the outputs ascend with them.
-    tap, row = np.nonzero(fits.reshape(n_in, 27).T)
-    off = _DELTAS[tap] + 1
-    out_keys = np.ravel_multi_index(
-        [num[row, a, off[:, a]] for a in range(3)], out_shape)
-    keys = np.unique(out_keys)
-    bounds = np.searchsorted(tap, np.arange(1, 27))
+
+    def listed(delta):  # inputs ascending, so their outputs ascend with them
+        i, j, k = delta + 1
+        row = np.flatnonzero(fits[:, 0, i] & fits[:, 1, j] & fits[:, 2, k])
+        return row, np.ravel_multi_index((num[row, 0, i], num[row, 1, j], num[row, 2, k]),
+                                         out_shape)
+
+    taps = ordered_map(listed, _DELTAS)
+    keys = np.unique(np.concatenate([out_keys for _, out_keys in taps]))
     out_coords = np.stack(np.unravel_index(keys, out_shape), axis=1).astype(np.int64)
-    return out_coords, list(zip(np.split(np.searchsorted(keys, out_keys), bounds),
-                                np.split(row, bounds)))
+    return out_coords, ordered_map(lambda tap: (np.searchsorted(keys, tap[1]), tap[0]), taps)
 
 
 def sparse_conv(
@@ -199,6 +206,13 @@ def sparse_conv(
     stride 1. Strided mode emits outputs at every site whose 3x3x3 input
     window contains at least one active voxel. Either way the values equal
     a dense zero-padded convolution restricted to the active output set.
+
+    The rulebook's per-tap look-ups and the taps' products
+    (features[in rows] @ tap) run on every CPU. Each product is added into
+    its output rows strictly in tap order (parallel.ordered_fold), so every
+    output row sums its taps in the order one thread would: the result is
+    the same bits at any thread count, and at most one product per thread
+    is held at a time.
 
     Args:
         inp: input tensor.
@@ -233,9 +247,17 @@ def sparse_conv(
 
     out_coords, pairs = _rulebook(inp, stride, mode, out_shape)
     out_feats = np.zeros((out_coords.shape[0], c_out))
-    for tap, (out_rows, in_rows) in zip(w.reshape(27, w.shape[3], c_out), pairs):
-        if out_rows.size:
-            out_feats[out_rows] += inp.features[in_rows] @ tap
+    taps = w.reshape(27, w.shape[3], c_out)
+
+    def product(t):
+        out_rows, in_rows = pairs[t]
+        return out_rows, inp.features[in_rows] @ taps[t]
+
+    def add(rows_product):
+        out_rows, prod = rows_product
+        out_feats[out_rows] += prod
+
+    ordered_fold(product, add, [t for t in range(27) if pairs[t][0].size])
     return SparseTensor.trusted(out_level, out_vsize, inp.origin, out_shape,
                                 out_coords, out_feats)
 

@@ -10,8 +10,6 @@ rescales each keypoint row by a learned foreground score.
 from __future__ import annotations
 
 import itertools
-import os
-import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -19,6 +17,7 @@ import numpy as np
 
 from . import geom, nn, rpn
 from .config import RAW_CAP, RAW_RADII, VSA_CAPS, VSA_RADII
+from .parallel import ordered_map
 from .sparsegrid import BevMap, SparseTensor, bilinear_sample, voxel_centers
 
 
@@ -30,14 +29,18 @@ def fps(points: np.ndarray, n: int) -> np.ndarray:
     has fewer than n points the selected order repeats cyclically.
 
     Args:
-        points: (N, 3) positions, N >= 1.
-        n: number of indices to return.
+        points: (N, 3) positions, N >= 1 unless n is 0.
+        n: number of indices to return, >= 0.
 
     Returns:
-        (n,) int array of indices into points.
+        (n,) int64 array of indices into points.
     """
+    if n < 0:
+        raise ValueError(f"fps needs n >= 0, got {n}")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     num = pts.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
     if num == 0:
         raise ValueError("fps requires at least one point")
     distinct = min(n, num)
@@ -193,7 +196,8 @@ class NeighborLists:
         return (self.flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
-# Most (query, point) pairs and query-cell keys radius_query holds at once.
+# Most (query, point) pairs, and query-column key ranges, radius_query
+# holds at once.
 QUERY_CHUNK_PAIRS = 60_000
 
 
@@ -213,11 +217,19 @@ def radius_query(
     neighbors. A query with more than `cap` neighbors at a radius keeps a
     seeded uniform subsample of exactly `cap`.
 
+    Cell keys are mixed radix with z innermost, so the occupied cells of
+    one (x, y) column within a query's z reach are one run of sorted keys:
+    a query finds its candidates with 9 key-range searches. Queries go in
+    slices of QUERY_CHUNK_PAIRS // 9; each slice's candidates are cut into
+    chunks of at most QUERY_CHUNK_PAIRS pairs (whole queries), and the
+    chunks (gather, distance test, sort, cap draws) run as ordered_map
+    units on every CPU. The lists do not depend on the thread count.
+
     Args:
         queries: (M, 3).
         points: (N, 3).
-        radii: a radius or a tuple of radii, meters, each > 0.
-        cap: max neighbors per query and radius.
+        radii: a radius or a non-empty tuple of radii, meters, each > 0.
+        cap: max neighbors per query and radius, >= 0.
         seed: an int, where query i at radius index r subsamples from the
             stream [seed + r, i], or an (M, 2) int array whose row i keys
             query i's streams as [row[0] + r, row[1]].
@@ -228,8 +240,10 @@ def radius_query(
         at radii[r].
     """
     radii = np.ravel(radii).astype(float)
-    if not (radii > 0).all():
-        raise ValueError(f"radius must be positive, got {radii}")
+    if radii.size == 0 or not (radii > 0).all():
+        raise ValueError(f"radii must be one or more positive radii, got {radii}")
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     q = np.asarray(queries, dtype=float).reshape(-1, 3)
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     m, n = q.shape[0], p.shape[0]
@@ -249,9 +263,9 @@ def radius_query(
     scale = max(np.abs(p[ok_p]).max(), np.abs(q[ok_q]).max())
     width = radii.max() * (1.0 + 1e-9) + 1e-12 * scale
     pcell = np.floor(p[ok_p] / width).astype(np.int64)
-    # Keys of a cell and of the 27 around each query: mixed radix of per-axis
-    # ranks among occupied coordinates, below (N + 1)**3 however far apart
-    # the points are. A coordinate no point has ranks vals.size: no match.
+    # Cell keys: mixed radix of per-axis ranks among occupied coordinates,
+    # below (N + 1)**3 however far apart the points are. An x or y no point
+    # has ranks vals.size, a column no key falls in.
     vals = [np.unique(pcell[:, a]) for a in range(3)]
     pkey = np.zeros(ok_p.size, dtype=np.int64)
     for a in range(3):
@@ -260,54 +274,67 @@ def radius_query(
     point_of, pkey = ok_p[order], pkey[order]
     # Contiguous x, y, z rows: (dx² + dy²) + dz² in place, as in fps.
     pc, qc = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
+
+    def chunk(qb, lo, run, cand):
+        """The capped lists of queries qb at every radius, from the
+        candidate runs run starting at sorted positions lo: (list sizes
+        (radii, queries), one flat index array per radius)."""
+        counts = run.ravel()
+        pos = np.repeat(lo.ravel() - np.cumsum(counts) + counts, counts)
+        pidx = point_of[pos + np.arange(pos.size)]
+        qidx = np.repeat(qb, cand)
+        d = pc.take(pidx, axis=1)
+        d -= qc.take(qidx, axis=1)
+        d *= d
+        d2 = d[0] + d[1]
+        d2 += d[2]
+        keep = [np.flatnonzero(d2 < radius * radius) for radius in radii]
+        part = np.concatenate(  # (radius * m + query) * n + point, ascending
+            [np.sort((r * m + qidx[k]) * n + pidx[k]) for r, k in enumerate(keep)])
+        lists = (np.arange(radii.size)[:, None] * m + qb).ravel()
+        first = np.searchsorted(part, lists * n)
+        found = np.diff(np.append(first, part.size))
+        over = np.flatnonzero(found > cap)  # every capped list of the chunk: one draw
+        rad, qi = np.divmod(lists[over], m)
+        keys = seed[qi]
+        keys[:, 0] += rad.astype(seed.dtype)
+        kept = np.repeat(found <= cap, found)  # False where a cap drops a pair
+        kept[(first[over, None] + cap_draws(keys, found[over], cap)).ravel()] = True
+        sizes = np.minimum(found, cap).reshape(radii.size, -1)
+        return sizes, np.split(part[kept] % n, np.cumsum(sizes.sum(axis=1))[:-1])
+
     flats = [[np.empty(0, dtype=np.int64)] for _ in radii]  # capped, query order
     lens = np.zeros((radii.size, m), dtype=np.int64)
-    step = QUERY_CHUNK_PAIRS // 27  # queries whose 27 cell keys are held at once
+    step = QUERY_CHUNK_PAIRS // 9  # queries whose 9 column key ranges are held at once
     for b in range(0, ok_q.size, step):
         qb = ok_q[b : b + step]
         qcell = np.floor(q[qb] / width).astype(np.int64)
-        qkey = np.zeros((qb.size, 1), dtype=np.int64)
-        for a in range(3):
+        column = np.zeros((qb.size, 1), dtype=np.int64)
+        for a in range(2):
             near = qcell[:, a, None] + np.arange(-1, 2)
             rank = np.searchsorted(vals[a], near)
             rank[vals[a][np.minimum(rank, vals[a].size - 1)] != near] = vals[a].size
-            qkey = (qkey[:, :, None] * (vals[a].size + 1)
-                    + rank[:, None]).reshape(qb.size, -1)
-        lo = np.searchsorted(pkey, qkey)
-        run = np.searchsorted(pkey, qkey, side="right") - lo
+            column = (column[:, :, None] * (vals[a].size + 1)
+                      + rank[:, None]).reshape(qb.size, -1)
+        column *= vals[2].size + 1
+        # The occupied z in [c - 1, c + 1] rank z_lo to z_hi - 1.
+        z_lo = np.searchsorted(vals[2], qcell[:, 2] - 1)
+        z_hi = np.searchsorted(vals[2], qcell[:, 2] + 1, side="right")
+        lo = np.searchsorted(pkey, column + z_lo[:, None])
+        run = np.searchsorted(pkey, column + z_hi[:, None]) - lo
         cand = run.sum(axis=1)
         bound = np.concatenate([[0], np.cumsum(cand)])
-        s = 0
-        while s < qb.size:  # chunks of at most QUERY_CHUNK_PAIRS candidates
-            e = np.searchsorted(bound, bound[s] + QUERY_CHUNK_PAIRS, side="right")
-            e = max(int(e) - 1, s + 1)
-            counts = run[s:e].ravel()
-            pos = np.repeat(lo[s:e].ravel() - np.cumsum(counts) + counts, counts)
-            pidx = point_of[pos + np.arange(pos.size)]
-            qidx = np.repeat(qb[s:e], cand[s:e])
-            d = pc.take(pidx, axis=1)
-            d -= qc.take(qidx, axis=1)
-            d *= d
-            d2 = d[0] + d[1]
-            d2 += d[2]
-            keep = [np.flatnonzero(d2 < radius * radius) for radius in radii]
-            part = np.concatenate(  # (radius * m + query) * n + point, ascending
-                [np.sort((r * m + qidx[k]) * n + pidx[k]) for r, k in enumerate(keep)])
-            lists = (np.arange(radii.size)[:, None] * m + qb[s:e]).ravel()
-            first = np.searchsorted(part, lists * n)
-            found = np.diff(np.append(first, part.size))
-            over = np.flatnonzero(found > cap)  # every capped list of the chunk: one draw
-            rad, qi = np.divmod(lists[over], m)
-            keys = seed[qi]
-            keys[:, 0] += rad.astype(seed.dtype)
-            kept = np.repeat(found <= cap, found)  # False where a cap drops a pair
-            kept[(first[over, None] + cap_draws(keys, found[over], cap)).ravel()] = True
-            sizes = np.minimum(found, cap).reshape(radii.size, -1)
+        cuts = [0]
+        while cuts[-1] < qb.size:  # chunks of at most QUERY_CHUNK_PAIRS candidates
+            e = np.searchsorted(bound, bound[cuts[-1]] + QUERY_CHUNK_PAIRS, side="right")
+            cuts.append(max(int(e) - 1, cuts[-1] + 1))
+        spans = list(zip(cuts[:-1], cuts[1:]))
+        done = ordered_map(lambda se: chunk(qb[se[0] : se[1]], lo[se[0] : se[1]],
+                                            run[se[0] : se[1]], cand[se[0] : se[1]]), spans)
+        for (s, e), (sizes, per_radius) in zip(spans, done):
             lens[:, qb[s:e]] = sizes
-            ends = np.cumsum(sizes.sum(axis=1))[:-1]
-            for r, flat in enumerate(np.split(part[kept] % n, ends)):
+            for r, flat in enumerate(per_radius):
                 flats[r].append(flat)
-            s = e
     return NeighborLists(np.concatenate([f for per_radius in flats for f in per_radius]),
                          np.concatenate([[0], np.cumsum(lens)]))
 
@@ -337,61 +364,6 @@ def set_abstraction(
 # fewer unlike the same row in a long product, and alike from about 127 on.
 ROW_BLOCK_BYTES = 4 << 20
 MIN_BLOCK_ROWS = 512
-
-_pool = None  # (workers, concurrent.futures.ThreadPoolExecutor), made on first use
-
-
-def _threads() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def ordered_map(fn, items) -> list:
-    """[fn(x) for x in items], run on every CPU the process may use.
-
-    The calling thread is one of the threads, and each takes the next item
-    in order. The other threads come from one pool, made on first use and
-    kept for later calls. Results come back in item order, so a caller that
-    writes only what fn returns, or rows that one item alone writes, gets
-    the same bits at any thread count. The first item to raise (in item
-    order) raises here, after every running item is done; the pool stays
-    usable.
-    """
-    global _pool
-    items = list(items)
-    threads = min(_threads(), len(items))
-    if threads < 2:
-        return [fn(x) for x in items]
-    if _pool is None or _pool[0] < threads - 1:
-        from concurrent.futures import ThreadPoolExecutor
-        if _pool is not None:
-            _pool[1].shutdown(wait=False)
-        _pool = (threads - 1, ThreadPoolExecutor(threads - 1, "pvlite"))
-    results, errors = [None] * len(items), {}
-    lock, order = threading.Lock(), iter(range(len(items)))
-
-    def drain():
-        while not errors:
-            with lock:
-                i = next(order, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:
-                errors[i] = exc
-
-    helpers = [_pool[1].submit(drain) for _ in range(threads - 1)]
-    drain()
-    for h in helpers:  # one that never started has nothing left to do
-        if not h.cancel():
-            h.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
 
 def _row_cuts(total: int, width: int) -> np.ndarray:
     """Block boundaries of a call's total gathered rows, width floats each:

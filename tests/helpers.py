@@ -2,7 +2,8 @@
 
 Each oracle recomputes a result by a different algorithm than the library
 path it checks (sampling for areas, one Python polygon clip per box pair
-for rotated IoU, dense convolution for sparse, a dense BEV array for the
+for rotated IoU, dense convolution for sparse, one thread adding the
+taps in order for threaded sparse convolution, a dense BEV array for the
 occupied-rows map, full recomputation for incremental FPS, a
 list-of-Detection loop for NMS, separate feature and offset gathers for
 set abstraction, one gather and one MLP pass for row-blocked set
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from pvlite import geom, nn, rpn
+from pvlite import sparsegrid as sg
 from pvlite.config import GRID_RESOLUTION, PROPOSAL_NMS_IOU
 from pvlite.geom import CLIP_TOL, Box3D, Detection
 from pvlite.sparsegrid import BevMap
@@ -225,7 +227,17 @@ def rulebook_lookup(inp, stride: int, mode: str):
 def sparse_conv_lookup(inp, weights, stride: int, mode: str):
     """(coords, features) of sparse_conv from rulebook_lookup, with the same
     per-tap products in the same order."""
-    out_coords, pairs = rulebook_lookup(inp, stride, mode)
+    return _tap_loop(inp, weights, *rulebook_lookup(inp, stride, mode))
+
+
+def sparse_conv_serial(inp, weights, stride: int, mode: str):
+    """(coords, features) of sparse_conv from its own rulebook on one
+    thread: each tap's product added into the output in tap order."""
+    out_shape = tuple(-(-n // stride) for n in inp.grid_shape)
+    return _tap_loop(inp, weights, *sg._rulebook(inp, stride, mode, out_shape))
+
+
+def _tap_loop(inp, weights, out_coords, pairs):
     taps = weights.reshape(27, weights.shape[3], weights.shape[4])
     out = np.zeros((out_coords.shape[0], weights.shape[4]))
     for tap, (out_rows, in_rows) in zip(taps, pairs):

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pvlite import nn, pipeline, rpn, synth, vsa
+from pvlite import nn, parallel, pipeline, rpn, synth, vsa
 from pvlite.config import default_config, desk_config
 from pvlite.roihead import RefineTargets
 from pvlite.sparsegrid import (
@@ -148,7 +148,7 @@ class TestRunScene:
 def _one_then_many_threads(monkeypatch, run):
     """run() with one thread and default blocks, then with four threads and
     MIN_BLOCK_ROWS-row blocks; asserts some branch call was cut in blocks."""
-    monkeypatch.setattr(vsa, "_threads", lambda: 1)
+    monkeypatch.setattr(parallel, "_threads", lambda: 1)
     one = run()
     cut, row_cuts = [], vsa._row_cuts
 
@@ -157,7 +157,7 @@ def _one_then_many_threads(monkeypatch, run):
         cut.append(len(found) > 2)
         return found
 
-    monkeypatch.setattr(vsa, "_threads", lambda: 4)
+    monkeypatch.setattr(parallel, "_threads", lambda: 4)
     monkeypatch.setattr(vsa, "ROW_BLOCK_BYTES", 0)
     monkeypatch.setattr(vsa, "_row_cuts", spy)
     many = run()
@@ -169,8 +169,16 @@ class TestThreadCount:
     """Outputs are the same bits at any thread count and block size."""
 
     def test_run_scene(self, model, anchors, scene, monkeypatch):
+        levels, backbone = [], pipeline.run_backbone
+        monkeypatch.setattr(pipeline, "run_backbone",
+                            lambda *args: levels.append(backbone(*args)) or levels[-1])
         one, many = _one_then_many_threads(
             monkeypatch, lambda: pipeline.run_scene(scene, model, CFG, anchors, seed=1))
+        assert len(levels) == 2
+        for a, b in zip(*levels):
+            assert a.num_voxels > 0
+            np.testing.assert_array_equal(a.coords, b.coords)
+            np.testing.assert_array_equal(a.features, b.features)
         assert len(one.detections) == len(many.detections) > 0
         for a, b in zip(one.detections, many.detections):
             assert (a.score, a.class_id) == (b.score, b.class_id)

@@ -2,16 +2,20 @@
 backbone shapes, BEV collapse and bilinear sampling."""
 
 import dataclasses
+import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from pvlite import parallel
 from pvlite import sparsegrid as sg
 
 from helpers import (
     bev_from_dense, bev_to_dense, dense_bev, dense_conv3d,
-    rulebook_lookup, sparse_conv_lookup, sparse_to_dense,
+    rulebook_lookup, sparse_conv_lookup, sparse_conv_serial, sparse_to_dense,
 )
 
 RANGE_MIN = (0.0, 0.0, 0.0)
@@ -237,6 +241,65 @@ class TestRulebook:
                                       out.grid_shape, out.coords, out.features)
             assert np.array_equal(checked.coords, out.coords)
             assert np.array_equal(checked.features, out.features)
+
+
+class _FailingProduct(np.ndarray):
+    """Feature rows whose sixth tap product raises."""
+
+    products = itertools.count()
+
+    def __matmul__(self, other):
+        if next(self.products) == 5:
+            raise RuntimeError("tap product failed")
+        return np.asarray(self) @ other
+
+
+class TestThreadedConv:
+    """Tap products run on every thread and add in tap order."""
+
+    @pytest.mark.parametrize("mode,stride", CONV_KINDS)
+    def test_same_bits_as_serial_at_1_and_4_threads(self, mode, stride, monkeypatch):
+        # Dense enough that outputs sum several taps, so an add out of tap
+        # order changes bits; a thread switch every microsecond.
+        rng = np.random.default_rng(61)
+        t = faced_sparse(rng, (24, 20, 16), 0.3, width=16)
+        w = rng.normal(size=(3, 3, 3, 16, 24))
+        want_coords, want_feats = sparse_conv_serial(t, w, stride, mode)
+        interval = sys.getswitchinterval()
+        for threads in (1, 4):
+            monkeypatch.setattr(parallel, "_threads", lambda: threads)
+            sys.setswitchinterval(1e-6)
+            try:
+                out = sg.sparse_conv(t, w, stride=stride, mode=mode)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(out.coords, want_coords)
+            assert np.array_equal(out.features, want_feats)  # bitwise
+
+    def test_failing_tap_product_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_threads", lambda: 4)
+        monkeypatch.setattr(_FailingProduct, "products", itertools.count())
+        rng = np.random.default_rng(62)
+        t = faced_sparse(rng, (12, 12, 12), 0.3, width=4)
+        failing = sg.SparseTensor.trusted(
+            t.level_index, t.voxel_size.copy(), t.origin.copy(), t.grid_shape,
+            t.coords.copy(), t.features.copy().view(_FailingProduct))
+        w = rng.normal(size=(3, 3, 3, 4, 5))
+        raised = []
+
+        def conv():
+            try:
+                sg.sparse_conv(failing, w)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        worker = threading.Thread(target=conv, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "a unit still waits for the failed tap's turn"
+        assert [str(e) for e in raised] == ["tap product failed"]
+        out = sg.sparse_conv(t, w)  # the pool still runs the next conv
+        assert np.array_equal(out.features, sparse_conv_serial(t, w, 1, "submanifold")[1])
 
 
 class TestBackbone:

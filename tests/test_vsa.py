@@ -2,14 +2,16 @@
 brute-force oracles, permutation/translation invariance, multi-level
 feature widths and predicted keypoint weighting."""
 
+import itertools
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from pvlite import nn, rpn, vsa
+from pvlite import nn, parallel, rpn, vsa
 from pvlite.geom import Box3D
 from pvlite.sparsegrid import SparseTensor
 
@@ -64,6 +66,15 @@ class TestFps:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             vsa.fps(np.empty((0, 3)), 1)
+
+    def test_zero_picks_nothing(self):
+        for pts in (np.ones((5, 3)), np.empty((0, 3))):
+            idx = vsa.fps(pts, 0)
+            assert idx.shape == (0,) and idx.dtype == np.int64
+
+    def test_negative_count_raises(self):
+        with pytest.raises(ValueError, match="n >= 0"):
+            vsa.fps(np.ones((5, 3)), -1)
 
     @pytest.mark.parametrize("n", [1, 30, 97, 250])
     def test_matches_bruteforce_on_duplicates_and_ties(self, n):
@@ -129,6 +140,31 @@ def _large_cases():  # M * N above 2e6, candidates over many chunks
            rng.uniform(-3, 3, size=(2000, 3)), 1.2, 32, 7)
 
 
+def _z_column_cases():
+    # Cells are a hair over one radius wide: queries in cell (0, 0, 0) and
+    # points in whole cells around it.
+    rng = np.random.default_rng(59)
+    q = rng.uniform(0.05, 0.95, size=(40, 3))
+
+    def cloud(xs, ys, zs, per_cell=5):
+        cells = np.array(list(itertools.product(xs, ys, zs)))
+        return np.repeat(cells, per_cell, axis=0) + rng.uniform(
+            0.05, 0.95, size=(len(cells) * per_cell, 3))
+
+    near = (-1, 0, 1)
+    yield q, cloud(near, near, (-2, -1, 1, 2)), 1.0, 10_000, 10  # no point in z cell c
+    yield q, cloud(near, near, (-2, -1, 1, 2)), 1.0, 6, 10  # the same, capped
+    yield q, cloud(near, near, (-2, 2)), 1.0, 10_000, 10  # none in reach of c
+    yield q, cloud(near, near, (-1, 2)), 1.0, 10_000, 10  # c - 1 only in reach
+    yield q, cloud(near, near, (-2, 1)), 1.0, 10_000, 10  # c + 1 only in reach
+    yield q, cloud((-1, 0, 3), (0, 2), near), 1.0, 10_000, 10  # x + 1, y +- 1 missing
+    yield q, cloud((-3, 1), (-1, 1), near), 1.0, 10_000, 10  # no x = 0 or y = 0 column
+    flat = np.column_stack([rng.uniform(-3, 3, size=(300, 2)), np.full(300, 0.3)])
+    high = np.column_stack([rng.uniform(-3, 3, size=(80, 2)), rng.uniform(-2.5, 2.5, size=80)])
+    yield high, flat, 1.0, 10_000, 11  # one z value
+    yield high, flat, 1.0, 8, 11
+
+
 def _non_finite_cases():
     rng = np.random.default_rng(56)
     q = rng.uniform(-1, 1, size=(30, 3))
@@ -142,7 +178,7 @@ ORACLE_CASES = {
     "uniform": _uniform_cases, "capped": _capped_cases,
     "negative": _negative_cases, "far_from_origin": _far_cases,
     "shell": _shell_cases, "large": _large_cases,
-    "non_finite": _non_finite_cases,
+    "non_finite": _non_finite_cases, "z_columns": _z_column_cases,
 }
 
 
@@ -312,6 +348,12 @@ class TestRadiusQuery:
     def test_radius_pair_rejects_non_positive(self):
         with pytest.raises(ValueError):
             vsa.radius_query(np.zeros((1, 3)), np.zeros((1, 3)), (0.5, 0.0), 4, 0)
+
+    def test_rejects_no_radius_and_negative_cap(self):
+        with pytest.raises(ValueError, match="radii"):
+            vsa.radius_query(np.zeros((1, 3)), np.zeros((1, 3)), (), 4, 0)
+        with pytest.raises(ValueError, match="cap"):
+            vsa.radius_query(np.zeros((1, 3)), np.zeros((1, 3)), 1.0, -1, 0)
 
 
 SPECIAL_KEYS = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1)
@@ -535,7 +577,7 @@ class TestRowBlocks:
                              ids=[c[0] for c in BLOCK_CASES])
     def test_blocked_equals_one_block_oracle(self, monkeypatch, threads, name,
                                              width, lists):
-        monkeypatch.setattr(vsa, "_threads", lambda: threads)
+        monkeypatch.setattr(parallel, "_threads", lambda: threads)
         queries, points, mlp = _branch_case(91, width, lists)
         [got] = vsa.aggregate([(queries, vsa.NeighborLists(*csr(lists)), points, mlp)])
         assert got.shape == (len(lists), 16)
@@ -557,7 +599,7 @@ class TestRowBlocks:
 
     def test_kitti_size_keypoint_branch(self, monkeypatch):
         # 2048 keypoints, up to 32 rows each, 67 wide: several blocks.
-        monkeypatch.setattr(vsa, "_threads", lambda: 2)
+        monkeypatch.setattr(parallel, "_threads", lambda: 2)
         rng = np.random.default_rng(92)
         lists = [rng.integers(0, 3000, size=k) for k in rng.integers(0, 33, size=2048)]
         queries, points, mlp = _branch_case(93, 67, lists)
@@ -571,7 +613,7 @@ class TestRowBlocks:
         # Calls 611, 67 and 5 wide, of one block, of several and of none,
         # in one aggregate: each output equals that call run alone and the
         # one-block oracle, bit for bit.
-        monkeypatch.setattr(vsa, "_threads", lambda: threads)
+        monkeypatch.setattr(parallel, "_threads", lambda: threads)
         rng = np.random.default_rng(95)
         calls, oracles = [], []
         for width, total in ((611, 3 * _per_block(611) + 1), (67, 40), (5, 0),
@@ -591,7 +633,7 @@ class TestRowBlocks:
         # The blocks of each call write their own rows of one output from
         # 8 threads that switch every microsecond: a lost or crossed write
         # shows against the one-block oracle.
-        monkeypatch.setattr(vsa, "_threads", lambda: 8)
+        monkeypatch.setattr(parallel, "_threads", lambda: 8)
         monkeypatch.setattr(vsa, "ROW_BLOCK_BYTES", 0)
         rng = np.random.default_rng(97)
         calls, oracles = [], []
@@ -615,29 +657,29 @@ class TestRowBlocks:
         tensors = _tiny_levels(rng, widths=(16, 32, 64, 64))
         mlps = _mlps_for(tensors, out_width=32)
         kp = rng.uniform(0, 3, size=(300, 3))
-        monkeypatch.setattr(vsa, "_threads", lambda: 1)
+        monkeypatch.setattr(parallel, "_threads", lambda: 1)
         one = vsa.vsa_multi_level(kp, tensors, mlps, 5)
-        monkeypatch.setattr(vsa, "_threads", lambda: 4)
+        monkeypatch.setattr(parallel, "_threads", lambda: 4)
         monkeypatch.setattr(vsa, "ROW_BLOCK_BYTES", 0)
         np.testing.assert_array_equal(vsa.vsa_multi_level(kp, tensors, mlps, 5), one)
 
 
 class TestOrderedMap:
     def test_results_in_item_order(self, monkeypatch):
-        monkeypatch.setattr(vsa, "_threads", lambda: 4)
-        assert vsa.ordered_map(lambda x: x * x, range(50)) == [x * x for x in range(50)]
-        assert vsa.ordered_map(lambda x: x, []) == []
+        monkeypatch.setattr(parallel, "_threads", lambda: 4)
+        assert parallel.ordered_map(lambda x: x * x, range(50)) == [x * x for x in range(50)]
+        assert parallel.ordered_map(lambda x: x, []) == []
 
     def test_items_run_at_once(self, monkeypatch):
         # Each item waits for the other: only two threads at once get past.
-        monkeypatch.setattr(vsa, "_threads", lambda: 2)
+        monkeypatch.setattr(parallel, "_threads", lambda: 2)
         barrier = threading.Barrier(2, timeout=30)
-        assert vsa.ordered_map(lambda x: (barrier.wait(), x)[1], [1, 2]) == [1, 2]
+        assert parallel.ordered_map(lambda x: (barrier.wait(), x)[1], [1, 2]) == [1, 2]
 
     def test_each_item_runs_once_under_frequent_switches(self, monkeypatch):
         # More threads than cores and a thread switch every microsecond: an
         # item handed out twice, or a result lost, shows in the counts.
-        monkeypatch.setattr(vsa, "_threads", lambda: 8)
+        monkeypatch.setattr(parallel, "_threads", lambda: 8)
         runs = [0] * 3000
 
         def unit(i):
@@ -647,14 +689,14 @@ class TestOrderedMap:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = vsa.ordered_map(unit, range(3000))
+            got = parallel.ordered_map(unit, range(3000))
         finally:
             sys.setswitchinterval(interval)
         assert got == [-i for i in range(3000)]
         assert runs == [1] * 3000
 
     def test_error_reaches_caller_and_pool_stays_usable(self, monkeypatch):
-        monkeypatch.setattr(vsa, "_threads", lambda: 3)
+        monkeypatch.setattr(parallel, "_threads", lambda: 3)
 
         def unit(i):
             if i in (3, 7):
@@ -663,18 +705,18 @@ class TestOrderedMap:
 
         for _ in range(3):
             with pytest.raises(ValueError, match="unit 3"):
-                vsa.ordered_map(unit, range(10))
-            assert vsa.ordered_map(lambda i: -i, range(10)) == [-i for i in range(10)]
+                parallel.ordered_map(unit, range(10))
+            assert parallel.ordered_map(lambda i: -i, range(10)) == [-i for i in range(10)]
 
     def test_repeated_maps_reuse_the_pool_threads(self, monkeypatch):
         # Three items that wait for each other run on three threads; twenty
         # maps later the same threads ran them and no thread was started.
-        monkeypatch.setattr(vsa, "_threads", lambda: 3)
-        monkeypatch.setattr(vsa, "_pool", None)
+        monkeypatch.setattr(parallel, "_threads", lambda: 3)
+        monkeypatch.setattr(parallel, "_pool", None)
 
         def threads_of_a_map():
             barrier = threading.Barrier(3, timeout=30)
-            return set(vsa.ordered_map(
+            return set(parallel.ordered_map(
                 lambda _: (barrier.wait(), threading.current_thread())[1], range(3)))
 
         first = threads_of_a_map()
@@ -685,7 +727,56 @@ class TestOrderedMap:
             assert set(threading.enumerate()) == before
             assert len(first) == 3 and threading.current_thread() in first
         finally:
-            vsa._pool[1].shutdown()
+            parallel._pool[1].shutdown()
+
+
+class TestOrderedFold:
+    def test_folds_in_item_order_holding_one_result_per_thread(self, monkeypatch):
+        # Items finish out of order; folds still come in item order, and no
+        # thread takes an item while it holds a result not yet folded.
+        monkeypatch.setattr(parallel, "_threads", lambda: 4)
+        lock, held, most, folded = threading.Lock(), [0], [0], []
+
+        def unit(i):
+            time.sleep(0.002 * ((7 * i) % 5))
+            with lock:
+                held[0] += 1
+                most[0] = max(most[0], held[0])
+            return i
+
+        def fold(i):
+            with lock:
+                held[0] -= 1
+            folded.append(i)
+
+        parallel.ordered_fold(unit, fold, range(40))
+        assert folded == list(range(40))
+        assert most[0] <= 4
+
+    @pytest.mark.parametrize("where", ["fn", "fold"])
+    def test_failed_item_passes_its_turn(self, monkeypatch, where):
+        monkeypatch.setattr(parallel, "_threads", lambda: 3)
+        folded = []
+
+        def unit(i):
+            if where == "fn" and i == 4:
+                raise ValueError("unit 4")
+            return i
+
+        def fold(i):
+            if where == "fold" and i == 4:
+                raise ValueError("unit 4")
+            folded.append(i)
+
+        for _ in range(3):
+            folded.clear()
+            with pytest.raises(ValueError, match="unit 4"):
+                parallel.ordered_fold(unit, fold, range(10))
+            assert folded[:4] == [0, 1, 2, 3] and 4 not in folded
+            assert folded == sorted(folded)
+        folded.clear()
+        parallel.ordered_fold(lambda i: -i, folded.append, range(10))
+        assert folded == [-i for i in range(10)]
 
 
 def _tiny_levels(rng, widths=(4, 4, 4, 4)):
