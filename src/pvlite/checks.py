@@ -311,9 +311,9 @@ def check_set_abstraction(env):
 
 def check_row_blocks(env):
     # The installed BLAS must round each row of a block's product as it does
-    # in one product over all rows; a kitti-size call, then calls either
-    # side of the 1-, 2- and 3-block sizes, at 611 and 67 wide, each alone
-    # and then all of them in one aggregate.
+    # in one product over all rows: at 611 and 67 wide, a kitti-size call,
+    # calls either side of the 1-, 2- and 3-block sizes and one with a list
+    # longer than a block, each alone and then all of them in one aggregate.
     rng = np.random.default_rng(1014)
     calls, wants = [], []
     for width, kitti_rows in ((611, 216 * 32), (67, 2048 * 32)):
@@ -321,16 +321,16 @@ def check_row_blocks(env):
         points = np.hstack([rng.normal(size=(3000, width - 3)),
                             rng.uniform(-40.0, 40.0, size=(3000, 3))])
         mlp = nn.init_params((width, 16, 16), seed=1015)
-        for total in (kitti_rows, *(b * per_block + d for b in (1, 2, 3) for d in (-1, 1))):
-            ends = np.minimum(np.cumsum(rng.integers(0, 33, size=total // 4 + 1)), total)
-            lists = vsa.NeighborLists(rng.integers(0, 3000, size=total), np.append(0, ends))
+        totals = (kitti_rows, *(b * per_block + d for b in (1, 2, 3) for d in (-1, 1)))
+        for end in [*(np.minimum(np.cumsum(rng.integers(0, 33, size=t // 4 + 1)), t)
+                      for t in totals), np.cumsum([3, 3 * per_block + 5, 0, 2])]:
+            lists = vsa.NeighborLists(rng.integers(0, 3000, size=end[-1]), np.append(0, end))
             queries = rng.uniform(-40.0, 40.0, size=(len(lists), 3))
             calls.append((queries, lists, points, mlp))
             wants.append(np.zeros((len(lists), 16)))
-            ids, seg = vsa._block(wants[-1], queries, lists, 0, total, points, mlp)  # one block
-            wants[-1][ids] = seg
+            vsa._block(wants[-1], queries, lists, 0, len(lists), points, mlp)  # one block
             if not np.array_equal(vsa.aggregate(calls[-1:])[0], wants[-1]):
-                return False, f"{width}-wide call of {total} rows differs from one block"
+                return False, f"{width}-wide call of {end[-1]} rows differs from one block"
     for k, got in enumerate(vsa.aggregate(calls)):
         if not np.array_equal(got, wants[k]):
             return False, f"call {k} of {len(calls)} in one aggregate differs from one block"

@@ -196,8 +196,7 @@ class NeighborLists:
         return (self.flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
-# Most (query, point) pairs, and query-column key ranges, radius_query
-# holds at once.
+# Most (query, point) candidate pairs one radius_query work unit holds.
 QUERY_CHUNK_PAIRS = 60_000
 
 
@@ -219,20 +218,19 @@ def radius_query(
 
     Cell keys are mixed radix with z innermost, so the occupied cells of
     one (x, y) column within a query's z reach are one run of sorted keys:
-    a query finds its candidates with 9 key-range searches. Queries go in
-    slices of QUERY_CHUNK_PAIRS // 9; each slice's candidates are cut into
-    chunks of at most QUERY_CHUNK_PAIRS pairs (whole queries), and the
-    chunks (gather, distance test, sort, cap draws) run as ordered_map
-    units on every CPU. The lists do not depend on the thread count.
+    a query finds its candidates with 9 key-range searches, all queries at
+    once. Chunks of whole queries with at most QUERY_CHUNK_PAIRS candidates
+    (gather, distance test, sort, cap draws) run as ordered_map units on
+    every CPU. The lists do not depend on the thread count.
 
     Args:
         queries: (M, 3).
         points: (N, 3).
         radii: a radius or a non-empty tuple of radii, meters, each > 0.
         cap: max neighbors per query and radius, >= 0.
-        seed: an int, where query i at radius index r subsamples from the
-            stream [seed + r, i], or an (M, 2) int array whose row i keys
-            query i's streams as [row[0] + r, row[1]].
+        seed: an int >= 0, where query i at radius index r subsamples from
+            the stream [seed + r, i], or an (M, 2) array of ints >= 0 whose
+            row i keys query i's streams as [row[0] + r, row[1]].
 
     Returns:
         NeighborLists of len(radii) * M lists of neighbor indices
@@ -248,12 +246,13 @@ def radius_query(
     p = np.asarray(points, dtype=float).reshape(-1, 3)
     m, n = q.shape[0], p.shape[0]
     seed = np.asarray(seed)
+    if seed.dtype.kind not in "iu" or seed.size and seed.min() < 0:
+        raise ValueError(f"seed must be ints >= 0, got {np.array2string(seed, threshold=6)}")
     if seed.ndim == 0:  # query i keys its streams [seed + r, i]
         seed = np.stack([np.full(m, seed), np.arange(m, dtype=seed.dtype)], axis=1)
     if seed.shape != (m, 2):
         raise ValueError(f"per-query seeds must have shape ({m}, 2), got {seed.shape}")
-    if seed.size and seed.min() >= 0:  # keys seed + r exact up to 2**64 - 1
-        seed = seed.astype(np.uint64)
+    seed = seed.astype(np.uint64)  # keys seed + r exact up to 2**64 - 1
     ok_p, ok_q = (np.flatnonzero(np.isfinite(a).all(axis=1)) for a in (p, q))
     if ok_p.size == 0 or ok_q.size == 0:
         return NeighborLists(np.empty(0, dtype=np.int64),
@@ -274,15 +273,35 @@ def radius_query(
     point_of, pkey = ok_p[order], pkey[order]
     # Contiguous x, y, z rows: (dx² + dy²) + dz² in place, as in fps.
     pc, qc = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
+    # The 9 column key ranges of every finite query at once.
+    qcell = np.floor(q[ok_q] / width).astype(np.int64)
+    column = np.zeros((ok_q.size, 1), dtype=np.int64)
+    for a in range(2):
+        near = qcell[:, a, None] + np.arange(-1, 2)
+        rank = np.searchsorted(vals[a], near)
+        rank[vals[a][np.minimum(rank, vals[a].size - 1)] != near] = vals[a].size
+        column = (column[:, :, None] * (vals[a].size + 1)
+                  + rank[:, None]).reshape(ok_q.size, -1)
+    column *= vals[2].size + 1
+    # The occupied z in [c - 1, c + 1] rank z_lo to z_hi - 1.
+    z_lo = np.searchsorted(vals[2], qcell[:, 2] - 1)
+    z_hi = np.searchsorted(vals[2], qcell[:, 2] + 1, side="right")
+    lo = np.searchsorted(pkey, column + z_lo[:, None])
+    run = np.searchsorted(pkey, column + z_hi[:, None]) - lo
+    cand = run.sum(axis=1)
+    bound = np.concatenate([[0], np.cumsum(cand)])
+    cuts = [0]
+    while cuts[-1] < ok_q.size:  # chunks of at most QUERY_CHUNK_PAIRS candidates
+        e = np.searchsorted(bound, bound[cuts[-1]] + QUERY_CHUNK_PAIRS, side="right")
+        cuts.append(max(int(e) - 1, cuts[-1] + 1))
 
-    def chunk(qb, lo, run, cand):
-        """The capped lists of queries qb at every radius, from the
-        candidate runs run starting at sorted positions lo: (list sizes
-        (radii, queries), one flat index array per radius)."""
-        counts = run.ravel()
-        pos = np.repeat(lo.ravel() - np.cumsum(counts) + counts, counts)
+    def chunk(at):
+        """The capped lists of the finite queries ok_q[at] at every radius:
+        (list sizes (radii, queries), one flat index array per radius)."""
+        qb, counts = ok_q[at], run[at].ravel()
+        pos = np.repeat(lo[at].ravel() - np.cumsum(counts) + counts, counts)
         pidx = point_of[pos + np.arange(pos.size)]
-        qidx = np.repeat(qb, cand)
+        qidx = np.repeat(qb, cand[at])
         d = pc.take(pidx, axis=1)
         d -= qc.take(qidx, axis=1)
         d *= d
@@ -303,40 +322,11 @@ def radius_query(
         sizes = np.minimum(found, cap).reshape(radii.size, -1)
         return sizes, np.split(part[kept] % n, np.cumsum(sizes.sum(axis=1))[:-1])
 
-    flats = [[np.empty(0, dtype=np.int64)] for _ in radii]  # capped, query order
+    done = ordered_map(chunk, map(slice, cuts[:-1], cuts[1:]))
     lens = np.zeros((radii.size, m), dtype=np.int64)
-    step = QUERY_CHUNK_PAIRS // 9  # queries whose 9 column key ranges are held at once
-    for b in range(0, ok_q.size, step):
-        qb = ok_q[b : b + step]
-        qcell = np.floor(q[qb] / width).astype(np.int64)
-        column = np.zeros((qb.size, 1), dtype=np.int64)
-        for a in range(2):
-            near = qcell[:, a, None] + np.arange(-1, 2)
-            rank = np.searchsorted(vals[a], near)
-            rank[vals[a][np.minimum(rank, vals[a].size - 1)] != near] = vals[a].size
-            column = (column[:, :, None] * (vals[a].size + 1)
-                      + rank[:, None]).reshape(qb.size, -1)
-        column *= vals[2].size + 1
-        # The occupied z in [c - 1, c + 1] rank z_lo to z_hi - 1.
-        z_lo = np.searchsorted(vals[2], qcell[:, 2] - 1)
-        z_hi = np.searchsorted(vals[2], qcell[:, 2] + 1, side="right")
-        lo = np.searchsorted(pkey, column + z_lo[:, None])
-        run = np.searchsorted(pkey, column + z_hi[:, None]) - lo
-        cand = run.sum(axis=1)
-        bound = np.concatenate([[0], np.cumsum(cand)])
-        cuts = [0]
-        while cuts[-1] < qb.size:  # chunks of at most QUERY_CHUNK_PAIRS candidates
-            e = np.searchsorted(bound, bound[cuts[-1]] + QUERY_CHUNK_PAIRS, side="right")
-            cuts.append(max(int(e) - 1, cuts[-1] + 1))
-        spans = list(zip(cuts[:-1], cuts[1:]))
-        done = ordered_map(lambda se: chunk(qb[se[0] : se[1]], lo[se[0] : se[1]],
-                                            run[se[0] : se[1]], cand[se[0] : se[1]]), spans)
-        for (s, e), (sizes, per_radius) in zip(spans, done):
-            lens[:, qb[s:e]] = sizes
-            for r, flat in enumerate(per_radius):
-                flats[r].append(flat)
-    return NeighborLists(np.concatenate([f for per_radius in flats for f in per_radius]),
-                         np.concatenate([[0], np.cumsum(lens)]))
+    lens[:, ok_q] = np.concatenate([sizes for sizes, _ in done], axis=1)
+    flat = np.concatenate([per_radius[r] for r in range(radii.size) for _, per_radius in done])
+    return NeighborLists(flat, np.concatenate([[0], np.cumsum(lens)]))
 
 
 def set_abstraction(
@@ -358,38 +348,40 @@ def set_abstraction(
     return aggregate([(query, lists, np.hstack([feats, pos]), mlp)])[0][0]
 
 
-# Bytes of gathered rows a set-abstraction block holds (up to half as much
-# again when a call's rows do not split into whole blocks), and the fewest
+# Bytes of gathered rows a set-abstraction block aims at (more when a call's
+# rows do not split into whole blocks or a list is long), and the fewest
 # rows it holds: OpenBLAS 0.3.31 rounds a row of a product of 64 rows or
 # fewer unlike the same row in a long product, and alike from about 127 on.
 ROW_BLOCK_BYTES = 4 << 20
 MIN_BLOCK_ROWS = 512
 
-def _row_cuts(total: int, width: int) -> np.ndarray:
-    """Block boundaries of a call's total gathered rows, width floats each:
-    fewer rows than two blocks of per_block (ROW_BLOCK_BYTES, at least
-    MIN_BLOCK_ROWS) are one block, more are total // per_block equal blocks
-    (give or take a row), and no rows are no block."""
+def _query_cuts(offsets: np.ndarray, width: int) -> np.ndarray:
+    """Block boundaries, as query indices, of a call with these list
+    offsets and rows of width floats: total // per_block blocks (at least
+    one) of per_block rows (ROW_BLOCK_BYTES, at least MIN_BLOCK_ROWS), each
+    cut at the first query starting at or past its equal share of the rows;
+    no block for no rows. A block a long list leaves under MIN_BLOCK_ROWS
+    joins the one before, so no list is split and each block of several
+    holds MIN_BLOCK_ROWS rows or more."""
+    rows, total = offsets - offsets[0], int(offsets[-1] - offsets[0])
     per_block = max(MIN_BLOCK_ROWS, ROW_BLOCK_BYTES // (8 * width))
-    n_blocks = max(1, total // per_block) if total else 0
-    return np.arange(n_blocks + 1) * total // max(n_blocks, 1)
+    n_blocks = max(1, total // per_block)
+    cuts = np.unique(np.searchsorted(rows, np.arange(1, n_blocks) * total // n_blocks))
+    long = np.diff(rows[np.append(cuts, rows.size - 1)]) >= MIN_BLOCK_ROWS
+    return np.concatenate([[0], cuts[long], [rows.size - 1]]) if total else np.zeros(1, np.int64)
 
 
 def _block(out, queries, lists, a, b, points, mlp):
-    """Rows a to b of a call: gather the points they name, subtract each
-    row's query, run the MLP and take the max over each run of rows of one
-    query. Writes the runs' maxima to out but for the first and last run,
-    which a block next to it may share, and returns those as (query
-    indices, maxima)."""
-    at = lists.offsets[0] + np.arange(a, b)
-    owner = np.searchsorted(lists.offsets, at, side="right") - 1
-    rows = points.take(lists.flat[at], axis=0)
-    rows[:, -3:] -= queries.take(owner, axis=0)
+    """Queries a to b of a call: gather the points their lists name,
+    subtract each query from its rows, run the MLP and write the max over
+    each non-empty list's rows to out."""
+    bounds = lists.offsets[a : b + 1]
+    lens = np.diff(bounds)
+    rows = points.take(lists.flat[bounds[0] : bounds[-1]], axis=0)
+    rows[:, -3:] -= np.repeat(queries[a:b], lens, axis=0)
     vals = nn.mlp_layers(mlp, rows)[-1]
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    ids, seg = owner[starts], np.maximum.reduceat(vals, starts, axis=0)
-    out[ids[1:-1]] = seg[1:-1]
-    return ids[[0, -1]], seg[[0, -1]]
+    full = np.flatnonzero(lens)
+    out[a + full] = np.maximum.reduceat(vals, bounds[full] - bounds[0], axis=0)
 
 
 def aggregate(calls) -> list[np.ndarray]:
@@ -399,23 +391,19 @@ def aggregate(calls) -> list[np.ndarray]:
     their xyz, run through the MLP and reduced by a channel-wise max (the
     zero vector for no neighbour). Returns one (M, out_width) array per call.
 
-    The blocks of all calls (_row_cuts) go to one ordered_map and write
-    their own rows. A query cut between two blocks takes the max of both
-    blocks' maxima, which is exact. Every product sees MIN_BLOCK_ROWS rows
-    or all of its call's, so each output equals one product over its
-    call's rows, bit for bit, at any thread count and in any company.
+    The blocks of all calls (_query_cuts) go to one ordered_map, and each
+    writes the rows of its own queries only: no list is split between
+    blocks. Every product sees MIN_BLOCK_ROWS rows or all of its call's,
+    so each output equals one product over its call's rows, bit for bit,
+    at any thread count and in any company.
     """
-    outs, blocks = [], []  # blocks: (call, unit)
+    outs, blocks = [], []
     for queries, lists, points, mlp in calls:
-        cuts = _row_cuts(int(lists.offsets[-1] - lists.offsets[0]), points.shape[1])
         outs.append(np.zeros((len(lists), mlp.out_width)))
-        blocks += [(len(outs) - 1, partial(_block, outs[-1], queries, lists, a, b, points, mlp))
+        cuts = _query_cuts(lists.offsets, points.shape[1])
+        blocks += [partial(_block, outs[-1], queries, lists, a, b, points, mlp)
                    for a, b in zip(cuts[:-1], cuts[1:])]
-    edges = ordered_map(lambda block: block[1](), blocks)
-    for c, group in itertools.groupby(zip(blocks, edges), key=lambda pair: pair[0][0]):
-        ids, seg = map(np.concatenate, zip(*(edge for _, edge in group)))
-        first = np.flatnonzero(np.diff(ids, prepend=-1))
-        outs[c][ids[first]] = np.maximum.reduceat(seg, first, axis=0)
+    ordered_map(lambda block: block(), blocks)
     return outs
 
 

@@ -150,16 +150,16 @@ def _one_then_many_threads(monkeypatch, run):
     MIN_BLOCK_ROWS-row blocks; asserts some branch call was cut in blocks."""
     monkeypatch.setattr(parallel, "_threads", lambda: 1)
     one = run()
-    cut, row_cuts = [], vsa._row_cuts
+    cut, query_cuts = [], vsa._query_cuts
 
     def spy(*args):
-        found = row_cuts(*args)
+        found = query_cuts(*args)
         cut.append(len(found) > 2)
         return found
 
     monkeypatch.setattr(parallel, "_threads", lambda: 4)
     monkeypatch.setattr(vsa, "ROW_BLOCK_BYTES", 0)
-    monkeypatch.setattr(vsa, "_row_cuts", spy)
+    monkeypatch.setattr(vsa, "_query_cuts", spy)
     many = run()
     assert any(cut)
     return one, many

@@ -355,6 +355,32 @@ class TestRadiusQuery:
         with pytest.raises(ValueError, match="cap"):
             vsa.radius_query(np.zeros((1, 3)), np.zeros((1, 3)), 1.0, -1, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 0.5, 3.0, True, np.array([[0, 1], [-2, 0]]),
+                                      np.array([[0, 1], [2, 0.5]])],
+                             ids=["negative", "fraction", "whole float", "bool",
+                                  "negative key", "float keys"])
+    @pytest.mark.parametrize("cap", [1, 100], ids=["capped", "uncapped"])
+    def test_rejects_bad_seed(self, seed, cap):
+        # Whether or not a list is capped, and before any list is built.
+        q, p = np.zeros((2, 3)), np.random.default_rng(64).normal(scale=0.1, size=(20, 3))
+        with pytest.raises(ValueError, match="seed"):
+            vsa.radius_query(q, p, 1.0, cap, seed=seed)
+
+    def test_many_queries_in_small_chunks(self, monkeypatch):
+        # 7,000 queries, some not finite, in chunks of a few queries each:
+        # equal to the oracle bit for bit.
+        monkeypatch.setattr(parallel, "_threads", lambda: 2)
+        monkeypatch.setattr(vsa, "QUERY_CHUNK_PAIRS", 300)
+        rng = np.random.default_rng(65)
+        q = rng.uniform(-4, 4, size=(7000, 3))
+        q[::997] = np.nan
+        p = rng.uniform(-4, 4, size=(1500, 3))
+        pair = vsa.radius_query(q, p, (0.35, 0.7), 6, seed=11)
+        assert max(map(len, pair)) == 6 and min(map(len, pair)) == 0
+        for r, rad in enumerate((0.35, 0.7)):
+            assert_same_neighbours(pair[r * 7000 : (r + 1) * 7000],
+                                   radius_query_bruteforce(q, p, rad, 6, 11 + r))
+
 
 SPECIAL_KEYS = (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1)
 
@@ -587,15 +613,24 @@ class TestRowBlocks:
     @pytest.mark.parametrize("name, width, lists", BLOCK_CASES,
                              ids=[c[0] for c in BLOCK_CASES])
     def test_block_count_and_sizes(self, name, width, lists):
-        # total // per_block blocks of at least per_block rows, one block
-        # below two blocks' rows, and no block for a call with no row.
-        total, per_block = sum(map(len, lists)), _per_block(width)
-        sizes = np.diff(vsa._row_cuts(total, width))
-        assert len(sizes) == (max(1, total // per_block) if total else 0)
+        # Blocks of whole lists cover the call, no block for a call with no
+        # row, and each block of several holds MIN_BLOCK_ROWS rows or more.
+        # Lists of at most 32 give total // per_block blocks (one below two
+        # blocks' rows), each cut less than 32 rows past its equal share.
+        offsets = csr(lists)[1]
+        total, per_block = int(offsets[-1]), _per_block(width)
+        cuts = vsa._query_cuts(offsets, width)
+        sizes = np.diff(offsets[cuts])
+        assert cuts[0] == 0 and (np.diff(cuts) > 0).all()
+        assert cuts[-1] == (len(lists) if total else 0)
         assert sum(sizes) == total
         if len(sizes) > 1:
-            assert min(sizes) >= per_block >= vsa.MIN_BLOCK_ROWS
-            assert max(sizes) < 1.5 * per_block + 1
+            assert min(sizes) >= vsa.MIN_BLOCK_ROWS
+        if max(map(len, lists), default=0) <= 32:
+            assert len(sizes) == (max(1, total // per_block) if total else 0)
+            if total:
+                past = offsets[cuts] - np.arange(len(cuts)) * total // len(sizes)
+                assert ((past >= 0) & (past < 32)).all()
 
     def test_kitti_size_keypoint_branch(self, monkeypatch):
         # 2048 keypoints, up to 32 rows each, 67 wide: several blocks.
@@ -603,7 +638,7 @@ class TestRowBlocks:
         rng = np.random.default_rng(92)
         lists = [rng.integers(0, 3000, size=k) for k in rng.integers(0, 33, size=2048)]
         queries, points, mlp = _branch_case(93, 67, lists)
-        assert len(vsa._row_cuts(sum(map(len, lists)), 67)) - 1 >= 4
+        assert len(vsa._query_cuts(csr(lists)[1], 67)) - 1 >= 4
         np.testing.assert_array_equal(
             vsa.aggregate([(queries, vsa.NeighborLists(*csr(lists)), points, mlp)])[0],
             aggregate_branch_one_block(queries, lists, points, mlp))
