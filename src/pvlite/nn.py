@@ -104,13 +104,17 @@ def _as_batch(x: np.ndarray, width: int) -> np.ndarray:
 
 
 def mlp_layers(p: MlpParams, x: np.ndarray) -> list[np.ndarray]:
-    """Evaluate the MLP on (B, d0) rows, keeping every layer's output.
+    """Evaluate the MLP on (B, d0) rows or an (R, 1, d0) stack, keeping every
+    layer's output. matmul runs each stack item as a one-row product, so item
+    i rounds as the rows x[i] do.
 
     Returns:
-        One (B, layer_dims[i + 1]) array per layer; the last entry is the
-        MLP output. mlp_backward takes this list.
+        One array per layer, x's shape at width layer_dims[i + 1]; the last
+        entry is the MLP output. mlp_backward takes the list of rows.
     """
-    a = _as_batch(x, p.in_width)
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 3 or a.shape[1:] != (1, p.in_width):  # else an (R, 1, d0) stack
+        a = _as_batch(a, p.in_width)
     layers = []
     last = len(p.weights) - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
@@ -128,7 +132,7 @@ def mlp_layers(p: MlpParams, x: np.ndarray) -> list[np.ndarray]:
 
 def mlp_forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Evaluate the MLP on (B, d0) rows, returning (B, out_width)."""
-    return mlp_layers(p, x)[-1]
+    return mlp_layers(p, _as_batch(x, p.in_width))[-1]
 
 
 def mlp_backward(p: MlpParams, x: np.ndarray, layers: list[np.ndarray],

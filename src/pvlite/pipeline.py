@@ -355,24 +355,18 @@ def train_refine(head: RefineHead, batch: RefineBatch, iters: int, lr: float):
     losses = []
     pos = batch.targets.positive
     for _ in range(iters):
-        shared = nn.mlp_layers(h.shared, batch.features)
+        shared, confidence, regression = h.forward(batch.features)
         trunk = shared[-1]
-        confidence = nn.mlp_layers(h.confidence, trunk)
-        regression = nn.mlp_layers(h.regression, trunk)
         conf, res = confidence[-1][:, 0], regression[-1]
         total, _parts = roihead.rcnn_loss(conf, res, batch.targets)
         losses.append(total)
         _check_loss("refine", losses, lr)
 
         up_conf = roihead.iou_bce_grad(conf, batch.targets.y)[:, None]
-        cw, cb, d_trunk_conf = nn.mlp_backward(h.confidence, trunk, confidence,
-                                               up_conf)
+        cw, cb, d_trunk_conf = nn.mlp_backward(h.confidence, trunk, confidence, up_conf)
         up_res = np.zeros_like(res)
-        if pos.any():
-            up_res[pos] = rpn.smooth_l1_grad(res[pos],
-                                             batch.targets.residuals[pos])
-        rw, rb, d_trunk_res = nn.mlp_backward(h.regression, trunk, regression,
-                                              up_res)
+        up_res[pos] = rpn.smooth_l1_grad(res[pos], batch.targets.residuals[pos])
+        rw, rb, d_trunk_res = nn.mlp_backward(h.regression, trunk, regression, up_res)
         sw, sb, _ = nn.mlp_backward(h.shared, batch.features, shared,
                                     d_trunk_conf + d_trunk_res, input_grad=False)
         _sgd_step(h.confidence, cw, cb, lr)
@@ -393,8 +387,7 @@ def matched_iou_stats(head: RefineHead, batch: RefineBatch):
     pos = np.flatnonzero(batch.targets.positive)
     if pos.size == 0:
         return float("nan"), float("nan")
-    res = nn.mlp_forward(head.regression,
-                         nn.mlp_forward(head.shared, batch.features))
+    res = head.forward(batch.features)[-1][-1]  # the regression branch's output
     rois = np.asarray(batch.rois, dtype=float).reshape(-1, 7)[pos]
     gts = np.asarray(batch.matched_boxes, dtype=float).reshape(-1, 7)[pos]
     refined = rpn.decode_residuals(res[pos], rois)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, geom, nn, rpn
-from .parallel import ordered_map
 from .vsa import aggregate, radius_query
 
 GRID_POINTS = config.GRID_RESOLUTION**3
@@ -34,12 +33,13 @@ def roi_grid_pool(
 
     The grid points of all RoIs share one neighbour search for both
     GRID_RADII. Grid point j of rois[p] keeps at most GRID_CAP neighbours at
-    radius index r, drawn from the stream [seed + 31 * p + r, j].
+    radius index r, drawn from the stream [seed + 31 * p + r, j]; a seed
+    with a key outside [0, 2**64 - 1] raises ValueError.
 
     Then each RoI makes one vsa.aggregate call per radius over its 216
     grid points, and all 2R calls run as one aggregate. The pool MLP runs
-    on one RoI's row at a time through parallel.ordered_map. Neither output
-    depends on the thread count.
+    once on the (R, 1, 216 * width) stack, so each RoI's row rounds as a
+    one-row call does. Neither output depends on the thread count.
 
     Returns:
         (grid_features (R, 216, sum of branch widths), roi_features
@@ -47,6 +47,8 @@ def roi_grid_pool(
     """
     rows = np.asarray(rois, dtype=float).reshape(-1, 7)
     n_rois = rows.shape[0]
+    if not 0 <= seed <= 2**64 - 31 * (n_rois - 1) - len(config.GRID_RADII):
+        raise ValueError(f"seed {seed} keys {n_rois} RoIs outside [0, 2**64 - 1]")
     keypoints = np.asarray(keypoints, dtype=float)
     grids = geom.roi_grid_points(rows)
     keys = np.stack([np.repeat(seed + 31 * np.arange(n_rois, dtype=np.uint64), GRID_POINTS),
@@ -61,9 +63,8 @@ def roi_grid_pool(
     for k, out in enumerate(aggregate(calls)):
         r, i = divmod(k, n_rois)
         grid_features[i, :, cols[r] : cols[r + 1]] = out
-    roi_features = ordered_map(
-        lambda g: nn.mlp_layers(pool_mlp, g.reshape(1, -1))[-1][0], grid_features)
-    return grid_features, np.reshape(roi_features, (n_rois, pool_mlp.out_width))
+    stack = grid_features.reshape(n_rois, 1, GRID_POINTS * cols[-1])
+    return grid_features, nn.mlp_layers(pool_mlp, stack)[-1][:, 0]
 
 
 def average_pool_roi(
@@ -187,29 +188,28 @@ class RefineHead:
         return RefineHead(self.shared.copy(), self.confidence.copy(),
                           self.regression.copy())
 
+    def forward(self, x: np.ndarray):
+        """The (trunk, confidence, regression) layer lists of the head on RoI
+        features x, (S, d) rows or an (R, 1, d) stack (nn.mlp_layers)."""
+        trunk = nn.mlp_layers(self.shared, x)
+        return (trunk, nn.mlp_layers(self.confidence, trunk[-1]),
+                nn.mlp_layers(self.regression, trunk[-1]))
+
 
 def refine(roi_features: np.ndarray, rois: np.ndarray, head: RefineHead):
     """Predict a confidence and a box residual for each RoI.
 
     roi_features are (R, d) rows pooled from the (R, 7) box rows rois. The
-    head runs on one RoI's row at a time: one product over all RoIs rounds
-    differently, by more than the benchmark's absolute reference tolerance
-    (REF_TOL in bench/harness.py) allows on the largest boxes, until ROADMAP
-    item 1 damps the untrained head that makes them.
+    head runs once on their (R, 1, d) stack, so each RoI rounds as a
+    one-row call does.
 
     Returns:
         (confidences (R,), residuals (R, 7), refined (R, 7) rows): residuals
         decoded against the RoIs and checked by rpn.check_decoded ("RoI i").
     """
-    feats = np.asarray(roi_features, dtype=float)
-    rows = np.asarray(rois, dtype=float).reshape(-1, 7)
-    conf = np.empty(rows.shape[0])
-    residuals = np.empty((rows.shape[0], 7))
-    for i in range(rows.shape[0]):
-        trunk = nn.mlp_forward(head.shared, feats[i : i + 1])
-        conf[i] = nn.mlp_forward(head.confidence, trunk)[0, 0]
-        residuals[i] = nn.mlp_forward(head.regression, trunk)[0]
-    refined = rpn.decode_residuals(residuals, rows)
+    _, conf, res = head.forward(np.asarray(roi_features, dtype=float)[:, None])
+    conf, residuals = conf[-1][:, 0, 0], res[-1][:, 0]
+    refined = rpn.decode_residuals(residuals, rois)
     rpn.check_decoded(refined, conf, "RoI")
     return conf, residuals, refined
 

@@ -230,7 +230,8 @@ def radius_query(
         cap: max neighbors per query and radius, >= 0.
         seed: an int >= 0, where query i at radius index r subsamples from
             the stream [seed + r, i], or an (M, 2) array of ints >= 0 whose
-            row i keys query i's streams as [row[0] + r, row[1]].
+            row i keys query i's streams as [row[0] + r, row[1]]. A key
+            past 2**64 - 1 raises ValueError.
 
     Returns:
         NeighborLists of len(radii) * M lists of neighbor indices
@@ -252,6 +253,8 @@ def radius_query(
         seed = np.stack([np.full(m, seed), np.arange(m, dtype=seed.dtype)], axis=1)
     if seed.shape != (m, 2):
         raise ValueError(f"per-query seeds must have shape ({m}, 2), got {seed.shape}")
+    if m and (top := int(seed[:, 0].max()) + radii.size - 1) >= 2**64:
+        raise ValueError(f"seed keys reach {top} at the last radius, past 2**64 - 1")
     seed = seed.astype(np.uint64)  # keys seed + r exact up to 2**64 - 1
     ok_p, ok_q = (np.flatnonzero(np.isfinite(a).all(axis=1)) for a in (p, q))
     if ok_p.size == 0 or ok_q.size == 0:

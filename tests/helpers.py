@@ -8,8 +8,9 @@ occupied-rows map, full recomputation for incremental FPS, a
 list-of-Detection loop for NMS, separate feature and offset gathers for
 set abstraction, one gather and one MLP pass for row-blocked set
 abstraction, one Box3D at a time for containment and RoI grids, a
-Detection per kept anchor for proposal rows), plus an all-zero MLP and a
-writer of malformed scene files.
+Detection per kept anchor for proposal rows, the refine head one RoI at
+a time and one MLP call per branch), plus an all-zero MLP and a writer of
+malformed scene files.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pvlite import geom, nn, rpn
+from pvlite import geom, nn, roihead, rpn
 from pvlite import sparsegrid as sg
 from pvlite.config import GRID_RESOLUTION, PROPOSAL_NMS_IOU
 from pvlite.geom import CLIP_TOL, Box3D, Detection
@@ -482,6 +483,53 @@ def proposals_as_detections(cls_map, reg_map, anchors, top_k: int) -> list[Detec
     keep = geom.nms(decoded, scores, PROPOSAL_NMS_IOU, max_keep=top_k)
     return [Detection(geom.box_from_array(decoded[i]), float(scores[i]),
                       int(anchors.class_ids[i])) for i in keep]
+
+
+def refine_per_row(roi_features, rois, head):
+    """roihead.refine's (confidences, residuals, refined rows), evaluating
+    the head on one RoI's feature row at a time with three mlp_forward calls."""
+    feats = np.asarray(roi_features, dtype=float)
+    conf = np.empty(len(feats))
+    residuals = np.empty((len(feats), 7))
+    for i in range(len(feats)):
+        trunk = nn.mlp_forward(head.shared, feats[i : i + 1])
+        conf[i] = nn.mlp_forward(head.confidence, trunk)[0, 0]
+        residuals[i] = nn.mlp_forward(head.regression, trunk)[0]
+    return conf, residuals, rpn.decode_residuals(residuals, rois)
+
+
+def regression_rows(head, features) -> np.ndarray:
+    """The refine head's (S, 7) residuals on (S, d) rows: the trunk, then
+    the regression branch, as two mlp_forward calls."""
+    return nn.mlp_forward(head.regression, nn.mlp_forward(head.shared, features))
+
+
+def train_refine_branch_calls(head, batch, iters: int, lr: float):
+    """pipeline.train_refine with one mlp_layers call per MLP of the head:
+    (trained head, per-iteration losses)."""
+    h = head.copy()
+    losses = []
+    pos = batch.targets.positive
+    for _ in range(iters):
+        shared = nn.mlp_layers(h.shared, batch.features)
+        confidence = nn.mlp_layers(h.confidence, shared[-1])
+        regression = nn.mlp_layers(h.regression, shared[-1])
+        conf, res = confidence[-1][:, 0], regression[-1]
+        losses.append(roihead.rcnn_loss(conf, res, batch.targets)[0])
+        up_conf = roihead.iou_bce_grad(conf, batch.targets.y)[:, None]
+        up_res = np.zeros_like(res)
+        if pos.any():
+            up_res[pos] = rpn.smooth_l1_grad(res[pos], batch.targets.residuals[pos])
+        grads = [nn.mlp_backward(h.confidence, shared[-1], confidence, up_conf),
+                 nn.mlp_backward(h.regression, shared[-1], regression, up_res)]
+        grads.append(nn.mlp_backward(h.shared, batch.features, shared,
+                                     grads[0][2] + grads[1][2], input_grad=False))
+        for params, (w_grads, b_grads, _) in zip((h.confidence, h.regression, h.shared),
+                                                 grads):
+            for w, b, gw, gb in zip(params.weights, params.biases, w_grads, b_grads):
+                w -= lr * gw
+                b -= lr * gb
+    return h, losses
 
 
 def zero_params(layer_dims, out_activation: str = "identity") -> nn.MlpParams:

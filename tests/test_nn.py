@@ -86,6 +86,44 @@ class TestForward:
             )
 
 
+class TestStacks:
+    """mlp_layers on an (R, 1, d) stack, as the RoI stage runs the pool MLP
+    (6912 -> 256 -> 256) and the refine head (trunk 256 -> 256 -> 256,
+    confidence 256 -> 1 sigmoid, regression 256 -> 7)."""
+
+    @pytest.mark.parametrize("dims, out_act", [
+        ((6912, 256, 256), "identity"), ((256, 256, 256), "identity"),
+        ((256, 1), "sigmoid"), ((256, 7), "identity")],
+        ids=["pool", "trunk", "confidence", "regression"])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_stack_equals_one_row_calls(self, dims, out_act, n):
+        p = nn.init_params(dims, seed=len(dims) + dims[-1], out_activation=out_act)
+        x = np.random.default_rng(n).normal(size=(n, dims[0])) * 3.0
+        # A reshaped copy (the pool MLP's input) and a view with a 0 stride
+        # in the middle axis (the refine head's) give the same bits.
+        for stack in (x.reshape(n, 1, dims[0]), x[:, None]):
+            layers = nn.mlp_layers(p, stack)
+            assert [a.shape for a in layers] == [(n, 1, d) for d in dims[1:]]
+            for i in range(n):
+                one = nn.mlp_layers(p, x[i : i + 1])
+                for got, want in zip(layers, one):
+                    np.testing.assert_array_equal(got[i], want)
+                np.testing.assert_array_equal(layers[-1][i],
+                                              nn.mlp_forward(p, x[i : i + 1]))
+
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (4, 1, 1, 3), (2, 1, 4), (4, 3, 1)])
+    def test_only_one_row_items_of_the_input_width(self, shape):
+        p = nn.init_params((3, 2), seed=0)
+        with pytest.raises(nn.ShapeError):
+            nn.mlp_layers(p, np.zeros(shape))
+
+    def test_backward_takes_rows_only(self):
+        p = nn.init_params((3, 4, 2), seed=1)
+        stack = np.random.default_rng(2).normal(size=(5, 1, 3))
+        with pytest.raises(nn.ShapeError):
+            nn.mlp_backward(p, stack, nn.mlp_layers(p, stack), np.ones((5, 1, 2)))
+
+
 class TestBackward:
     def test_dead_network_zero_input_grad(self):
         p = zero_params((3, 4, 2))

@@ -7,12 +7,13 @@ import re
 import numpy as np
 import pytest
 
-from pvlite import geom, nn, roihead, rpn, vsa
+from pvlite import config, geom, nn, pipeline, roihead, rpn, vsa
 from pvlite.config import FINAL_NMS_IOU, GRID_CAP, GRID_RADII, Config
 from pvlite.geom import Box3D, Detection
 
 from helpers import (
-    csr, nms_reference, radius_query_bruteforce, random_box, zero_params,
+    csr, nms_reference, radius_query_bruteforce, random_box, refine_per_row,
+    regression_rows, train_refine_branch_calls, zero_params,
 )
 
 
@@ -106,7 +107,8 @@ class TestRoiGridPool:
     def test_batch_equals_single_roi_calls(self):
         # 35 RoIs in one call, with keypoints dense enough that GRID_CAP
         # subsamples; the last RoI is far from every keypoint. RoI i of the
-        # batch draws as a lone RoI does from seed + 31 * i.
+        # batch draws as a lone RoI does from seed + 31 * i, and its pooled
+        # row is the pool MLP on its grid features as one row.
         rng = np.random.default_rng(33)
         kp = rng.uniform(-4, 4, size=(3000, 3))
         feats = rng.normal(size=(3000, 4))
@@ -125,6 +127,8 @@ class TestRoiGridPool:
             want = roihead.roi_grid_pool(rows(roi), points, gm, pm, seed + 31 * i)
             np.testing.assert_array_equal(grid_features[i], want[0][0])
             np.testing.assert_array_equal(roi_features[i], want[1][0])
+            np.testing.assert_array_equal(
+                roi_features[i], nn.mlp_forward(pm, grid_features[i].reshape(1, -1))[0])
         assert not grid_features[-1].any()
 
     def test_radius_streams_follow_seed(self):
@@ -146,6 +150,27 @@ class TestRoiGridPool:
                     grid, kp, radius, GRID_CAP, 40 + 31 * p + r))), points, gm[r])
                 for r, radius in enumerate(GRID_RADII)])
             np.testing.assert_array_equal(g[p], np.concatenate(want, axis=1))
+
+    def test_seed_keys_up_to_the_top(self):
+        # The last RoI's last radius keys seed + 31 * (R - 1) + 1: at
+        # 2**64 - 1 it draws that stream, one past it raises.
+        rng = np.random.default_rng(39)
+        points = np.hstack([rng.normal(size=(400, 4)), rng.uniform(-1, 1, size=(400, 3))])
+        rois = rows(Box3D(0, 0, 0, 2, 2, 2, 0.0), Box3D(0.1, 0, 0, 2, 2, 2, 0.5))
+        gm, pm = grid_mlps(4, seed=41), pool_mlp(8, seed=42)
+        top = 2**64 - 1 - 31 - (len(GRID_RADII) - 1)
+        g, _ = roihead.roi_grid_pool(rois, points, gm, pm, top)
+        grid = geom.roi_grid_points(rois[1])
+        want = vsa.aggregate([
+            (grid, vsa.NeighborLists(*csr(radius_query_bruteforce(
+                grid, points[:, 4:], radius, GRID_CAP,
+                np.array([[top + 31 + r, j] for j in range(len(grid))], dtype=np.uint64)))),
+             points, gm[r])
+            for r, radius in enumerate(GRID_RADII)])
+        np.testing.assert_array_equal(g[1], np.concatenate(want, axis=1))
+        for bad in (top + 1, -1):
+            with pytest.raises(ValueError, match="seed"):
+                roihead.roi_grid_pool(rois, points, gm, pm, bad)
 
     def test_empty_roi_list(self):
         gm = grid_mlps(4)
@@ -353,6 +378,42 @@ class TestRefine:
         conf, res, refined = roihead.refine(np.empty((0, 12)), np.empty((0, 7)),
                                             self._head())
         assert conf.shape == (0,) and res.shape == refined.shape == (0, 7)
+
+    @pytest.mark.parametrize("positives", [5, 0], ids=["some positive", "none positive"])
+    def test_head_bits_equal_separate_calls(self, positives):
+        # At the model's widths, refine equals the head one RoI at a time,
+        # train_refine's losses at iterations 0 and 1 and its trained head
+        # equal one mlp_layers call per MLP, and matched_iou_stats equals
+        # the trunk and regression as two calls.
+        head = pipeline.build_model(Config(), 3).refine
+        rng = np.random.default_rng(44)
+        s = 12
+        feats = rng.normal(size=(s, config.ROI_FEATURE_WIDTH))
+        rois = rows(*(random_box(rng, center_span=4.0) for _ in range(s)))
+        got, want = roihead.refine(feats, rois, head), refine_per_row(feats, rois, head)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+        positive = np.arange(s) < positives
+        targets = roihead.RefineTargets(rng.uniform(size=s), rng.normal(size=(s, 7)) * 0.2,
+                                        positive, np.where(positive, 0, -1))
+        gts = rpn.decode_residuals(targets.residuals, rois)
+        batch = pipeline.RefineBatch(feats, rois, targets, gts)
+        trained, losses = pipeline.train_refine(head, batch, 2, lr=0.01)
+        want_head, want_losses = train_refine_branch_calls(head, batch, 2, lr=0.01)
+        assert losses == want_losses
+        for a, b in zip((trained.shared, trained.confidence, trained.regression),
+                        (want_head.shared, want_head.confidence, want_head.regression)):
+            np.testing.assert_array_equal(nn.params_to_vector(a), nn.params_to_vector(b))
+
+        raw, refined = pipeline.matched_iou_stats(trained, batch)
+        if not positives:
+            assert math.isnan(raw) and math.isnan(refined)
+            return
+        res = regression_rows(trained, feats)[positive]
+        assert raw == float(np.mean(geom.iou_3d(rois[positive], gts[positive])))
+        assert refined == float(np.mean(geom.iou_3d(
+            rpn.decode_residuals(res, rois[positive]), gts[positive])))
 
     @pytest.mark.parametrize("bad, message", [
         ([0, 0, 0, -1.0, 1, 1, 0], "RoI 1: l must be positive, got -1.0"),

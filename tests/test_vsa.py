@@ -445,6 +445,14 @@ class TestCapDraws:
                 keys = np.array([[seed + r, i] for i in range(20)], dtype=np.uint64)
                 assert_same_neighbours(pair[r * 20 : (r + 1) * 20],
                                        radius_query_bruteforce(q, p, rad, 8, keys))
+        # The last radius keys seed + 1: one seed higher it would wrap to 0.
+        last = np.array([[2**64 - 1, i] for i in range(20)], dtype=np.uint64)
+        assert_same_neighbours(vsa.radius_query(q, p, 1.0, 8, seed=2**64 - 1),
+                               radius_query_bruteforce(q, p, 1.0, 8, last))
+        for seed in (2**64 - 1, np.array([[0, i] for i in range(19)] + [[2**64 - 1, 0]],
+                                         dtype=np.uint64)):
+            with pytest.raises(ValueError, match="seed"):
+                vsa.radius_query(q, p, (0.5, 1.0), 8, seed=seed)
 
 
 class TestSetAbstraction:
