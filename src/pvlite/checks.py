@@ -338,6 +338,36 @@ def check_row_blocks(env):
                   f"aggregate, on {parallel._threads()} threads")
 
 
+def check_keypoint_subset(env):
+    # The keypoints RoI-grid pooling can reach must get the rows they get
+    # among all keypoints: the same cap streams, and products that round
+    # alike at the subsets' row counts (every residue mod 4 among them) on
+    # the installed BLAS. Subsets of 20 or fewer may not (vsa.PKW_ROW_GROUP).
+    cfg = desk_config().replace(num_keypoints=128, synth_ground_points=400, synth_objects=2,
+                                synth_points_per_object=200, top_proposals=30)
+    model = pipeline.build_model(cfg, seed=3)
+    scene = synth.gen_scene(cfg, seed=42)
+    tensors, bev = pipeline._scene_front(cfg, model, scene)
+    anchors = rpn.generate_anchors(cfg.classes, pipeline.bev_grid(cfg))
+    cls_probs, reg = pipeline.rpn_head_outputs(model, bev, len(cfg.classes))
+    rois = rpn.extract_proposals(cls_probs, reg, anchors, top_k=cfg.top_proposals).rows
+    full = pipeline.build_keypoints(scene, tensors, bev, cfg, model, 1, None)
+    sizes = set()
+    for k in range(1, len(rois) + 1):  # the first k proposals
+        keep = roihead.grid_reach(full.positions, rois[:k])
+        if keep.sum() < 21:
+            continue
+        sub = pipeline.build_keypoints(scene, tensors, bev, cfg, model, 1, rois[:k])
+        if not np.array_equal(sub.indices, full.indices[keep]):
+            return False, "kept keypoints are not the reachable ones in FPS order"
+        for name in ("f_p", "scores", "weighted_xyz"):
+            if not np.array_equal(getattr(sub, name), getattr(full, name)[keep]):
+                return False, f"{name} of {sub.n} kept keypoints differs from the full run"
+        sizes.add(sub.n)
+    return True, (f"subsets of {min(sizes)} to {max(sizes)} of {full.n} keypoints equal "
+                  f"to the full run bit for bit")
+
+
 def check_confidence_mapping(env):
     for iou in np.linspace(0, 1, 11):
         expect = min(1.0, max(0.0, 2.0 * iou - 0.5))
@@ -395,6 +425,7 @@ CHECKS = [
     ("vsa.cap_draws_vs_numpy", check_cap_draws),
     ("vsa.set_abstraction_invariance", check_set_abstraction),
     ("vsa.row_blocks_vs_whole", check_row_blocks),
+    ("vsa.keypoint_subset_vs_all", check_keypoint_subset),
     ("roihead.confidence_mapping", check_confidence_mapping),
     ("evalkit.ap_hand_cases", check_ap_hand_cases),
     ("synth.determinism_roundtrip", check_scene_roundtrip),

@@ -168,33 +168,44 @@ def build_keypoints(
     cfg: Config,
     model: ModelParams,
     seed: int,
+    rois: np.ndarray | None,
 ) -> KeypointSet:
     """Sample keypoints by FPS and attach multi-source features plus
     foreground weighting. Only in-range points (those voxelize keeps) are
-    sampled and aggregated; KeypointSet.indices index the whole raw cloud."""
+    sampled and aggregated; KeypointSet.indices index the whole raw cloud.
+
+    Given (R, 7) rows rois, only the keypoints that RoI-grid pooling over
+    them can reach (roihead.grid_reach) are kept, in FPS order; None keeps
+    all cfg.num_keypoints. Keypoint i of the FPS order draws its neighbour
+    caps as i, so a kept keypoint's rows equal its rows in the full set
+    (in every subset of 21 or more measured; see vsa.PKW_ROW_GROUP)."""
     pts = scene.points_f64()
     kept = np.flatnonzero(in_range(pts[:, :3], cfg.range_min, cfg.range_max))
     idx = kept[vsa.fps(pts[kept, :3], cfg.num_keypoints)]
+    ids = np.arange(idx.size)
+    if rois is not None:
+        ids = np.flatnonzero(roihead.grid_reach(pts[idx, :3], rois))
+    idx = idx[ids]
     positions = pts[idx, :3]
-    f_pv = vsa.vsa_multi_level(positions, tensors, model.vsa_mlps, seed)
-    f_p = vsa.extended_vsa(positions, f_pv, pts[kept], bev, model.raw_mlps, seed)
+    f_pv = vsa.vsa_multi_level(positions, tensors, model.vsa_mlps, seed, ids=ids)
+    f_p = vsa.extended_vsa(positions, f_pv, pts[kept], bev, model.raw_mlps, seed, ids=ids)
     weighted, scores, labels = vsa.pkw(positions, f_p, scene.gt_boxes, model.pkw)
     return KeypointSet(positions, idx, f_p, np.hstack([weighted, positions]),
                        scores, labels)
 
 
-def _scene_keypoints(cfg: Config, model: ModelParams, scene: SceneSample,
-                     seed: int) -> tuple[BevMap, KeypointSet] | None:
-    """Voxelize, backbone, BEV and keypoints of one scene, the front end
-    that run_scene and both batch builders share; None for a scene with no
-    in-range point. The backbone levels are freed on return."""
+def _scene_front(cfg: Config, model: ModelParams,
+                 scene: SceneSample) -> tuple[list[SparseTensor], BevMap] | None:
+    """Voxelize, backbone and BEV collapse of one scene, the front end that
+    run_scene and both batch builders share: (backbone levels, BEV map), or
+    None for a scene with no in-range point. Each caller passes the levels
+    to build_keypoints once it knows the RoIs the keypoints serve."""
     level1 = voxelize(scene.points_f64(), cfg.range_min, cfg.range_max,
                       cfg.voxel_size)
     if level1.num_voxels == 0:
         return None
     tensors = run_backbone(level1, model.backbone)
-    bev = bev_collapse(tensors[3])
-    return bev, build_keypoints(scene, tensors, bev, cfg, model, seed)
+    return tensors, bev_collapse(tensors[3])
 
 
 @dataclass
@@ -210,19 +221,21 @@ def run_scene(
     scene: SceneSample, model: ModelParams, cfg: Config, anchors: AnchorSet,
     seed: int,
 ) -> PipelineResult:
-    """Full forward pipeline on one scene: the shared front end, then
-    proposals from the BEV map, RoI-grid pooling, refinement and final NMS.
+    """Full forward pipeline on one scene: the shared front end, proposals
+    from the BEV map, the keypoints those proposals can pool, RoI-grid
+    pooling, refinement and final NMS.
 
     A scene with no in-range points yields empty outputs at every stage.
     """
-    found = _scene_keypoints(cfg, model, scene, seed)
-    if found is None:
+    front = _scene_front(cfg, model, scene)
+    if front is None:
         return PipelineResult([], Proposals(np.empty((0, 7)), np.empty(0),
                                             np.empty(0, dtype=np.int64)), None)
-    bev, keypoints = found
-    cls_probs, reg = rpn_head_outputs(model, bev, len(cfg.classes))
+    cls_probs, reg = rpn_head_outputs(model, front[1], len(cfg.classes))
     proposals = rpn.extract_proposals(cls_probs, reg, anchors,
                                       top_k=cfg.top_proposals)
+    keypoints = build_keypoints(scene, *front, cfg, model, seed, proposals.rows)
+    del front  # frees the backbone levels before pooling
     _, roi_features = roihead.roi_grid_pool(proposals.rows, keypoints.weighted_xyz,
                                             model.grid_mlps, model.pool_mlp, seed)
     conf, _, refined = roihead.refine(roi_features, proposals.rows, model.refine)
@@ -263,10 +276,11 @@ def build_pkw_batch(cfg: Config, model: ModelParams, scenes: list[SceneSample],
     feats = [np.empty((0, keypoint_feature_width(cfg)))]
     labels = [np.empty(0, dtype=np.int64)]
     for s_idx, scene in enumerate(scenes):
-        found = _scene_keypoints(cfg, model, scene, seed + 101 * s_idx)
-        if found is None:
+        front = _scene_front(cfg, model, scene)
+        if front is None:
             continue
-        _, kp = found
+        kp = build_keypoints(scene, *front, cfg, model, seed + 101 * s_idx, None)
+        del front  # frees the backbone levels before the next scene's
         feats.append(kp.f_p)
         labels.append(kp.labels)
     return PkwBatch(np.concatenate(feats, axis=0), np.concatenate(labels))
@@ -326,14 +340,15 @@ def build_refine_batch(
     parts = [RefineTargets(np.empty(0), np.empty((0, 7)), np.empty(0, dtype=bool),
                            np.empty(0, dtype=np.int64))]
     for s_idx, scene in enumerate(scenes):
-        found = _scene_keypoints(cfg, model, scene, seed + 101 * s_idx)
-        if found is None:
+        front = _scene_front(cfg, model, scene)
+        if front is None:
             continue
-        bev, kp = found
         sampled, targets = roihead.sample_proposals(
-            training_proposals(model, cfg, anchors, bev),
+            training_proposals(model, cfg, anchors, front[1]),
             scene.gt_boxes, seed + 977 * s_idx, n_sample=cfg.roi_samples,
         )
+        kp = build_keypoints(scene, *front, cfg, model, seed + 101 * s_idx, sampled)
+        del front  # frees the backbone levels before pooling
         feats.append(roihead.roi_grid_pool(sampled, kp.weighted_xyz, model.grid_mlps,
                                            model.pool_mlp, seed + 7919 * s_idx)[1])
         rois.append(sampled)

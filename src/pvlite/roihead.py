@@ -67,6 +67,21 @@ def roi_grid_pool(
     return grid_features, nn.mlp_layers(pool_mlp, stack)[-1][:, 0]
 
 
+def grid_reach(points: np.ndarray, rois: np.ndarray) -> np.ndarray:
+    """(N,) mask of the points some grid point of the (R, 7) rois can find
+    at a radius of GRID_RADII: those inside a RoI box grown by
+    max(GRID_RADII) on every side, plus a rounding pad as radius_query pads
+    its cells. Grid points lie inside their box, so this holds every point
+    within max(GRID_RADII) of one, and maybe a few more."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    grown = np.asarray(rois, dtype=float).reshape(-1, 7).copy()
+    if not grown.size:
+        return np.zeros(len(pts), dtype=bool)
+    scale = max(np.abs(pts).max(initial=0.0), np.abs(grown[:, :6]).max())
+    grown[:, 3:6] += 2 * (max(config.GRID_RADII) * (1.0 + 1e-9) + 1e-12 * scale)
+    return geom.points_in_box(pts, grown).any(axis=1)
+
+
 def average_pool_roi(
     roi: np.ndarray, keypoint_positions: np.ndarray, keypoint_features: np.ndarray
 ) -> np.ndarray:

@@ -357,6 +357,17 @@ def set_abstraction(
 # fewer unlike the same row in a long product, and alike from about 127 on.
 ROW_BLOCK_BYTES = 4 << 20
 MIN_BLOCK_ROWS = 512
+# pkw runs its MLP on rows zero-padded to a multiple of PKW_ROW_GROUP:
+# OpenBLAS 0.3.31 computes a width-1 output in groups of 4 rows and rounds
+# the last len mod 4 rows unlike the same rows inside a group. With the pad,
+# a subset of the keypoints (those RoI-grid pooling can reach) gets the rows
+# it gets among all of them, bit for bit, once it is large enough. Measured
+# with 350 single small RoIs on the first desk and kitti benchmark scenes:
+# every subset of 21 keypoints or more matched; of 16 or fewer almost none
+# did, its products being small enough for OpenBLAS's small-product path, in
+# pkw and in the set-abstraction branches alike.
+PKW_ROW_GROUP = 4
+
 
 def _query_cuts(offsets: np.ndarray, width: int) -> np.ndarray:
     """Block boundaries, as query indices, of a call with these list
@@ -410,11 +421,18 @@ def aggregate(calls) -> list[np.ndarray]:
     return outs
 
 
+def _stream_keys(base: int, ids: np.ndarray | None, m: int) -> np.ndarray:
+    """radius_query's (m, 2) keys [base, ids[i]]; ids None keys query i by i,
+    as an int seed does."""
+    return np.column_stack([np.full(m, base), np.arange(m) if ids is None else ids])
+
+
 def vsa_multi_level(
     keypoints: np.ndarray,
     level_tensors: list[SparseTensor],
     mlps: list[list[nn.MlpParams]],
     seed: int,
+    ids: np.ndarray | None = None,
 ) -> np.ndarray:
     """Multi-scale keypoint features from the backbone levels.
 
@@ -429,6 +447,9 @@ def vsa_multi_level(
         level_tensors: the four backbone outputs.
         mlps: mlps[k][r] for level k, radius index r.
         seed: base seed for neighbor-cap subsampling.
+        ids: (n,) ints >= 0, or None for 0 to n - 1: keypoint i draws its
+            caps at level k from the streams [seed + 1000 * k + r, ids[i]],
+            so a keypoint's row does not depend on which others are passed.
 
     Returns:
         (n, sum of branch widths) feature matrix.
@@ -437,7 +458,8 @@ def vsa_multi_level(
     m, calls = kp.shape[0], []
     for k, tensor in enumerate(level_tensors):
         centers = voxel_centers(tensor)
-        neigh = radius_query(kp, centers, VSA_RADII[k], VSA_CAPS[k], seed=seed + 1000 * k)
+        neigh = radius_query(kp, centers, VSA_RADII[k], VSA_CAPS[k],
+                             seed=_stream_keys(seed + 1000 * k, ids, m))
         points = np.hstack([tensor.features, centers])
         calls += [(kp, neigh[r * m : (r + 1) * m], points, mlp)
                   for r, mlp in enumerate(mlps[k])]
@@ -451,17 +473,21 @@ def extended_vsa(
     bev: BevMap,
     raw_mlps: list[nn.MlpParams],
     seed: int,
+    ids: np.ndarray | None = None,
 ) -> np.ndarray:
     """Concatenate [f_pv, f_raw, f_bev] per keypoint.
 
     f_raw aggregates raw points (intensity as the single feature channel)
-    at each of the RAW_RADII (at most RAW_CAP neighbors each); f_bev
-    bilinearly samples the BEV map at the keypoint's ground-plane position.
+    at each of the RAW_RADII (at most RAW_CAP neighbors each), keypoint i
+    drawing its caps from the streams [seed + 7000 + r, ids[i]] (ids as in
+    vsa_multi_level); f_bev bilinearly samples the BEV map at the
+    keypoint's ground-plane position.
     """
     kp = np.asarray(keypoints, dtype=float).reshape(-1, 3)
     raw = np.asarray(raw_points, dtype=float).reshape(-1, 4)
     m, points = kp.shape[0], raw[:, [3, 0, 1, 2]]  # [intensity | xyz]
-    neigh = radius_query(kp, raw[:, :3], RAW_RADII, RAW_CAP, seed=seed + 7000)
+    neigh = radius_query(kp, raw[:, :3], RAW_RADII, RAW_CAP,
+                         seed=_stream_keys(seed + 7000, ids, m))
     f_raw = aggregate([(kp, neigh[r * m : (r + 1) * m], points, mlp)
                        for r, mlp in enumerate(raw_mlps)])
     return np.concatenate([np.asarray(f_pv, dtype=float), *f_raw,
@@ -487,7 +513,9 @@ def pkw(
     if mlp.out_width != 1 or mlp.out_activation != "sigmoid":
         raise nn.ShapeError("weighting MLP must have sigmoid output of width 1")
     feats = np.asarray(f_p, dtype=float)
-    scores = nn.mlp_forward(mlp, feats)[:, 0]
+    pad = -len(feats) % PKW_ROW_GROUP  # zero rows, dropped after the MLP
+    rows = np.pad(feats, ((0, pad), (0, 0))) if pad else feats
+    scores = nn.mlp_forward(mlp, rows)[: len(feats), 0]
     weighted = scores[:, None] * feats
     inside = geom.points_in_box(np.reshape(positions, (-1, 3)), np.reshape(gt_boxes, (-1, 7)))
     return weighted, scores, inside.any(axis=1).astype(np.int64)

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pvlite import nn, parallel, pipeline, rpn, synth, vsa
+from pvlite import nn, parallel, pipeline, roihead, rpn, synth, vsa
 from pvlite.config import default_config, desk_config
 from pvlite.roihead import RefineTargets
 from pvlite.sparsegrid import (
@@ -104,13 +104,23 @@ class TestRunScene:
         assert len(result.detections) <= len(result.proposals)
 
     def test_keypoint_count_and_widths(self, model, anchors, scene):
+        # run_scene keeps the FPS keypoints its proposals' grids can reach,
+        # in FPS order; the PKW batch keeps all of them.
         result = pipeline.run_scene(scene, model, CFG, anchors, seed=1)
         kp = result.keypoints
-        assert kp.n == CFG.num_keypoints
-        assert kp.f_p.shape == (128, pipeline.keypoint_feature_width(CFG))
+        pts = scene.points_f64()
+        kept = np.flatnonzero(in_range(pts[:, :3], CFG.range_min, CFG.range_max))
+        fps_order = kept[vsa.fps(pts[kept, :3], CFG.num_keypoints)]
+        reach = roihead.grid_reach(pts[fps_order, :3], result.proposals.rows)
+        assert 0 < kp.n == reach.sum() < CFG.num_keypoints
+        np.testing.assert_array_equal(kp.indices, fps_order[reach])
+        assert kp.f_p.shape == (kp.n, pipeline.keypoint_feature_width(CFG))
         assert np.isfinite(kp.f_p).all()
         assert ((kp.scores > 0) & (kp.scores < 1)).all()
-        np.testing.assert_allclose(kp.weighted, kp.scores[:, None] * kp.f_p)
+        np.testing.assert_array_equal(kp.weighted, kp.scores[:, None] * kp.f_p)
+        batch = pipeline.build_pkw_batch(CFG, model, [scene], seed=1)
+        assert batch.features.shape == (CFG.num_keypoints,
+                                        pipeline.keypoint_feature_width(CFG))
 
     @pytest.mark.parametrize("near_edge", [False, True])
     def test_out_of_range_point_is_ignored(self, near_edge):
@@ -143,6 +153,80 @@ class TestRunScene:
         assert 5 not in kp.indices
         np.testing.assert_array_equal(far_scene.points_f64()[kp.indices, :3],
                                       kp.positions)
+
+
+class TestKeypointsForRois:
+    """Keypoint features only where RoI-grid pooling reads them: the same
+    bits as computing every keypoint."""
+
+    @pytest.fixture(scope="class")
+    def front(self, model, anchors, scene):
+        tensors, bev = pipeline._scene_front(CFG, model, scene)
+        cls_probs, reg = pipeline.rpn_head_outputs(model, bev, len(CFG.classes))
+        rois = rpn.extract_proposals(cls_probs, reg, anchors, CFG.top_proposals).rows
+        full = pipeline.build_keypoints(scene, tensors, bev, CFG, model, 1, None)
+        return tensors, bev, rois, full
+
+    def test_kept_rows_equal_the_full_run(self, model, scene, front):
+        # The first k proposals for every k. A subset of 20 keypoints or
+        # fewer may round differently (vsa.PKW_ROW_GROUP), so those are not
+        # compared.
+        tensors, bev, rois, full = front
+        compared = []
+        for k in range(1, len(rois) + 1):
+            keep = roihead.grid_reach(full.positions, rois[:k])
+            if keep.sum() < 21:
+                continue
+            sub = pipeline.build_keypoints(scene, tensors, bev, CFG, model, 1, rois[:k])
+            assert sub.n == keep.sum() < full.n
+            np.testing.assert_array_equal(sub.indices, full.indices[keep])
+            np.testing.assert_array_equal(sub.positions, full.positions[keep])
+            for name in ("f_p", "scores", "weighted_xyz", "labels"):
+                np.testing.assert_array_equal(getattr(sub, name), getattr(full, name)[keep])
+            compared.append(sub.n)
+        assert min(compared) < 25 and max(compared) > 70
+
+    def test_rois_reaching_every_keypoint_keep_all(self, model, scene, front):
+        tensors, bev, _, full = front
+        everything = np.array([[9.6, 0.0, -1.0, 30.0, 30.0, 10.0, 0.0]])
+        sub = pipeline.build_keypoints(scene, tensors, bev, CFG, model, 1, everything)
+        np.testing.assert_array_equal(sub.weighted_xyz, full.weighted_xyz)
+
+    def test_no_proposal_keeps_no_keypoint(self, model, anchors, scene, monkeypatch):
+        none = rpn.Proposals(np.empty((0, 7)), np.empty(0), np.empty(0, dtype=np.int64))
+        monkeypatch.setattr(rpn, "extract_proposals", lambda *args, **kw: none)
+        result = pipeline.run_scene(scene, model, CFG, anchors, seed=1)
+        assert result.detections == [] and len(result.proposals) == 0
+        kp = result.keypoints
+        assert kp.n == 0
+        assert kp.weighted_xyz.shape == (0, pipeline.keypoint_feature_width(CFG) + 3)
+
+    @staticmethod
+    def all_keypoints(monkeypatch):
+        build = pipeline.build_keypoints
+        monkeypatch.setattr(pipeline, "build_keypoints",
+                            lambda *args: build(*args[:-1], None))
+
+    def test_run_scene_equals_all_keypoints(self, model, anchors, scene, monkeypatch):
+        some = pipeline.run_scene(scene, model, CFG, anchors, seed=1)
+        self.all_keypoints(monkeypatch)
+        every = pipeline.run_scene(scene, model, CFG, anchors, seed=1)
+        assert every.keypoints.n == CFG.num_keypoints > some.keypoints.n
+        assert len(some.detections) == len(every.detections) > 0
+        for a, b in zip(some.detections, every.detections):
+            assert (a.score, a.class_id) == (b.score, b.class_id)
+            np.testing.assert_array_equal(a.box.to_array(), b.box.to_array())
+
+    def test_refine_batch_equals_all_keypoints(self, model, anchors, scene, monkeypatch):
+        # 8 sampled RoIs per scene reach 51 and 61 of the 128 keypoints.
+        cfg = CFG.replace(roi_samples=8)
+        scenes = [scene, synth.gen_scene(CFG, seed=43)]
+        some = pipeline.build_refine_batch(cfg, model, scenes, anchors, seed=4)
+        self.all_keypoints(monkeypatch)
+        every = pipeline.build_refine_batch(cfg, model, scenes, anchors, seed=4)
+        assert some.features.shape[0] == 16
+        np.testing.assert_array_equal(some.features, every.features)
+        np.testing.assert_array_equal(some.rois, every.rois)
 
 
 def _one_then_many_threads(monkeypatch, run):

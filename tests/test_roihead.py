@@ -182,6 +182,60 @@ class TestRoiGridPool:
         assert roi_features.shape == (0, 16)
 
 
+class TestGridReach:
+    """grid_reach holds every point within max(GRID_RADII) of a grid point."""
+
+    BOXES = np.array([[1.0, -2.0, 0.3, 3.9, 1.6, 1.5, 0.0],
+                      [4.0, 3.0, -0.5, 4.2, 1.8, 1.6, 0.7],
+                      [-3.0, 1.0, 0.0, 0.9, 0.6, 1.7, -2.3]])
+
+    @staticmethod
+    def in_radius(points, boxes):
+        """Brute force: some grid point lies within max(GRID_RADII)."""
+        grids = geom.roi_grid_points(boxes).reshape(-1, 3)
+        d2 = ((points[:, None, :] - grids[None]) ** 2).sum(axis=2)
+        return (d2 < max(GRID_RADII) ** 2).any(axis=1)
+
+    @staticmethod
+    def local_to_world(box, local):
+        c, s = math.cos(box[6]), math.sin(box[6])
+        x, y, z = local
+        return np.array([c * x - s * y + box[0], s * x + c * y + box[1], z + box[2]])
+
+    def test_superset_of_brute_force(self):
+        rng = np.random.default_rng(120)
+        points = rng.uniform(-7.0, 8.0, size=(4000, 3)) * [1.0, 1.0, 0.4]
+        reach = roihead.grid_reach(points, self.BOXES)
+        near = self.in_radius(points, self.BOXES)
+        assert near.sum() > 300
+        assert not (near & ~reach).any()
+        assert reach.sum() < len(points)
+
+    def test_a_hair_inside_a_corner_grid_point_radius(self):
+        # Straight out of the rotated box from its first (corner) grid point.
+        box = self.BOXES[1]
+        corner = geom.roi_grid_points(box)[0]
+        outward = self.local_to_world(box, -box[3:6]) - box[:3]
+        point = corner + outward / np.linalg.norm(outward) * max(GRID_RADII) * (1 - 1e-12)
+        assert self.in_radius(point[None], box[None])[0]
+        assert roihead.grid_reach(point[None], self.BOXES)[0]
+
+    def test_a_hair_outside_the_grown_box(self):
+        box = self.BOXES[1]
+        for axis in range(3):
+            local = np.zeros(3)
+            local[axis] = box[3 + axis] / 2 + max(GRID_RADII) + 1e-6
+            point = self.local_to_world(box, local)[None]
+            assert not roihead.grid_reach(point, box[None])[0]
+            local[axis] -= 2e-6  # a hair inside
+            assert roihead.grid_reach(self.local_to_world(box, local)[None], box[None])[0]
+
+    def test_no_roi_reaches_nothing(self):
+        points = np.zeros((5, 3))
+        np.testing.assert_array_equal(roihead.grid_reach(points, np.empty((0, 7))),
+                                      np.zeros(5, dtype=bool))
+
+
 class TestAveragePool:
     def test_empty_and_outside(self):
         roi = Box3D(0, 0, 0, 2, 2, 2, 0.0).to_array()
