@@ -312,16 +312,18 @@ def check_set_abstraction(env):
 def check_row_blocks(env):
     # The installed BLAS must round each row of a block's product as it does
     # in one product over all rows: at 611 and 67 wide, a kitti-size call,
-    # calls either side of the 1-, 2- and 3-block sizes and one with a list
-    # longer than a block, each alone and then all of them in one aggregate.
+    # calls either side of the 1-, 2- and 3-block sizes, at 1.4 and 1.6
+    # blocks (either side of the cut into two) and one with a list longer
+    # than a block, each alone and then all of them in one aggregate.
     rng = np.random.default_rng(1014)
     calls, wants = [], []
     for width, kitti_rows in ((611, 216 * 32), (67, 2048 * 32)):
-        per_block = max(vsa.MIN_BLOCK_ROWS, vsa.ROW_BLOCK_BYTES // (8 * width))
+        per_block = vsa.block_rows(width)
         points = np.hstack([rng.normal(size=(3000, width - 3)),
                             rng.uniform(-40.0, 40.0, size=(3000, 3))])
         mlp = nn.init_params((width, 16, 16), seed=1015)
-        totals = (kitti_rows, *(b * per_block + d for b in (1, 2, 3) for d in (-1, 1)))
+        totals = (kitti_rows, *(b * per_block + d for b in (1, 2, 3) for d in (-1, 1)),
+                  14 * per_block // 10, 16 * per_block // 10)
         for end in [*(np.minimum(np.cumsum(rng.integers(0, 33, size=t // 4 + 1)), t)
                       for t in totals), np.cumsum([3, 3 * per_block + 5, 0, 2])]:
             lists = vsa.NeighborLists(rng.integers(0, 3000, size=end[-1]), np.append(0, end))

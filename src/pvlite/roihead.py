@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, geom, nn, rpn
-from .vsa import aggregate, radius_query
+from .vsa import aggregate, padded_reach, radius_query
 
 GRID_POINTS = config.GRID_RESOLUTION**3
 
@@ -78,7 +78,7 @@ def grid_reach(points: np.ndarray, rois: np.ndarray) -> np.ndarray:
     if not grown.size:
         return np.zeros(len(pts), dtype=bool)
     scale = max(np.abs(pts).max(initial=0.0), np.abs(grown[:, :6]).max())
-    grown[:, 3:6] += 2 * (max(config.GRID_RADII) * (1.0 + 1e-9) + 1e-12 * scale)
+    grown[:, 3:6] += 2 * padded_reach(max(config.GRID_RADII), scale)
     return geom.points_in_box(pts, grown).any(axis=1)
 
 

@@ -124,50 +124,31 @@ def _pcg_draws(keys: np.ndarray, n: int) -> np.ndarray:
     return np.stack([x & _M32, x >> _U32], axis=2).reshape(keys.shape[0], 2 * n)
 
 
-def _lemire_row(key: np.ndarray, spans: list[int]) -> list[int]:
-    """One row's bounded draws one at a time, past Lemire's rejections."""
-    n = len(spans)
-    while True:
-        n, vals = 2 * n, []
-        stream = iter(_pcg_draws(key[None], n)[0].tolist())
-        for span in spans:
-            u = next((u for u in stream if u * span & _M32 >= (1 << 32) % span), None)
-            if u is None:  # the stream ran out: again with a longer one
-                break
-            vals.append(u * span >> 32)
-        else:
-            return vals
-
-
 def cap_draws(keys, found, cap: int) -> np.ndarray:
     """(R, cap) int64 positions whose row i is, as a set, what
     np.random.default_rng(keys[i]).choice(found[i], cap, replace=False)
     returns, for keys an (R, 2) int array (uint64 above 2**63 - 1) in
-    [0, 2**64) and each found[i] > cap. Rows numpy draws by its tail shuffle
-    (found > 10000 and cap > found // 50) or with 64-bit draws (found > 2**32)
-    call default_rng. A negative key raises ValueError."""
+    [0, 2**64) and each found[i] > cap. Every row is drawn at once; rows
+    numpy draws by its tail shuffle (found > 10000 and cap > found // 50),
+    with 64-bit draws (found > 2**32) or past a Lemire rejection among its
+    first cap draws are then redrawn by default_rng. A negative key raises
+    ValueError."""
     keys = np.asarray(keys).reshape(-1, 2)
     if keys.size and keys.min() < 0:
         raise ValueError("expected non-negative integer")
     keys, found = keys.astype(np.uint64), np.asarray(found, dtype=np.uint64)
-    picked = np.empty((found.size, cap), dtype=np.int64)
-    slow = (found > 1 << 32) | (found > 10000) & (cap > found // 50)
-    for i in np.flatnonzero(slow):
-        rng = np.random.default_rng(keys[i].tolist())
-        picked[i] = rng.choice(int(found[i]), size=cap, replace=False)
-    keys, found = keys[~slow], found[~slow]
-    if not found.size:
-        return picked
     span = found[:, None] - np.uint64(cap) + np.arange(1, cap + 1, dtype=np.uint64)
     u = _pcg_draws(keys, (cap + 1) // 2)[:, :cap] * span  # Lemire: the high half
     vals = u >> _U32
-    for i in np.flatnonzero(((u & _M32) < np.uint64(1 << 32) % span).any(axis=1)):
-        vals[i] = _lemire_row(keys[i], span[i].tolist())
     floyd = np.empty_like(vals)
     for t in range(cap):  # a value drawn before gives way to the step's bound
         hit = (floyd[:, :t] == vals[:, t, None]).any(axis=1)
         floyd[:, t] = np.where(hit, span[:, t] - np.uint64(1), vals[:, t])
-    picked[~slow] = floyd
+    picked = floyd.astype(np.int64)
+    rejected = ((u & _M32) < np.uint64(1 << 32) % span).any(axis=1)
+    for i in np.flatnonzero(rejected | (found > 1 << 32) | (found > 10000) & (cap > found // 50)):
+        rng = np.random.default_rng(keys[i].tolist())
+        picked[i] = rng.choice(int(found[i]), size=cap, replace=False)
     return picked
 
 
@@ -194,6 +175,13 @@ class NeighborLists:
     def __iter__(self):
         bounds = self.offsets.tolist()
         return (self.flat[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def padded_reach(radius: float, scale: float) -> float:
+    """radius grown by 1e-9 of itself plus 1e-12 of scale, the largest
+    coordinate magnitude in play, so that rounding in coordinates of that
+    size cannot carry a pair within radius past the grown reach."""
+    return radius * (1.0 + 1e-9) + 1e-12 * scale
 
 
 # Most (query, point) candidate pairs one radius_query work unit holds.
@@ -262,8 +250,7 @@ def radius_query(
                              np.zeros(radii.size * m + 1, dtype=np.int64))
     # Cells at least the largest radius wide, padded so that rounding in the
     # division and the floor never puts a pair that passes two cells apart.
-    scale = max(np.abs(p[ok_p]).max(), np.abs(q[ok_q]).max())
-    width = radii.max() * (1.0 + 1e-9) + 1e-12 * scale
+    width = padded_reach(radii.max(), max(np.abs(p[ok_p]).max(), np.abs(q[ok_q]).max()))
     pcell = np.floor(p[ok_p] / width).astype(np.int64)
     # Cell keys: mixed radix of per-axis ranks among occupied coordinates,
     # below (N + 1)**3 however far apart the points are. An x or y no point
@@ -351,10 +338,11 @@ def set_abstraction(
     return aggregate([(query, lists, np.hstack([feats, pos]), mlp)])[0][0]
 
 
-# Bytes of gathered rows a set-abstraction block aims at (more when a call's
-# rows do not split into whole blocks or a list is long), and the fewest
-# rows it holds: OpenBLAS 0.3.31 rounds a row of a product of 64 rows or
-# fewer unlike the same row in a long product, and alike from about 127 on.
+# Bytes of gathered rows a set-abstraction block aims at (a call splits into
+# whole blocks, so one holds up to about 1.5 times as many, plus one list),
+# and the fewest rows it holds: OpenBLAS 0.3.31 rounds a row of a product of
+# 64 rows or fewer unlike the same row in a long product, and alike from
+# about 127 on.
 ROW_BLOCK_BYTES = 4 << 20
 MIN_BLOCK_ROWS = 512
 # pkw runs its MLP on rows zero-padded to a multiple of PKW_ROW_GROUP:
@@ -369,17 +357,23 @@ MIN_BLOCK_ROWS = 512
 PKW_ROW_GROUP = 4
 
 
+def block_rows(width: int) -> int:
+    """Rows a set-abstraction block aims at for rows of width floats:
+    ROW_BLOCK_BYTES of them, at least MIN_BLOCK_ROWS."""
+    return max(MIN_BLOCK_ROWS, ROW_BLOCK_BYTES // (8 * width))
+
+
 def _query_cuts(offsets: np.ndarray, width: int) -> np.ndarray:
     """Block boundaries, as query indices, of a call with these list
-    offsets and rows of width floats: total // per_block blocks (at least
-    one) of per_block rows (ROW_BLOCK_BYTES, at least MIN_BLOCK_ROWS), each
-    cut at the first query starting at or past its equal share of the rows;
-    no block for no rows. A block a long list leaves under MIN_BLOCK_ROWS
-    joins the one before, so no list is split and each block of several
-    holds MIN_BLOCK_ROWS rows or more."""
+    offsets and rows of width floats: the whole number of blocks nearest
+    total / block_rows(width), at least one and at most
+    total // MIN_BLOCK_ROWS, each cut at the first query starting at or
+    past its equal share of the rows; no block for no rows. A block a long
+    list leaves under MIN_BLOCK_ROWS joins the one before, so no list is
+    split and each block of several holds MIN_BLOCK_ROWS rows or more."""
     rows, total = offsets - offsets[0], int(offsets[-1] - offsets[0])
-    per_block = max(MIN_BLOCK_ROWS, ROW_BLOCK_BYTES // (8 * width))
-    n_blocks = max(1, total // per_block)
+    per_block = block_rows(width)
+    n_blocks = max(1, min((2 * total + per_block) // (2 * per_block), total // MIN_BLOCK_ROWS))
     cuts = np.unique(np.searchsorted(rows, np.arange(1, n_blocks) * total // n_blocks))
     long = np.diff(rows[np.append(cuts, rows.size - 1)]) >= MIN_BLOCK_ROWS
     return np.concatenate([[0], cuts[long], [rows.size - 1]]) if total else np.zeros(1, np.int64)

@@ -417,6 +417,32 @@ class TestCapDraws:
         for key, n, row in zip(keys.tolist(), found.tolist(), got):
             want = np.random.default_rng(key).choice(n, size=cap, replace=False)
             assert np.array_equal(np.sort(row), np.sort(want)), (key, n)
+        none = vsa.cap_draws(keys[:0], found[:0], cap)
+        assert none.shape == (0, cap) and none.dtype == np.int64
+
+    def test_one_call_mixes_rejected_wide_and_vectorised_rows(self):
+        # Rows near 2**31 points, where Lemire's method rejects about half
+        # its draws, rows past 2**32 (64-bit draws) and small rows, in one
+        # call. The rejections are found from numpy's raw 32-bit stream
+        # (low half of each 64-bit output first), so each kind is present.
+        rng = np.random.default_rng(64)
+        cap, rows = 8, 60
+        keys = rng.integers(0, 2**63, size=(rows, 2))
+        found = np.array([(2**31 + int(rng.integers(1, 5000)), 2**32 + 7,
+                           int(rng.integers(cap + 1, 500)))[k % 3] for k in range(rows)])
+
+        def rejects(key, n):
+            raw = np.random.default_rng(key).bit_generator.random_raw(cap)
+            u = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()[:cap].tolist()
+            return any(x * s % 2**32 < 2**32 % s for x, s in zip(u, range(n - cap + 1, n + 1)))
+
+        kinds = {(n > 2**32, n <= 2**32 and rejects(key, n))
+                 for key, n in zip(keys.tolist(), found.tolist())}
+        assert kinds == {(True, False), (False, True), (False, False)}
+        got = vsa.cap_draws(keys, found, cap)
+        for key, n, row in zip(keys.tolist(), found.tolist(), got):
+            want = np.random.default_rng(key).choice(n, size=cap, replace=False)
+            assert set(row.tolist()) == set(want.tolist()), (key, n)
 
     def test_signed_keys_and_lists(self):
         keys = [[5, 0], [0, 7], [2**63 - 1, 2**32]]
@@ -424,7 +450,6 @@ class TestCapDraws:
         for key, n, row in zip(keys, [40, 33, 1000], got):
             want = np.random.default_rng(key).choice(n, size=32, replace=False)
             assert np.array_equal(np.sort(row), np.sort(want))
-        assert vsa.cap_draws(np.empty((0, 2), np.int64), [], 16).shape == (0, 16)
 
     def test_negative_key_raises(self):
         with pytest.raises(ValueError):
@@ -557,11 +582,6 @@ class TestSetAbstraction:
         np.testing.assert_array_equal(out, np.zeros((4, 6)))
 
 
-def _per_block(width):
-    """Rows in one block of a branch over (n, width) points."""
-    return max(vsa.MIN_BLOCK_ROWS, vsa.ROW_BLOCK_BYTES // (8 * width))
-
-
 def _lists_of_total(rng, total, n_points, cap=32):
     """Neighbour lists of 0..cap indices each (empty ones and repeated
     indices included) whose lengths add up to exactly total."""
@@ -582,23 +602,26 @@ def _branch_case(seed, width, lists):
 
 
 # Calls of 611-wide rows (RoI-grid branches) and 67-wide rows (levels 3 and
-# 4 of keypoint VSA): each side of the 1-, 2- and 3-block sizes, one query
+# 4 of keypoint VSA): each side of the 1-, 2- and 3-block sizes, the rows
+# of a desk scene's level-3/4 branch (about 400 kept keypoints), one query
 # longer than a block, and lists with no row at all.
 def _block_cases():
     rng = np.random.default_rng(90)
     cases = []
     for width in (611, 67):
-        b = _per_block(width)
+        b = vsa.block_rows(width)
         for blocks in (1, 2, 3):
             for total in (blocks * b - 1, blocks * b + 1):
                 cases.append((f"{width}-wide {total} rows", width,
                               _lists_of_total(rng, total, 700)))
-    b = _per_block(611)
+    b = vsa.block_rows(611)
     one = [rng.integers(0, 50, size=k) for k in (3, 3 * b + 5, 0, 2)]
     cases.append(("one query longer than a block", 611, one))
     cases.append(("only a query longer than a block", 611, one[1:2]))
     cases.append(("empty lists", 611, [np.empty(0, np.int64)] * 5))
     cases.append(("no queries", 611, []))
+    cases.append(("67-wide 12600 rows, desk's level-3/4 shape", 67,
+                  _lists_of_total(rng, 12600, 700)))
     return cases
 
 
@@ -622,23 +645,33 @@ class TestRowBlocks:
                              ids=[c[0] for c in BLOCK_CASES])
     def test_block_count_and_sizes(self, name, width, lists):
         # Blocks of whole lists cover the call, no block for a call with no
-        # row, and each block of several holds MIN_BLOCK_ROWS rows or more.
-        # Lists of at most 32 give total // per_block blocks (one below two
-        # blocks' rows), each cut less than 32 rows past its equal share.
+        # row, each block of several holds MIN_BLOCK_ROWS rows or more, and
+        # none holds more than 1.5 blocks' rows plus its longest list. Lists
+        # of at most 32 give the whole number of blocks nearest
+        # total / per_block (at most total // MIN_BLOCK_ROWS), each cut less
+        # than 32 rows past its equal share.
         offsets = csr(lists)[1]
-        total, per_block = int(offsets[-1]), _per_block(width)
+        total, per_block = int(offsets[-1]), vsa.block_rows(width)
         cuts = vsa._query_cuts(offsets, width)
         sizes = np.diff(offsets[cuts])
         assert cuts[0] == 0 and (np.diff(cuts) > 0).all()
         assert cuts[-1] == (len(lists) if total else 0)
         assert sum(sizes) == total
+        assert max(sizes, default=0) <= 1.5 * per_block + max(map(len, lists), default=0)
         if len(sizes) > 1:
             assert min(sizes) >= vsa.MIN_BLOCK_ROWS
         if max(map(len, lists), default=0) <= 32:
-            assert len(sizes) == (max(1, total // per_block) if total else 0)
+            nearest = max(1, min(math.floor(total / per_block + 0.5), total // vsa.MIN_BLOCK_ROWS))
+            assert len(sizes) == (nearest if total else 0)
             if total:
                 past = offsets[cuts] - np.arange(len(cuts)) * total // len(sizes)
                 assert ((past >= 0) & (past < 32)).all()
+
+    def test_desk_keypoint_branch_cuts_in_two(self):
+        # About 400 kept keypoints of a desk scene at level 3 or 4: 12,600
+        # rows of 67 floats, 1.6 blocks, which the nearest count cuts in two.
+        [lists] = [c[2] for c in BLOCK_CASES if c[0].startswith("67-wide 12600")]
+        assert len(vsa._query_cuts(csr(lists)[1], 67)) - 1 == 2
 
     def test_kitti_size_keypoint_branch(self, monkeypatch):
         # 2048 keypoints, up to 32 rows each, 67 wide: several blocks.
@@ -659,8 +692,8 @@ class TestRowBlocks:
         monkeypatch.setattr(parallel, "_threads", lambda: threads)
         rng = np.random.default_rng(95)
         calls, oracles = [], []
-        for width, total in ((611, 3 * _per_block(611) + 1), (67, 40), (5, 0),
-                             (67, 2 * _per_block(67) - 1), (5, 700), (611, 300)):
+        for width, total in ((611, 3 * vsa.block_rows(611) + 1), (67, 40), (5, 0),
+                             (67, 2 * vsa.block_rows(67) - 1), (5, 700), (611, 300)):
             lists = _lists_of_total(rng, total, 700)
             queries, points, mlp = _branch_case(96 + len(calls), width, lists)
             calls.append((queries, vsa.NeighborLists(*csr(lists)), points, mlp))
